@@ -7,8 +7,10 @@
 //! ring degree).
 //!
 //! Plaintext operands are passed as slot vectors (`&[f64]`); backends
-//! encode them internally at the ciphertext operand's level and scale.
+//! expand them to the slot count with [`expand_to_slots`] and encode them
+//! internally at the ciphertext operand's level and scale.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::params::CkksParams;
@@ -177,14 +179,18 @@ pub trait Backend: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Fails if the plaintext cannot be encoded at the operand's type.
+    /// Fails if the plaintext cannot be encoded at the operand's type,
+    /// including [`BackendError::SlotOverflow`] when `p` is longer than the
+    /// slot count.
     fn add_plain(&self, a: &Self::Ct, p: &[f64]) -> Result<Self::Ct>;
 
     /// Ciphertext − plaintext (`subcp`).
     ///
     /// # Errors
     ///
-    /// Fails if the plaintext cannot be encoded at the operand's type.
+    /// Fails if the plaintext cannot be encoded at the operand's type,
+    /// including [`BackendError::SlotOverflow`] when `p` is longer than the
+    /// slot count.
     fn sub_plain(&self, a: &Self::Ct, p: &[f64]) -> Result<Self::Ct>;
 
     /// Ciphertext × ciphertext (`multcc`), with relinearization. The result
@@ -199,7 +205,8 @@ pub trait Backend: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Fails on non-waterline operand or level 0.
+    /// Fails on non-waterline operand or level 0, and with
+    /// [`BackendError::SlotOverflow`] when `p` is longer than the slot count.
     fn mult_plain(&self, a: &Self::Ct, p: &[f64]) -> Result<Self::Ct>;
 
     /// Sign flip.
@@ -276,42 +283,28 @@ pub trait Backend: Send + Sync {
     fn bootstrap(&self, a: &Self::Ct, target: u32) -> Result<Self::Ct>;
 }
 
-/// Expands a logical constant to a full slot vector.
+/// Expands a plaintext payload to `slots` values. A short payload repeats
+/// cyclically (the paper replicates short value vectors across the
+/// ciphertext, §6.1), an empty one reads as zeros, and a full-length one
+/// is borrowed as it is.
 ///
-/// `Vector` payloads repeat cyclically (the paper replicates short value
-/// vectors across the ciphertext, §6.1); masks select `lo..hi`.
-#[must_use]
-pub fn expand_to_slots(kind: &PlainKind, slots: usize) -> Vec<f64> {
-    match kind {
-        PlainKind::Splat(x) => vec![*x; slots],
-        PlainKind::Vector(v) => {
-            if v.is_empty() {
-                vec![0.0; slots]
-            } else {
-                (0..slots).map(|i| v[i % v.len()]).collect()
+/// # Errors
+///
+/// [`BackendError::SlotOverflow`] when the payload is longer than `slots`:
+/// it cannot be encoded without dropping values.
+pub fn expand_to_slots(values: &[f64], slots: usize) -> Result<Cow<'_, [f64]>> {
+    match values.len() {
+        len if len == slots => Ok(Cow::Borrowed(values)),
+        len if len > slots => Err(BackendError::SlotOverflow { len, slots }),
+        0 => Ok(Cow::Owned(vec![0.0; slots])),
+        len => {
+            let mut out = Vec::with_capacity(slots);
+            while out.len() < slots {
+                out.extend_from_slice(&values[..len.min(slots - out.len())]);
             }
+            Ok(Cow::Owned(out))
         }
-        PlainKind::Mask { lo, hi } => (0..slots)
-            .map(|i| if i >= *lo && i < *hi { 1.0 } else { 0.0 })
-            .collect(),
     }
-}
-
-/// Logical plaintext payloads (mirrors `halo_ir::op::ConstValue` without
-/// depending on the IR crate).
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlainKind {
-    /// A scalar replicated everywhere.
-    Splat(f64),
-    /// A vector repeated cyclically.
-    Vector(Vec<f64>),
-    /// A 0/1 window mask.
-    Mask {
-        /// First selected slot.
-        lo: usize,
-        /// One past the last selected slot.
-        hi: usize,
-    },
 }
 
 #[cfg(test)]
@@ -319,20 +312,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn expand_splat_and_mask() {
-        assert_eq!(expand_to_slots(&PlainKind::Splat(2.0), 4), vec![2.0; 4]);
+    fn expand_repeats_short_payloads_cyclically() {
         assert_eq!(
-            expand_to_slots(&PlainKind::Mask { lo: 1, hi: 3 }, 4),
-            vec![0.0, 1.0, 1.0, 0.0]
+            *expand_to_slots(&[1.0, 2.0], 5).unwrap(),
+            [1.0, 2.0, 1.0, 2.0, 1.0]
         );
+        assert_eq!(*expand_to_slots(&[], 3).unwrap(), [0.0; 3]);
+        assert!(matches!(
+            expand_to_slots(&[1.0; 4], 4).unwrap(),
+            Cow::Borrowed(_)
+        ));
     }
 
     #[test]
-    fn expand_vector_repeats_cyclically() {
+    fn expand_rejects_payloads_longer_than_the_slots() {
         assert_eq!(
-            expand_to_slots(&PlainKind::Vector(vec![1.0, 2.0]), 5),
-            vec![1.0, 2.0, 1.0, 2.0, 1.0]
+            expand_to_slots(&[1.0; 5], 4),
+            Err(BackendError::SlotOverflow { len: 5, slots: 4 })
         );
-        assert_eq!(expand_to_slots(&PlainKind::Vector(vec![]), 3), vec![0.0; 3]);
     }
 }

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::backend::{Backend, BackendError, Result};
+use crate::backend::{expand_to_slots, Backend, BackendError, Result};
 use crate::params::CkksParams;
 use crate::snapshot::{put_f64, put_u32, put_u64, SnapError, SnapReader, SnapshotBackend};
 
@@ -167,14 +167,6 @@ impl SimBackend {
         }
         Ok(())
     }
-
-    fn expand(&self, p: &[f64]) -> Vec<f64> {
-        let slots = self.params.slots();
-        if p.is_empty() {
-            return vec![0.0; slots];
-        }
-        (0..slots).map(|i| p[i % p.len()]).collect()
-    }
 }
 
 impl Backend for SimBackend {
@@ -185,19 +177,13 @@ impl Backend for SimBackend {
     }
 
     fn encrypt(&self, values: &[f64], level: u32) -> Result<SimCt> {
-        if values.len() > self.params.slots() {
-            return Err(BackendError::SlotOverflow {
-                len: values.len(),
-                slots: self.params.slots(),
-            });
-        }
+        let mut v = expand_to_slots(values, self.params.slots())?.into_owned();
         if level > self.params.max_level {
             return Err(BackendError::Unsupported(format!(
                 "encrypt at level {level} exceeds max {}",
                 self.params.max_level
             )));
         }
-        let mut v = self.expand(values);
         let sigma = self.noise.encrypt;
         self.perturb(&mut v, sigma);
         Ok(SimCt {
@@ -256,8 +242,8 @@ impl Backend for SimBackend {
     }
 
     fn add_plain(&self, a: &SimCt, p: &[f64]) -> Result<SimCt> {
-        let pv = self.expand(p);
-        let mut v: Vec<f64> = a.values.iter().zip(&pv).map(|(x, y)| x + y).collect();
+        let pv = expand_to_slots(p, self.params.slots())?;
+        let mut v: Vec<f64> = a.values.iter().zip(pv.iter()).map(|(x, y)| x + y).collect();
         let sigma = self.noise.add;
         self.perturb(&mut v, sigma);
         Ok(SimCt {
@@ -268,8 +254,8 @@ impl Backend for SimBackend {
     }
 
     fn sub_plain(&self, a: &SimCt, p: &[f64]) -> Result<SimCt> {
-        let pv = self.expand(p);
-        let mut v: Vec<f64> = a.values.iter().zip(&pv).map(|(x, y)| x - y).collect();
+        let pv = expand_to_slots(p, self.params.slots())?;
+        let mut v: Vec<f64> = a.values.iter().zip(pv.iter()).map(|(x, y)| x - y).collect();
         let sigma = self.noise.add;
         self.perturb(&mut v, sigma);
         Ok(SimCt {
@@ -316,8 +302,8 @@ impl Backend for SimBackend {
                 needed: 1,
             });
         }
-        let pv = self.expand(p);
-        let mut v: Vec<f64> = a.values.iter().zip(&pv).map(|(x, y)| x * y).collect();
+        let pv = expand_to_slots(p, self.params.slots())?;
+        let mut v: Vec<f64> = a.values.iter().zip(pv.iter()).map(|(x, y)| x * y).collect();
         let sigma = self.noise.mult * 0.5;
         self.perturb(&mut v, sigma);
         Ok(SimCt {
@@ -514,6 +500,18 @@ mod tests {
         assert_eq!(&out[..3], &[1.0, 2.0, 3.0]);
         // Short inputs replicate cyclically (paper §6.1).
         assert_eq!(out[3], 1.0);
+    }
+
+    #[test]
+    fn plaintexts_longer_than_the_slots_are_rejected() {
+        let b = backend();
+        let ct = b.encrypt(&[1.0], 5).unwrap();
+        let long = vec![1.0; 33];
+        let overflow = BackendError::SlotOverflow { len: 33, slots: 32 };
+        assert_eq!(b.encrypt(&long, 5).unwrap_err(), overflow);
+        assert_eq!(b.add_plain(&ct, &long).unwrap_err(), overflow);
+        assert_eq!(b.sub_plain(&ct, &long).unwrap_err(), overflow);
+        assert_eq!(b.mult_plain(&ct, &long).unwrap_err(), overflow);
     }
 
     #[test]

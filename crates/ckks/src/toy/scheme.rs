@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::backend::{Backend, BackendError, Result};
+use crate::backend::{expand_to_slots, Backend, BackendError, Result};
 use crate::metrics;
 use crate::params::CkksParams;
 use crate::snapshot::{put_f64, put_u32, put_u64, put_u8, SnapError, SnapReader, SnapshotBackend};
@@ -326,21 +326,14 @@ impl ToyBackend {
         p
     }
 
-    /// Expands short inputs cyclically to the slot count (trait contract).
-    fn expand(&self, values: &[f64]) -> Vec<f64> {
-        let slots = self.enc.slots();
-        if values.is_empty() {
-            return vec![0.0; slots];
-        }
-        (0..slots).map(|i| values[i % values.len()]).collect()
-    }
-
     /// Encodes a plaintext at the given scale/basis as an NTT poly.
-    fn encode_poly(&self, values: &[f64], rows: usize, scale: f64) -> RnsPoly {
-        let coeffs = self.enc.encode(&self.expand(values), scale);
+    fn encode_poly(&self, values: &[f64], rows: usize, scale: f64) -> Result<RnsPoly> {
+        let coeffs = self
+            .enc
+            .encode(&expand_to_slots(values, self.enc.slots())?, scale);
         let mut m = RnsPoly::from_i128(&self.ctx, &coeffs, rows, false);
         m.to_ntt(&self.ctx);
-        m
+        Ok(m)
     }
 }
 
@@ -403,13 +396,9 @@ impl Backend for ToyBackend {
                 self.params.max_level
             )));
         }
-        if values.len() > self.enc.slots() {
-            return Err(BackendError::SlotOverflow {
-                len: values.len(),
-                slots: self.enc.slots(),
-            });
-        }
-        let coeffs = self.enc.encode(&self.expand(values), DELTA);
+        let coeffs = self
+            .enc
+            .encode(&expand_to_slots(values, self.enc.slots())?, DELTA);
         Ok(self.rlwe_encrypt(&coeffs, level, DELTA))
     }
 
@@ -471,7 +460,7 @@ impl Backend for ToyBackend {
     }
 
     fn add_plain(&self, a: &ToyCt, p: &[f64]) -> Result<ToyCt> {
-        let m = self.encode_poly(p, a.c0.limbs(), a.scale);
+        let m = self.encode_poly(p, a.c0.limbs(), a.scale)?;
         Ok(ToyCt {
             c0: a.c0.add(&m, &self.ctx),
             ..a.clone()
@@ -479,7 +468,7 @@ impl Backend for ToyBackend {
     }
 
     fn sub_plain(&self, a: &ToyCt, p: &[f64]) -> Result<ToyCt> {
-        let m = self.encode_poly(p, a.c0.limbs(), a.scale);
+        let m = self.encode_poly(p, a.c0.limbs(), a.scale)?;
         Ok(ToyCt {
             c0: a.c0.sub(&m, &self.ctx),
             ..a.clone()
@@ -536,7 +525,7 @@ impl Backend for ToyBackend {
                 needed: 1,
             });
         }
-        let m = self.encode_poly(p, a.c0.limbs(), DELTA);
+        let m = self.encode_poly(p, a.c0.limbs(), DELTA)?;
         Ok(ToyCt {
             c0: a.c0.mul(&m, &self.ctx),
             c1: a.c1.mul(&m, &self.ctx),
@@ -903,6 +892,18 @@ mod tests {
         }
         // Cyclic expansion like the simulation backend.
         assert!((out[4] - 0.5).abs() < 1e-8);
+    }
+
+    #[test]
+    fn plaintexts_longer_than_the_slots_are_rejected() {
+        let be = backend();
+        let ct = be.encrypt(&[1.0], 4).unwrap();
+        let long = vec![1.0; 17];
+        let overflow = BackendError::SlotOverflow { len: 17, slots: 16 };
+        assert_eq!(be.encrypt(&long, 4).unwrap_err(), overflow);
+        assert_eq!(be.add_plain(&ct, &long).unwrap_err(), overflow);
+        assert_eq!(be.sub_plain(&ct, &long).unwrap_err(), overflow);
+        assert_eq!(be.mult_plain(&ct, &long).unwrap_err(), overflow);
     }
 
     #[test]

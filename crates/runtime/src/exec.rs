@@ -17,7 +17,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use halo_ckks::backend::{Backend, BackendError};
+use halo_ckks::backend::{expand_to_slots, Backend, BackendError};
 use halo_ckks::snapshot::SnapshotBackend;
 use halo_ckks::{CostModel, CostedOp};
 use halo_ir::func::{BlockId, Function, OpId, ValueId};
@@ -744,14 +744,14 @@ impl<'b, B: Backend> Executor<'b, B> {
                         .plain
                         .get(name)
                         .ok_or_else(|| ExecError::from(RunError::MissingInput(name.clone())))?;
-                    RtValue::Pt(expand(data, slots))
+                    RtValue::Pt(expand_to_slots(data, slots)?.into_owned())
                 };
                 values.insert(r, rt);
             }
             Opcode::Const(c) => {
                 let data = match c {
                     ConstValue::Splat(x) => vec![*x; slots],
-                    ConstValue::Vector(v) => expand(v, slots),
+                    ConstValue::Vector(v) => expand_to_slots(v, slots)?.into_owned(),
                     ConstValue::Mask { lo, hi } => (0..slots)
                         .map(|i| if i >= *lo && i < *hi { 1.0 } else { 0.0 })
                         .collect(),
@@ -1370,13 +1370,6 @@ fn dangling_value(id: ValueId) -> RunError {
     RunError::Malformed(format!("value {id} does not exist in this function"))
 }
 
-fn expand(data: &[f64], slots: usize) -> Vec<f64> {
-    if data.is_empty() {
-        return vec![0.0; slots];
-    }
-    (0..slots).map(|i| data[i % data.len()]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1466,6 +1459,35 @@ mod tests {
         assert_eq!(out.stats.hoisted_batches, 1);
         assert_eq!(out.stats.hoisted_rotations, 3);
         assert!(out.stats.hoist_saved_us > 0.0);
+    }
+
+    #[test]
+    fn plaintexts_longer_than_the_slots_fail_instead_of_truncating() {
+        let long = vec![1.0; 33];
+        let overflow = RunError::Backend(BackendError::SlotOverflow { len: 33, slots: 32 });
+        let mut b = FunctionBuilder::new("t", 32);
+        let x = b.input_cipher("x");
+        let p = b.input_plain("p");
+        let s = b.add(x, p);
+        b.ret(&[s]);
+        let plain_input = b.finish();
+        let mut b = FunctionBuilder::new("t", 32);
+        let x = b.input_cipher("x");
+        let k = b.const_vector(long.clone());
+        let s = b.add(x, k);
+        b.ret(&[s]);
+        let const_vector = b.finish();
+        let inputs = Inputs::new().cipher("x", vec![1.0]).plain("p", long);
+        for f in [&plain_input, &const_vector] {
+            let be = exact_backend();
+            let err = Executor::new(&be).run(f, &inputs).unwrap_err();
+            assert_eq!(err, overflow);
+            assert!(err.op.is_some(), "the failing op is named: {err}");
+            assert_eq!(
+                crate::reference::reference_run(f, &inputs, 32).unwrap_err(),
+                overflow
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 
+use halo_ckks::backend::expand_to_slots;
 use halo_ir::func::{BlockId, Function, ValueId};
 use halo_ir::op::{ConstValue, Opcode};
 
@@ -17,7 +18,9 @@ use crate::exec::{Inputs, RunError};
 ///
 /// # Errors
 ///
-/// [`RunError::MissingInput`] for unbound inputs or trip symbols.
+/// [`RunError::MissingInput`] for unbound inputs or trip symbols, and
+/// [`RunError::Backend`] with `SlotOverflow` for an input or constant
+/// longer than `slots`, which the encrypted run rejects as well.
 pub fn reference_run(
     f: &Function,
     inputs: &Inputs,
@@ -38,13 +41,6 @@ pub fn reference_run(
                 .ok_or_else(|| RunError::Malformed(format!("output {v} never computed")))
         })
         .collect()
-}
-
-fn expand(data: &[f64], slots: usize) -> Vec<f64> {
-    if data.is_empty() {
-        return vec![0.0; slots];
-    }
-    (0..slots).map(|i| data[i % data.len()]).collect()
 }
 
 fn run_block(
@@ -68,12 +64,12 @@ fn run_block(
                     .cipher_data(name)
                     .or_else(|| inputs.plain_data(name))
                     .ok_or_else(|| RunError::MissingInput(name.clone()))?;
-                values.insert(op.results[0], expand(data, slots));
+                values.insert(op.results[0], expand_to_slots(data, slots)?.into_owned());
             }
             Opcode::Const(c) => {
                 let data = match c {
                     ConstValue::Splat(x) => vec![*x; slots],
-                    ConstValue::Vector(v) => expand(v, slots),
+                    ConstValue::Vector(v) => expand_to_slots(v, slots)?.into_owned(),
                     ConstValue::Mask { lo, hi } => (0..slots)
                         .map(|i| if i >= *lo && i < *hi { 1.0 } else { 0.0 })
                         .collect(),

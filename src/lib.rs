@@ -25,7 +25,7 @@ pub use halo_runtime as runtime;
 /// use halo_fhe::prelude::*;
 /// ```
 pub mod prelude {
-    pub use halo_ckks::backend::{Backend, BackendError, PlainKind};
+    pub use halo_ckks::backend::{Backend, BackendError};
     pub use halo_ckks::fault::{FaultInjectingBackend, FaultReport, FaultSpec};
     pub use halo_ckks::params::CkksParams;
     pub use halo_ckks::sim::{NoiseProfile, SimBackend};
