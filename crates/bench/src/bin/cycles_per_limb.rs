@@ -1,19 +1,16 @@
-//! Lazy-reduction NTT microbenchmark: per-limb negacyclic transform cost
-//! and ct-ct multiply latency, eager Barrett path (the pre-redesign
-//! baseline arithmetic) vs the default lazy Harvey/Shoup path.
+//! Toy-backend kernel microbenchmark: per-limb negacyclic transform cost
+//! (lazy Harvey butterflies with Shoup twiddles) and ct-ct multiply
+//! latency (tensor, fused key switch, NTT-domain mod-down).
 //!
 //! ```sh
 //! cargo run --release -p halo-bench --bin cycles_per_limb
 //! ```
 //!
-//! Writes `BENCH_NTT.json` (schema `halo-bench-ntt/1`, destination
-//! `HALO_BENCH_JSON_DIR`, default `results/`). Both paths compute
-//! bit-identical canonical residues — the suites assert that — so this
-//! benchmark is purely about the instruction count per butterfly.
-//!
-//! The acceptance bar is ≥2.0× on ct-ct multiply; like `hoist_speedup`
-//! the gate only arms on machines with ≥4 CPUs (a loaded single-core
-//! runner times too noisily), and `HALO_NTT_MIN` forces a bar anywhere.
+//! Writes `BENCH_NTT.json` (schema `halo-bench-ntt/2`, destination
+//! `HALO_BENCH_JSON_DIR`, default `results/`). The timings are recorded,
+//! not gated: `tests/hoist_counters.rs` pins the exact transform rows
+//! and deferred reductions of each key-switching op, which catches an
+//! added transform or per-element reduction on any machine.
 
 use std::time::Instant;
 
@@ -21,7 +18,6 @@ use halo_bench::json::{self, num, Json};
 use halo_ckks::backend::Backend;
 use halo_ckks::toy::ntt::NttTable;
 use halo_ckks::toy::poly::primes_near;
-use halo_ckks::toy::{set_reduction_mode, ReductionMode};
 use halo_ckks::{metrics, ToyBackend};
 
 const N: usize = 4096;
@@ -69,55 +65,37 @@ fn main() {
     let p = primes_near(1 << 58, 2 * N as u64, 1)[0];
     let table = NttTable::new(N, p);
     let mut limb: Vec<u64> = (0..N as u64).map(|i| (i * 2654435761) % p).collect();
-
-    set_reduction_mode(ReductionMode::Eager);
-    let ntt_eager_ns = time_ntt(&table, &mut limb);
-    set_reduction_mode(ReductionMode::Lazy);
-    let ntt_lazy_ns = time_ntt(&table, &mut limb);
-    let ntt_speedup = ntt_eager_ns / ntt_lazy_ns;
+    let ntt_ns = time_ntt(&table, &mut limb);
 
     let slots = N / 2;
     let va: Vec<f64> = (0..slots).map(|i| (i as f64 / 77.0).sin()).collect();
     let vb: Vec<f64> = (0..slots).map(|i| (i as f64 / 55.0).cos()).collect();
-
-    set_reduction_mode(ReductionMode::Eager);
     let be = ToyBackend::new(N, LEVELS, 0x4CC);
     let ca = be.encrypt(&va, LEVELS).expect("encrypt a");
     let cb = be.encrypt(&vb, LEVELS).expect("encrypt b");
     std::hint::black_box(be.mult(&ca, &cb).expect("warm-up"));
-    let mult_eager_us = time_mult(&be, &ca, &cb);
-
-    set_reduction_mode(ReductionMode::Lazy);
-    std::hint::black_box(be.mult(&ca, &cb).expect("warm-up"));
     metrics::reset();
-    let mult_lazy_us = time_mult(&be, &ca, &cb);
+    let mult_us = time_mult(&be, &ca, &cb);
     let lazy_skipped = metrics::snapshot().lazy_reductions_skipped;
     assert!(
         lazy_skipped > 0,
-        "the lazy path must record deferred reductions"
+        "the lazy kernels must record deferred reductions"
     );
-    let mult_speedup = mult_eager_us / mult_lazy_us;
 
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("NTT round-trip, N={N}, 59-bit prime, {REPS} reps, {cores} core(s)");
-    println!("  eager (Barrett)    : {ntt_eager_ns:10.1} ns/limb");
-    println!("  lazy (Harvey/Shoup): {ntt_lazy_ns:10.1} ns/limb  ({ntt_speedup:.2}x)");
+    println!("NTT round-trip, N={N}, 59-bit prime, {BATCHES} batches of {REPS}, {cores} core(s)");
+    println!("  transform          : {ntt_ns:10.1} ns/limb");
     println!("ct-ct multiply, toy backend, N={N}, L={LEVELS}");
-    println!("  eager              : {mult_eager_us:10.1} us");
-    println!("  lazy               : {mult_lazy_us:10.1} us  ({mult_speedup:.2}x)");
+    println!("  multiply           : {mult_us:10.1} us");
 
     let doc = json::obj(vec![
-        ("schema", Json::Str("halo-bench-ntt/1".into())),
+        ("schema", Json::Str("halo-bench-ntt/2".into())),
         ("n", num(N as f64)),
         ("levels", num(f64::from(LEVELS))),
         ("reps", num(f64::from(REPS))),
         ("threads", num(cores as f64)),
-        ("ntt_eager_ns_per_limb", num(ntt_eager_ns)),
-        ("ntt_lazy_ns_per_limb", num(ntt_lazy_ns)),
-        ("ntt_speedup", num(ntt_speedup)),
-        ("mult_eager_us", num(mult_eager_us)),
-        ("mult_lazy_us", num(mult_lazy_us)),
-        ("mult_speedup", num(mult_speedup)),
+        ("ntt_ns_per_limb", num(ntt_ns)),
+        ("mult_us", num(mult_us)),
         ("lazy_reductions_skipped", num(lazy_skipped as f64)),
     ]);
     json::validate_ntt(&doc).expect("emitted document must satisfy its own schema");
@@ -125,22 +103,4 @@ fn main() {
     let path = dir.join("BENCH_NTT.json");
     std::fs::write(&path, doc.pretty()).expect("write BENCH_NTT.json");
     println!("  wrote              : {}", path.display());
-
-    let min: Option<f64> = match std::env::var("HALO_NTT_MIN") {
-        Ok(s) => s.parse().ok(),
-        Err(_) if cores >= 4 => Some(2.0),
-        Err(_) => {
-            println!(
-                "  gate               : skipped ({cores} core(s) < 4 — timing too noisy to gate)"
-            );
-            None
-        }
-    };
-    if let Some(min) = min {
-        if mult_speedup < min {
-            eprintln!("FAIL: ct-ct multiply speedup {mult_speedup:.2}x below the {min:.1}x bar");
-            std::process::exit(1);
-        }
-        println!("  gate               : PASS (>= {min:.1}x)");
-    }
 }

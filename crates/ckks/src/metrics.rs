@@ -43,9 +43,11 @@ pub struct MetricsSnapshot {
     pub poly_allocs: u64,
     /// Limb buffers acquired from the recycling pool instead of the heap.
     pub pool_reuses: u64,
-    /// Per-element modular canonicalizations elided by the lazy-reduction
-    /// kernels (Harvey butterflies, Shoup products) relative to the eager
-    /// per-op path. Zero when `ReductionMode::Eager` is active.
+    /// Per-element modular canonicalizations the toy kernels defer
+    /// (Harvey butterflies, Shoup twist and key products) relative to
+    /// canonicalizing after every operation: `N/2·log₂N + N` per
+    /// transform row, `N` more per 4p-redundant digit row, and one per
+    /// digit product in the fused key switch.
     pub lazy_reductions_skipped: u64,
     /// Residue rows put through a forward NTT.
     pub ntt_forward_rows: u64,

@@ -18,8 +18,5 @@ pub mod ntt;
 pub mod poly;
 pub mod scheme;
 
-pub use modular::{reduction_mode, set_reduction_mode, ReductionMode};
-pub use poly::{
-    Decomposer, HoistedDigits, LimbMut, LimbRef, PolyView, RnsContext, RnsPoly, ShoupPoly,
-};
+pub use poly::{HoistedDigits, LimbMut, LimbRef, PolyView, RnsContext, RnsPoly, ShoupPoly};
 pub use scheme::{ToyBackend, ToyCt};

@@ -1,51 +1,11 @@
 //! 64-bit modular arithmetic: the scalar substrate of the RNS backend.
 //!
-//! Two reduction disciplines coexist (see [`ReductionMode`]):
-//!
-//! - **Eager**: every scalar op canonicalizes to `[0, p)` immediately via
-//!   widening `%` — the original, obviously-correct path, kept as the
-//!   differential oracle.
-//! - **Lazy**: hot kernels carry 2p/4p-redundant values through whole
-//!   passes and canonicalize once at the end, using precomputed
-//!   Shoup companions ([`shoup_precompute`] / [`mul_shoup_lazy`]) for
-//!   fixed multiplicands (twiddles, key material) and a precomputed
-//!   Barrett [`Modulus`] for variable×variable products.
-//!
-//! Both disciplines compute the same residue, so every kernel's
-//! *canonical* output is bit-identical between modes — test-enforced.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which reduction discipline the toy backend's hot kernels use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReductionMode {
-    /// Canonicalize after every scalar op (widening `%`).
-    Eager,
-    /// Harvey/Shoup lazy representation through whole kernel passes,
-    /// one final reduction. The default.
-    Lazy,
-}
-
-/// Process-global mode: 0 = lazy (default), 1 = eager. Kernels read this
-/// once per public call, so a concurrent flip never produces a mixed
-/// pass — and both modes are bit-identical anyway.
-static REDUCTION_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the reduction discipline (tests flip between the two to prove
-/// bit-identity; benchmarks flip to measure the lazy win).
-pub fn set_reduction_mode(mode: ReductionMode) {
-    REDUCTION_MODE.store(u8::from(mode == ReductionMode::Eager), Ordering::SeqCst);
-}
-
-/// The current reduction discipline.
-#[must_use]
-pub fn reduction_mode() -> ReductionMode {
-    if REDUCTION_MODE.load(Ordering::SeqCst) == 1 {
-        ReductionMode::Eager
-    } else {
-        ReductionMode::Lazy
-    }
-}
+//! Hot kernels carry 2p/4p-redundant values through whole passes and
+//! canonicalize once at the end, using precomputed Shoup companions
+//! ([`shoup_precompute`] / [`mul_shoup_lazy`]) for fixed multiplicands
+//! (twiddles, key material) and a precomputed Barrett [`Modulus`] for
+//! variable×variable products. The widening-`%` helpers ([`mulmod`] and
+//! friends) serve table construction and the cold paths.
 
 /// A prime modulus with precomputed Barrett constants: reduces full
 /// 128-bit products with five 64-bit multiplies instead of a 128-bit
@@ -431,16 +391,6 @@ mod tests {
         for x in 0..4 * p {
             assert_eq!(m.canon_4p(x), x % p);
         }
-    }
-
-    #[test]
-    fn reduction_mode_roundtrips() {
-        let initial = reduction_mode();
-        set_reduction_mode(ReductionMode::Eager);
-        assert_eq!(reduction_mode(), ReductionMode::Eager);
-        set_reduction_mode(ReductionMode::Lazy);
-        assert_eq!(reduction_mode(), ReductionMode::Lazy);
-        set_reduction_mode(initial);
     }
 
     #[test]

@@ -10,8 +10,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::metrics;
 use crate::toy::modular::{
-    addmod, csub, invmod, mul_shoup, mul_shoup_lazy, mulmod, primitive_root, reduction_mode,
-    shoup_precompute, submod, ReductionMode,
+    csub, invmod, mul_shoup, mul_shoup_lazy, mulmod, primitive_root, shoup_precompute,
 };
 
 /// Cache key: `(ring degree, prime modulus)`.
@@ -56,7 +55,7 @@ pub fn automorphism_indices(n: usize, t: usize) -> Arc<Vec<usize>> {
 /// Precomputed twiddle tables for one `(N, p)` pair.
 ///
 /// Every multiplicative constant carries a Shoup companion
-/// (`⌊w·2^64/p⌋`, see [`shoup_precompute`]) so the lazy Harvey kernels
+/// (`⌊w·2^64/p⌋`, see [`shoup_precompute`]) so the Harvey butterflies
 /// replace each `u128` Barrett product with one `mulhi` + one wrapping
 /// `mul` and defer all range reduction to a single final pass.
 #[derive(Debug, Clone)]
@@ -71,8 +70,6 @@ pub struct NttTable {
     psi_pows: Vec<u64>,
     /// Shoup companions of `psi_pows`.
     psi_shoup: Vec<u64>,
-    /// `ψ^{−i}` for the post-twist.
-    psi_inv_pows: Vec<u64>,
     /// `ω^i` (N-th root), natural order, indexed `k·step` by the butterfly.
     omega_pows: Vec<u64>,
     /// Shoup companions of `omega_pows`.
@@ -81,10 +78,8 @@ pub struct NttTable {
     omega_inv_pows: Vec<u64>,
     /// Shoup companions of `omega_inv_pows`.
     omega_inv_shoup: Vec<u64>,
-    /// `N^{−1} mod p`.
-    n_inv: u64,
-    /// Merged inverse post-twist: `N^{−1}·ψ^{−i} mod p` — folds the two
-    /// eager post-multiplies of [`NttTable::inverse`] into one product.
+    /// Merged inverse post-twist: `N^{−1}·ψ^{−i} mod p` — the scaling by
+    /// `N^{−1}` and the de-twist by `ψ^{−i}` in one product.
     inv_post: Vec<u64>,
     /// Shoup companions of `inv_post`.
     inv_post_shoup: Vec<u64>,
@@ -119,10 +114,12 @@ impl NttTable {
             |ws: &[u64]| -> Vec<u64> { ws.iter().map(|&w| shoup_precompute(w, p)).collect() };
         let n_inv = invmod(n as u64, p);
         let psi_pows = pow_table(psi, n);
-        let psi_inv_pows = pow_table(psi_inv, n);
         let omega_pows = pow_table(omega, n);
         let omega_inv_pows = pow_table(omega_inv, n);
-        let inv_post: Vec<u64> = psi_inv_pows.iter().map(|&w| mulmod(n_inv, w, p)).collect();
+        let inv_post: Vec<u64> = pow_table(psi_inv, n)
+            .iter()
+            .map(|&w| mulmod(n_inv, w, p))
+            .collect();
         NttTable {
             n,
             p,
@@ -132,10 +129,8 @@ impl NttTable {
             omega_inv_shoup: shoup_table(&omega_inv_pows),
             inv_post_shoup: shoup_table(&inv_post),
             psi_pows,
-            psi_inv_pows,
             omega_pows,
             omega_inv_pows,
-            n_inv,
             inv_post,
         }
     }
@@ -156,125 +151,75 @@ impl NttTable {
         )
     }
 
-    /// In-place forward negacyclic NTT (coefficient → evaluation form).
-    ///
-    /// Dispatches on the process-wide [`reduction_mode`]: the lazy Harvey
-    /// path and the eager Barrett path produce **bit-identical** canonical
-    /// output (exact modular arithmetic; laziness never escapes this call).
+    /// In-place forward negacyclic NTT (coefficient → evaluation form):
+    /// output slot `k` holds `a(ψ^{2k+1})`, canonical in `[0, p)`.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != N`.
     pub fn forward(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n);
-        match reduction_mode() {
-            ReductionMode::Eager => {
-                for (i, x) in a.iter_mut().enumerate() {
-                    *x = mulmod(*x, self.psi_pows[i], self.p);
-                }
-                self.fft(a, &self.omega_pows);
-            }
-            ReductionMode::Lazy => {
-                // Pre-twist leaves values < 2p; butterflies keep them < 4p.
-                for ((x, &w), &wp) in a.iter_mut().zip(&self.psi_pows).zip(&self.psi_shoup) {
-                    *x = mul_shoup_lazy(*x, w, wp, self.p);
-                }
-                self.fft_lazy(a, &self.omega_pows, &self.omega_shoup);
-                // One canonicalization pass for the whole transform, in
-                // place of one per butterfly in the eager path.
-                for x in a.iter_mut() {
-                    *x = csub(csub(*x, self.twice_p), self.p);
-                }
-                metrics::count_lazy_reductions_skipped(self.deferred_reductions());
-            }
+        self.forward_lazy(a);
+        // One canonicalization pass for the whole transform instead of
+        // one per butterfly.
+        for x in a.iter_mut() {
+            *x = csub(csub(*x, self.twice_p), self.p);
         }
+        metrics::count_lazy_reductions_skipped(self.deferred_reductions());
     }
 
-    /// [`NttTable::forward`] minus the final canonicalization pass: lazy
-    /// output stays in the `[0, 4p)` redundant representation. Only for
-    /// rows whose every consumer accepts redundant values — the hoisted
-    /// digit slab feeding `mul_shoup_lazy` key products, where the single
-    /// downstream Barrett reduction restores the canonical result
-    /// bit-for-bit (any representative of `x mod p` yields a product
-    /// `≡ x·w (mod p)`). Eager mode dispatches to the canonical
-    /// [`NttTable::forward`] unchanged.
+    /// [`NttTable::forward`] minus the final canonicalization pass: output
+    /// stays in the `[0, 4p)` redundant representation. Only for rows
+    /// whose every consumer accepts redundant values — the hoisted digit
+    /// slab feeding `mul_shoup_lazy` key products, where the single
+    /// downstream Barrett reduction restores the canonical result (any
+    /// representative of `x mod p` yields a product `≡ x·w (mod p)`).
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != N`.
     pub fn forward_redundant(&self, a: &mut [u64]) {
-        assert_eq!(a.len(), self.n);
-        match reduction_mode() {
-            ReductionMode::Eager => self.forward(a),
-            ReductionMode::Lazy => {
-                for ((x, &w), &wp) in a.iter_mut().zip(&self.psi_pows).zip(&self.psi_shoup) {
-                    *x = mul_shoup_lazy(*x, w, wp, self.p);
-                }
-                self.fft_lazy(a, &self.omega_pows, &self.omega_shoup);
-                metrics::count_lazy_reductions_skipped(self.deferred_reductions() + self.n as u64);
-            }
-        }
+        self.forward_lazy(a);
+        metrics::count_lazy_reductions_skipped(self.deferred_reductions() + self.n as u64);
     }
 
-    /// In-place inverse negacyclic NTT (evaluation → coefficient form).
-    ///
-    /// Same bit-identity contract as [`NttTable::forward`].
+    /// Pre-twist plus butterflies, output in `[0, 4p)`.
+    fn forward_lazy(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n);
+        // Pre-twist leaves values < 2p; butterflies keep them < 4p.
+        for ((x, &w), &wp) in a.iter_mut().zip(&self.psi_pows).zip(&self.psi_shoup) {
+            *x = mul_shoup_lazy(*x, w, wp, self.p);
+        }
+        self.fft_lazy(a, &self.omega_pows, &self.omega_shoup);
+    }
+
+    /// In-place inverse negacyclic NTT (evaluation → coefficient form),
+    /// canonical output.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != N`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
-        match reduction_mode() {
-            ReductionMode::Eager => {
-                self.fft(a, &self.omega_inv_pows);
-                for (i, x) in a.iter_mut().enumerate() {
-                    *x = mulmod(mulmod(*x, self.n_inv, self.p), self.psi_inv_pows[i], self.p);
-                }
-            }
-            ReductionMode::Lazy => {
-                self.fft_lazy(a, &self.omega_inv_pows, &self.omega_inv_shoup);
-                // The merged post-twist `N^{−1}·ψ^{−i}` both de-twists and
-                // canonicalizes: `mul_shoup` accepts the 4p-redundant input
-                // directly, so no separate reduction pass is needed.
-                for ((x, &w), &wp) in a.iter_mut().zip(&self.inv_post).zip(&self.inv_post_shoup) {
-                    *x = mul_shoup(*x, w, wp, self.p);
-                }
-                metrics::count_lazy_reductions_skipped(self.deferred_reductions());
-            }
+        self.fft_lazy(a, &self.omega_inv_pows, &self.omega_inv_shoup);
+        // The merged post-twist `N^{−1}·ψ^{−i}` both de-twists and
+        // canonicalizes: `mul_shoup` accepts the 4p-redundant input
+        // directly, so no separate reduction pass is needed.
+        for ((x, &w), &wp) in a.iter_mut().zip(&self.inv_post).zip(&self.inv_post_shoup) {
+            *x = mul_shoup(*x, w, wp, self.p);
         }
+        metrics::count_lazy_reductions_skipped(self.deferred_reductions());
     }
 
-    /// Reductions one lazy transform defers relative to the eager path:
-    /// one per butterfly (`N/2·log₂N`) plus one per twist multiply (`N`).
+    /// Reductions one transform defers relative to canonicalizing every
+    /// butterfly and twist multiply: `N/2·log₂N + N`.
     fn deferred_reductions(&self) -> u64 {
         let n = self.n as u64;
         n / 2 * u64::from(self.n.trailing_zeros()) + n
     }
 
-    /// Iterative radix-2 DIT FFT with the given root-power table
-    /// (eager: every butterfly output is canonical in `[0, p)`).
-    fn fft(&self, a: &mut [u64], omega_pows: &[u64]) {
-        let n = self.n;
-        Self::bit_reverse(a);
-        let mut len = 2;
-        while len <= n {
-            let step = n / len;
-            for start in (0..n).step_by(len) {
-                for k in 0..len / 2 {
-                    let w = omega_pows[k * step];
-                    let u = a[start + k];
-                    let v = mulmod(a[start + k + len / 2], w, self.p);
-                    a[start + k] = addmod(u, v, self.p);
-                    a[start + k + len / 2] = submod(u, v, self.p);
-                }
-            }
-            len *= 2;
-        }
-    }
-
-    /// The same DIT schedule with Harvey lazy butterflies: values stay in
-    /// the `[0, 4p)` redundant representation across all `log₂N` stages.
+    /// Iterative radix-2 DIT FFT with Harvey lazy butterflies over the
+    /// given root-power table: values stay in the `[0, 4p)` redundant
+    /// representation across all `log₂N` stages.
     ///
     /// Per butterfly: fold `u` into `[0, 2p)`, compute
     /// `v = x·w − ⌊x·w′/2^64⌋·p ∈ [0, 2p)` with the Shoup companion, then
@@ -306,7 +251,7 @@ impl NttTable {
         }
     }
 
-    /// Bit-reverse permutation shared by both FFT schedules.
+    /// Bit-reverse permutation ahead of the DIT schedule.
     fn bit_reverse(a: &mut [u64]) {
         let n = a.len();
         let bits = n.trailing_zeros();
@@ -322,7 +267,7 @@ impl NttTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toy::modular::ntt_primes;
+    use crate::toy::modular::{addmod, ntt_primes, powmod, submod};
 
     fn table(n: usize) -> NttTable {
         let p = ntt_primes(1 << 40, 2 * n as u64, 1)[0];
@@ -414,30 +359,51 @@ mod tests {
         assert_ne!(*automorphism_indices(64, 25), *a);
     }
 
+    /// `a(ψ^{2k+1}) mod p` for every slot `k`, by Horner's rule — the
+    /// textbook definition of the negacyclic transform.
+    fn direct_eval(t: &NttTable, a: &[u64]) -> Vec<u64> {
+        let psi = t.psi_pows[1];
+        (0..t.n as u64)
+            .map(|k| {
+                let x = powmod(psi, 2 * k + 1, t.p);
+                a.iter()
+                    .rev()
+                    .fold(0, |acc, &c| addmod(mulmod(acc, x, t.p), c, t.p))
+            })
+            .collect()
+    }
+
     #[test]
-    fn lazy_and_eager_transforms_are_bit_identical() {
-        use crate::toy::modular::set_reduction_mode;
-        // Both kernels compute the same exact residues; flipping the mode
-        // mid-process must never change a single output word.
+    fn transforms_match_direct_evaluation() {
         for n in [16usize, 64, 256] {
-            let t = table(n);
-            let a: Vec<u64> = (0..n as u64).map(|i| (i * 0x9e37 + 0x79b9) % t.p).collect();
-            let mut lazy_f = a.clone();
-            let mut eager_f = a.clone();
-            set_reduction_mode(ReductionMode::Lazy);
-            t.forward(&mut lazy_f);
-            set_reduction_mode(ReductionMode::Eager);
-            t.forward(&mut eager_f);
-            assert_eq!(lazy_f, eager_f, "forward N={n}");
-            let mut lazy_i = lazy_f.clone();
-            let mut eager_i = eager_f;
-            set_reduction_mode(ReductionMode::Lazy);
-            t.inverse(&mut lazy_i);
-            set_reduction_mode(ReductionMode::Eager);
-            t.inverse(&mut eager_i);
-            set_reduction_mode(ReductionMode::Lazy);
-            assert_eq!(lazy_i, eager_i, "inverse N={n}");
-            assert_eq!(lazy_i, a, "roundtrip N={n}");
+            for bits in [40u32, 59] {
+                let p = ntt_primes(1 << bits, 2 * n as u64, 1)[0];
+                let t = NttTable::new(n, p);
+                // Spread residues plus the extremes 0 and p − 1.
+                let mut a: Vec<u64> = (0..n as u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % p)
+                    .collect();
+                a[0] = p - 1;
+                a[1] = 0;
+                let want = direct_eval(&t, &a);
+
+                let mut fwd = a.clone();
+                t.forward(&mut fwd);
+                assert_eq!(fwd, want, "forward N={n} p={p}");
+
+                let mut red = a.clone();
+                t.forward_redundant(&mut red);
+                assert!(
+                    red.iter().all(|&x| x < 4 * p),
+                    "redundant output must stay below 4p (N={n} p={p})"
+                );
+                let red: Vec<u64> = red.iter().map(|&x| x % p).collect();
+                assert_eq!(red, want, "forward_redundant mod p, N={n} p={p}");
+
+                let mut inv = want;
+                t.inverse(&mut inv);
+                assert_eq!(inv, a, "inverse N={n} p={p}");
+            }
         }
     }
 

@@ -30,9 +30,10 @@
 //!
 //! Kernels may hold values in the Harvey redundant ranges `[0, 2p)` /
 //! `[0, 4p)` *inside* a single call (see [`crate::toy::ntt`] and
-//! [`RnsPoly::fma_key_assign`]), but every polynomial **at rest is
-//! canonical**: all limbs `< p`. Snapshot validation and the eager/lazy
-//! bit-identity tests rely on this — laziness never escapes a kernel.
+//! [`keyswitch_fused`]), but every polynomial **at rest is canonical**:
+//! all limbs `< p`. Snapshot validation and the pinned ciphertext digest
+//! rely on this — laziness never escapes a kernel. The one exception is
+//! the [`HoistedDigits`] slab, whose rows only ever feed key products.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -44,8 +45,7 @@ use rand::Rng;
 use crate::metrics;
 use crate::parallel;
 use crate::toy::modular::{
-    addmod, csub, invmod, is_prime, mul_shoup_lazy, mulmod, reduction_mode, shoup_precompute,
-    submod, Modulus, ReductionMode,
+    addmod, invmod, is_prime, mul_shoup_lazy, mulmod, shoup_precompute, submod, Modulus,
 };
 use crate::toy::ntt::NttTable;
 
@@ -122,7 +122,7 @@ pub struct RnsContext {
     /// `(n, p)` via [`NttTable::shared`]).
     pub tables: Vec<Arc<NttTable>>,
     /// Barrett constants, aligned with `primes` — the variable×variable
-    /// reduction used by the lazy discipline.
+    /// reduction of the pointwise products.
     pub moduli: Vec<Modulus>,
 }
 
@@ -565,9 +565,8 @@ impl RnsPoly {
         })
     }
 
-    /// Ring product (requires NTT form). Lazy mode uses the precomputed
-    /// Barrett constants for the variable×variable products; both modes
-    /// produce identical canonical residues.
+    /// Ring product (requires NTT form), through the precomputed Barrett
+    /// constants.
     ///
     /// # Panics
     ///
@@ -575,18 +574,10 @@ impl RnsPoly {
     #[must_use]
     pub fn mul(&self, other: &RnsPoly, ctx: &RnsContext) -> RnsPoly {
         assert!(self.ntt && other.ntt, "multiplication requires NTT form");
-        let mode = reduction_mode();
-        self.zip_with(other, ctx, |i, q, a, b, out| match mode {
-            ReductionMode::Eager => {
-                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                    *o = mulmod(x, y, q);
-                }
-            }
-            ReductionMode::Lazy => {
-                let m = ctx.moduli[self.basis[i]];
-                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                    *o = m.mul(x, y);
-                }
+        self.zip_with(other, ctx, |i, _, a, b, out| {
+            let m = ctx.moduli[self.basis[i]];
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = m.mul(x, y);
             }
         })
     }
@@ -612,8 +603,8 @@ impl RnsPoly {
     }
 
     /// In-place pointwise multiply-accumulate: `self += a · b` — the
-    /// tensor-product kernel for two *variable* operands. Lazy mode routes
-    /// the products through the precomputed Barrett constants.
+    /// tensor-product kernel for two *variable* operands, with the
+    /// products reduced through the precomputed Barrett constants.
     ///
     /// # Panics
     ///
@@ -626,115 +617,21 @@ impl RnsPoly {
         );
         assert_eq!(self.basis, a.basis, "basis mismatch");
         assert_eq!(self.basis, b.basis, "basis mismatch");
-        let mode = reduction_mode();
         let work = self.work();
         let n = self.n;
         let RnsPoly { data, basis, .. } = self;
         let basis: &[usize] = basis;
         parallel::par_for_each_limb(data, n, work, |i, limb| {
-            let q = ctx.primes[basis[i]];
-            match mode {
-                ReductionMode::Eager => {
-                    for ((x, &ya), &yb) in limb.iter_mut().zip(a.limb(i)).zip(b.limb(i)) {
-                        *x = addmod(*x, mulmod(ya, yb, q), q);
-                    }
-                }
-                ReductionMode::Lazy => {
-                    let m = ctx.moduli[basis[i]];
-                    for ((x, &ya), &yb) in limb.iter_mut().zip(a.limb(i)).zip(b.limb(i)) {
-                        *x = addmod(*x, m.mul(ya, yb), q);
-                    }
-                }
+            let m = ctx.moduli[basis[i]];
+            for ((x, &ya), &yb) in limb.iter_mut().zip(a.limb(i)).zip(b.limb(i)) {
+                *x = addmod(*x, m.mul(ya, yb), m.p);
             }
         });
-    }
-
-    /// Key-product multiply-accumulate: `self += digit · key`, where the
-    /// key carries Shoup companions ([`ShoupPoly`]). In lazy mode each
-    /// product is two multiplies and one subtraction (`[0, 2p)`), folded
-    /// into the accumulator with a single canonicalization — this is the
-    /// inner loop of every key switch.
-    ///
-    /// Both modes produce identical canonical residues.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless all operands share one basis and are in NTT form.
-    pub fn fma_key_assign(&mut self, digit: PolyView<'_>, key: &ShoupPoly, ctx: &RnsContext) {
-        assert!(
-            self.ntt && digit.ntt && key.poly.ntt,
-            "multiply-accumulate requires NTT form"
-        );
-        assert_eq!(self.basis.as_slice(), digit.basis(), "basis mismatch");
-        assert_eq!(self.basis, key.poly.basis, "basis mismatch");
-        let mode = reduction_mode();
-        let work = self.work();
-        let n = self.n;
-        let RnsPoly { data, basis, .. } = self;
-        let basis: &[usize] = basis;
-        parallel::par_for_each_limb(data, n, work, |i, limb| {
-            let q = ctx.primes[basis[i]];
-            let d = digit.limb(i);
-            let kw = key.poly.limb(i);
-            match mode {
-                ReductionMode::Eager => {
-                    for ((x, &yd), &yk) in limb.iter_mut().zip(d).zip(kw) {
-                        *x = addmod(*x, mulmod(yd, yk, q), q);
-                    }
-                }
-                ReductionMode::Lazy => {
-                    let ks = key.shoup_limb(i);
-                    let two_q = 2 * q;
-                    for ((x, (&yd, &yk)), &yks) in limb.iter_mut().zip(d.iter().zip(kw)).zip(ks) {
-                        // x < q canonical, product < 2q lazy → sum < 3q,
-                        // canonicalized by two branchless subtracts.
-                        let t = *x + mul_shoup_lazy(yd, yk, yks, q);
-                        *x = csub(csub(t, two_q), q);
-                    }
-                    metrics::count_lazy_reductions_skipped(d.len() as u64);
-                }
-            }
-        });
-    }
-
-    /// Overwrites `self` with one residue row of a coefficient-form
-    /// polynomial lifted across this basis (`limb i = src mod q_i`) — the
-    /// digit-lift kernel of GHS key switching, reusing `self` as a scratch
-    /// buffer so the hot loop never allocates.
-    ///
-    /// Every element is written, so stale scratch contents are harmless.
-    /// Leaves `self` in coefficient form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len()` differs from the ring degree.
-    pub fn lift_from_row(&mut self, src: &[u64], ctx: &RnsContext) {
-        let mode = reduction_mode();
-        let work = self.work();
-        let n = self.n;
-        let RnsPoly { data, basis, .. } = self;
-        let basis: &[usize] = basis;
-        parallel::par_for_each_limb(data, n, work, |i, limb| match mode {
-            ReductionMode::Eager => {
-                let q = ctx.primes[basis[i]];
-                for (x, &v) in limb.iter_mut().zip(src) {
-                    *x = v % q;
-                }
-            }
-            ReductionMode::Lazy => {
-                let m = ctx.moduli[basis[i]];
-                for (x, &v) in limb.iter_mut().zip(src) {
-                    *x = m.reduce_u64(v);
-                }
-            }
-        });
-        self.ntt = false;
     }
 
     /// Overwrites `self` with an index permutation of a borrowed view:
     /// `self.limb(i)[k] = src.limb(i)[perm[k]]` — the NTT-domain Galois
-    /// automorphism (see [`crate::toy::ntt::automorphism_indices`]),
-    /// reusing `self` as a scratch buffer.
+    /// automorphism (see [`crate::toy::ntt::automorphism_indices`]).
     ///
     /// The source view must not alias `self`'s buffer (debug-asserted; see
     /// DESIGN.md §13).
@@ -762,12 +659,7 @@ impl RnsPoly {
         self.ntt = src.ntt;
     }
 
-    /// [`RnsPoly::permute_from_view`] taking the source by reference.
-    pub fn permute_from(&mut self, src: &RnsPoly, perm: &[usize]) {
-        self.permute_from_view(src.view(), perm);
-    }
-
-    /// Allocating variant of [`RnsPoly::permute_from`].
+    /// Allocating variant of [`RnsPoly::permute_from_view`].
     #[must_use]
     pub fn permuted(&self, perm: &[usize]) -> RnsPoly {
         let mut out = self.like();
@@ -825,49 +717,17 @@ impl RnsPoly {
 
     /// Exact RNS division by the top prime with centered rounding — the
     /// `rescale` kernel and (when the top limb is the special prime) the
-    /// key-switch mod-down. Requires coefficient form; drops the top limb.
+    /// key-switch mod-down. Drops the top limb and folds its centered
+    /// correction into the surviving limbs without leaving the evaluation
+    /// domain: only the dropped limb is inverse-transformed, and each
+    /// survivor gets one forward NTT of its lifted correction instead of a
+    /// full inverse/forward round trip (`1 + (limbs−1)` rows instead of
+    /// `limbs + (limbs−1)`).
     ///
-    /// # Panics
-    ///
-    /// Panics in NTT form or with fewer than two limbs.
-    pub fn rescale_by_top(&mut self, ctx: &RnsContext) {
-        assert!(!self.ntt, "rescale requires coefficient form");
-        assert!(self.limbs() >= 2);
-        let n = self.n;
-        let top_bi = self.basis.pop().expect("non-empty");
-        let q_top = ctx.primes[top_bi];
-        let half = q_top / 2;
-        let split = self.data.len() - n;
-        let (body, top) = self.data.split_at_mut(split);
-        let top: &[u64] = top;
-        let basis: &[usize] = &self.basis;
-        parallel::par_for_each_limb(body, n, split, |i, limb| {
-            let q = ctx.primes[basis[i]];
-            let q_top_inv = invmod(q_top % q, q);
-            for (x, &t) in limb.iter_mut().zip(top) {
-                // Centered lift of the top residue into this prime.
-                let t_centered = if t > half {
-                    submod(t % q, q_top % q, q)
-                } else {
-                    t % q
-                };
-                *x = mulmod(submod(*x, t_centered, q), q_top_inv, q);
-            }
-        });
-        self.data.truncate(split);
-    }
-
-    /// NTT-domain variant of [`RnsPoly::rescale_by_top`]: drops the top
-    /// limb and folds its centered correction into the surviving limbs
-    /// without leaving the evaluation domain. Only the dropped limb is
-    /// inverse-transformed; each survivor gets one forward NTT of its
-    /// lifted correction instead of a full inverse/forward round trip
-    /// (`1 + (limbs−1)` rows instead of `limbs + (limbs−1)`).
-    ///
-    /// Bit-identical to the coefficient-domain kernel: the NTT is
-    /// `Z_q`-linear and commutes with scalar multiplication, so
-    /// `NTT((x − t̄)·q_top⁻¹) = (NTT(x) − NTT(t̄))·q_top⁻¹` holds exactly
-    /// over canonical residues.
+    /// Bit-identical to the coefficient-domain division (the unit tests'
+    /// oracle): the NTT is `Z_q`-linear and commutes with scalar
+    /// multiplication, so `NTT((x − t̄)·q_top⁻¹) = (NTT(x) − NTT(t̄))·q_top⁻¹`
+    /// holds exactly over canonical residues.
     ///
     /// # Panics
     ///
@@ -957,7 +817,7 @@ impl RnsPoly {
 
 /// An NTT-resident polynomial paired with elementwise Shoup companions —
 /// the storage format for key-switch key material, enabling the
-/// two-multiply lazy key product in [`RnsPoly::fma_key_assign`].
+/// two-multiply lazy key product in [`keyswitch_fused`].
 #[derive(Debug, Clone)]
 pub struct ShoupPoly {
     poly: RnsPoly,
@@ -999,158 +859,59 @@ impl ShoupPoly {
     }
 }
 
-/// Streaming GHS gadget decomposition: residue row `j` of a polynomial,
-/// lifted across the extended basis `{q_0…q_l, P}` and transformed to NTT
-/// form — yielded as borrowed views instead of owned digit polynomials.
-///
-/// One `Decomposer` performs the *shared* work of a key switch exactly
-/// once (the inverse NTT of the input); digits are then produced either
-/// one at a time into a caller scratch buffer ([`Decomposer::digit_into`],
-/// the streaming key-switch loop) or all at once into a single flat
-/// allocation ([`Decomposer::hoist`], shared across every offset of a
-/// hoisted rotation batch).
+/// The GHS gadget decomposition of one polynomial, all digits in a single
+/// flat buffer (digit-major, each digit limb-major over the extended basis
+/// `{q_0…q_l, P}`): digit `j` is residue row `j` of the input lifted
+/// across the extended basis and transformed to NTT form. This is the
+/// Halevi–Shoup hoisting layout — every digit is lifted and transformed
+/// exactly once, then shared read-only by every key switch of the input
+/// (one for relinearization, one per offset of a rotation batch). Views
+/// are borrowed; the buffer recycles into the pool on drop.
 #[derive(Debug)]
-pub struct Decomposer<'c> {
-    ctx: &'c RnsContext,
-    /// The input in coefficient form over its level basis.
-    d_coeff: RnsPoly,
-    /// The original NTT-form input (lazy mode only). Digit `j` lifted to
-    /// its own prime is the identity map (its residues are already
-    /// `< q_j`), so the digit's forward NTT at `q_j` reproduces this row
-    /// bit-for-bit — the lift/transform for that limb is skipped and the
-    /// retained row copied instead. Eager mode keeps the full
-    /// lift-and-transform shape of every limb as the differential
-    /// baseline.
-    d_ntt: Option<RnsPoly>,
+pub struct HoistedDigits {
+    data: Vec<u64>,
+    ext_basis: Vec<usize>,
+    n: usize,
+    digits: usize,
 }
 
-impl<'c> Decomposer<'c> {
-    /// Starts a decomposition of `d` (level basis, either form).
+impl HoistedDigits {
+    /// Decomposes `d` (level basis, either form).
+    ///
+    /// The shared work — the inverse NTT of the input — runs once. Digit
+    /// rows stay in the `[0, 4p)` redundant form of
+    /// [`NttTable::forward_redundant`]: their only consumers are the
+    /// `mul_shoup_lazy` key products of [`keyswitch_fused`], whose single
+    /// Barrett reduction canonicalizes any representative. For NTT-form
+    /// input, digit `j` at its own prime `q_j` is the identity lift of a
+    /// row already `< q_j`, so its transform is the input's own NTT row,
+    /// copied instead of recomputed.
     #[must_use]
-    pub fn new(ctx: &'c RnsContext, d: &RnsPoly) -> Decomposer<'c> {
+    pub fn new(ctx: &RnsContext, d: &RnsPoly) -> HoistedDigits {
         metrics::count_digit_decompose();
+        let d_ntt = d.ntt.then_some(d);
         let mut d_coeff = d.clone();
-        let mut d_ntt = None;
         if d_coeff.ntt {
-            if reduction_mode() == ReductionMode::Lazy {
-                d_ntt = Some(d.clone());
-            }
             d_coeff.to_coeff(ctx);
         }
-        Decomposer {
-            ctx,
-            d_coeff,
-            d_ntt,
-        }
-    }
-
-    /// Number of digits (= limbs of the input).
-    #[must_use]
-    pub fn digits(&self) -> usize {
-        self.d_coeff.limbs()
-    }
-
-    /// Lifts digit `j` across the extended basis into `scratch` (ending in
-    /// NTT form) and returns it as a view. The scratch must span the
-    /// extended basis; every element is overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range or the scratch basis is not the
-    /// extended basis of this decomposition.
-    pub fn digit_into<'s>(&self, j: usize, scratch: &'s mut RnsPoly) -> PolyView<'s> {
-        assert_eq!(
-            scratch.limbs(),
-            self.digits() + 1,
-            "scratch must span the extended basis"
-        );
-        let mode = reduction_mode();
-        let ctx = self.ctx;
-        let src = self.d_coeff.limb(j);
-        let own = self
-            .d_ntt
-            .as_ref()
-            .map(|d| (self.d_coeff.basis[j], d.limb(j)));
-        let transformed = (scratch.limbs() - usize::from(own.is_some())) as u64;
-        let work = scratch.work();
-        let n = scratch.n;
-        let RnsPoly { data, basis, .. } = scratch;
-        let basis: &[usize] = basis;
-        parallel::par_for_each_limb(data, n, work, |i, limb| {
-            if let Some((own_bi, own_row)) = own {
-                if basis[i] == own_bi {
-                    limb.copy_from_slice(own_row);
-                    return;
-                }
-            }
-            match mode {
-                ReductionMode::Eager => {
-                    let q = ctx.primes[basis[i]];
-                    for (x, &v) in limb.iter_mut().zip(src) {
-                        *x = v % q;
-                    }
-                }
-                ReductionMode::Lazy => {
-                    let m = ctx.moduli[basis[i]];
-                    for (x, &v) in limb.iter_mut().zip(src) {
-                        *x = m.reduce_u64(v);
-                    }
-                }
-            }
-            // Digit rows only ever feed `mul_shoup_lazy` key products,
-            // so the lazy transform may stay 4p-redundant (the consumer's
-            // single Barrett reduction canonicalizes bit-identically).
-            ctx.tables[basis[i]].forward_redundant(limb);
-        });
-        metrics::count_ntt_forward_rows(transformed);
-        metrics::count_digit_ntt_rows(transformed);
-        scratch.ntt = true;
-        scratch.view()
-    }
-
-    /// Materializes *all* digits into one flat buffer (≤ 1 fresh
-    /// allocation) — the Halevi–Shoup hoisting layout: every digit is
-    /// lifted and NTT'd exactly once, then shared read-only across all
-    /// offsets of a rotation batch.
-    #[must_use]
-    pub fn hoist(&self) -> HoistedDigits {
-        let digits = self.digits();
-        let n = self.d_coeff.n;
-        let ext_basis: Vec<usize> = (0..digits).chain([self.ctx.special]).collect();
+        let digits = d.limbs();
+        let n = d.n;
+        let ext_basis: Vec<usize> = (0..digits).chain([ctx.special]).collect();
         let ext = ext_basis.len();
-        let mode = reduction_mode();
         let mut data = acquire_buf_raw(digits * ext * n);
-        let ctx = self.ctx;
         let basis: &[usize] = &ext_basis;
-        let d_coeff = &self.d_coeff;
-        let d_ntt = self.d_ntt.as_ref();
         parallel::par_for_each_limb(&mut data, n, digits * ext * n, |idx, limb| {
             let (j, i) = (idx / ext, idx % ext);
             if let Some(dn) = d_ntt {
-                // Digit j at its own prime: the forward NTT of the
-                // identity lift is the retained NTT-form input row.
-                if basis[i] == d_coeff.basis[j] {
+                if basis[i] == dn.basis[j] {
                     limb.copy_from_slice(dn.limb(j));
                     return;
                 }
             }
-            let src = d_coeff.limb(j);
-            match mode {
-                ReductionMode::Eager => {
-                    let q = ctx.primes[basis[i]];
-                    for (x, &v) in limb.iter_mut().zip(src) {
-                        *x = v % q;
-                    }
-                }
-                ReductionMode::Lazy => {
-                    let m = ctx.moduli[basis[i]];
-                    for (x, &v) in limb.iter_mut().zip(src) {
-                        *x = m.reduce_u64(v);
-                    }
-                }
+            let m = ctx.moduli[basis[i]];
+            for (x, &v) in limb.iter_mut().zip(d_coeff.limb(j)) {
+                *x = m.reduce_u64(v);
             }
-            // Same redundant-row contract as `digit_into`: hoisted digit
-            // rows feed key products only.
             ctx.tables[basis[i]].forward_redundant(limb);
         });
         let transformed = (digits * ext - if d_ntt.is_some() { digits } else { 0 }) as u64;
@@ -1163,20 +924,7 @@ impl<'c> Decomposer<'c> {
             digits,
         }
     }
-}
 
-/// All digits of one decomposition in a single flat buffer (digit-major,
-/// each digit limb-major over the extended basis). Views are borrowed;
-/// the buffer recycles into the pool on drop.
-#[derive(Debug)]
-pub struct HoistedDigits {
-    data: Vec<u64>,
-    ext_basis: Vec<usize>,
-    n: usize,
-    digits: usize,
-}
-
-impl HoistedDigits {
     /// Number of digits.
     #[must_use]
     pub fn digits(&self) -> usize {
@@ -1208,20 +956,18 @@ impl Drop for HoistedDigits {
     }
 }
 
-/// Fused lazy key-switch inner product over hoisted digits: both
-/// accumulators `(Σ_j d_j·b_j, Σ_j d_j·a_j)` are produced limb by limb in
-/// one pass (each digit row is streamed once for both key products), and
-/// the `2p`-redundant Shoup products are summed as **raw `u64`s** with a
-/// single Barrett reduction per output element — the per-digit
-/// canonicalization of the streaming [`RnsPoly::fma_key_assign`] path
-/// vanishes entirely. The sum cannot overflow while `digits · 2p ≤ 2^64`
-/// (checked against the largest prime in the basis).
+/// Fused key-switch inner product over hoisted digits: both accumulators
+/// `(Σ_j d_j·b_j, Σ_j d_j·a_j)` are produced limb by limb in one pass
+/// (each digit row is streamed once for both key products), and the
+/// `2p`-redundant Shoup products are summed as **raw `u64`s** with a
+/// single Barrett reduction per output element instead of one
+/// canonicalization per digit. Runs longer than `⌊2^64/2p⌋` digits are
+/// folded back below `p` by a mid-run Barrett flush, so the sum never
+/// overflows.
 ///
-/// Returns canonical NTT-form accumulators over the extended basis.
-/// Lazy-mode only by construction (Shoup companions); the eager path
-/// keeps the per-digit stream as the frozen differential baseline.
-/// Bit-identity holds because both orders compute the same integer sum
-/// `Σ_j d_j·k_j mod q` on canonical inputs.
+/// Returns canonical NTT-form accumulators over the extended basis, equal
+/// to the per-digit canonical inner product `Σ_j (d_j mod q)·k_j mod q`
+/// (the unit tests' oracle).
 ///
 /// With `perm`, digit rows are read through the NTT-domain automorphism
 /// index map (`d[perm[k]]`, see [`crate::toy::ntt::automorphism_indices`])
@@ -1349,6 +1095,32 @@ mod tests {
         RnsContext::new(32, 4)
     }
 
+    /// Coefficient-domain division by the top prime with centered
+    /// rounding — the textbook RNS rescale, and the oracle for
+    /// [`RnsPoly::mod_down_top_ntt`].
+    fn rescale_by_top(p: &mut RnsPoly, ctx: &RnsContext) {
+        assert!(!p.ntt, "rescale requires coefficient form");
+        assert!(p.limbs() >= 2);
+        let n = p.n;
+        let q_top = ctx.primes[p.basis.pop().expect("non-empty")];
+        let split = p.data.len() - n;
+        let (body, top) = p.data.split_at_mut(split);
+        for (limb, &bi) in body.chunks_exact_mut(n).zip(&p.basis) {
+            let q = ctx.primes[bi];
+            let q_top_inv = invmod(q_top % q, q);
+            for (x, &t) in limb.iter_mut().zip(top.iter()) {
+                // Centered lift of the top residue into this prime.
+                let t_centered = if t > q_top / 2 {
+                    submod(t % q, q_top % q, q)
+                } else {
+                    t % q
+                };
+                *x = mulmod(submod(*x, t_centered, q), q_top_inv, q);
+            }
+        }
+        p.data.truncate(split);
+    }
+
     #[test]
     fn context_prime_chain() {
         let c = ctx();
@@ -1412,7 +1184,7 @@ mod tests {
             .map(|i| if i == 0 { (q_top as i64) * 7 } else { 0 })
             .collect();
         let mut p = RnsPoly::from_i64(&c, &coeffs, 3, false);
-        p.rescale_by_top(&c);
+        rescale_by_top(&mut p, &c);
         assert_eq!(p.limbs(), 2);
         let got = p.centered_coeffs(&c);
         assert_eq!(got[0], 7);
@@ -1426,9 +1198,27 @@ mod tests {
         let mut coeffs = vec![0i64; 32];
         coeffs[0] = val;
         let mut p = RnsPoly::from_i64(&c, &coeffs, 3, false);
-        p.rescale_by_top(&c);
+        rescale_by_top(&mut p, &c);
         let got = p.centered_coeffs(&c)[0];
         assert!((got - 3).abs() <= 1, "got {got}");
+    }
+
+    #[test]
+    fn mod_down_top_ntt_matches_coefficient_domain_division() {
+        let c = ctx();
+        let mut rng = StdRng::seed_from_u64(41);
+        // The special prime on top (key-switch mod-down), then a level
+        // prime on top (rescale).
+        for (rows, with_special) in [(3, true), (1, true), (4, false), (2, false)] {
+            let x = RnsPoly::uniform(&c, rows, with_special, true, &mut rng);
+            let mut want = x.clone();
+            want.to_coeff(&c);
+            rescale_by_top(&mut want, &c);
+            want.to_ntt(&c);
+            let mut got = x;
+            got.mod_down_top_ntt(&c);
+            assert_eq!(got, want, "{rows} rows, special on top: {with_special}");
+        }
     }
 
     #[test]
@@ -1459,60 +1249,6 @@ mod tests {
     }
 
     #[test]
-    fn fma_key_matches_plain_fma_in_both_modes() {
-        use crate::toy::modular::set_reduction_mode;
-        let c = ctx();
-        let mut rng = StdRng::seed_from_u64(17);
-        let acc = RnsPoly::uniform(&c, 2, true, true, &mut rng);
-        let digit = RnsPoly::uniform(&c, 2, true, true, &mut rng);
-        let key = RnsPoly::uniform(&c, 2, true, true, &mut rng);
-        let want = acc.add(&digit.mul(&key, &c), &c);
-        let shoup_key = ShoupPoly::new(key, &c);
-        for mode in [ReductionMode::Lazy, ReductionMode::Eager] {
-            set_reduction_mode(mode);
-            let mut got = acc.clone();
-            got.fma_key_assign(digit.view(), &shoup_key, &c);
-            assert_eq!(got, want, "{mode:?}");
-        }
-        set_reduction_mode(ReductionMode::Lazy);
-    }
-
-    #[test]
-    fn permute_from_matches_permuted_and_overwrites_stale_scratch() {
-        let c = ctx();
-        let mut rng = StdRng::seed_from_u64(8);
-        let src = RnsPoly::uniform(&c, 2, false, true, &mut rng);
-        // A cyclic shift as an arbitrary permutation.
-        let perm: Vec<usize> = (0..c.n).map(|k| (k + 5) % c.n).collect();
-        let want = src.permuted(&perm);
-        let mut scratch = RnsPoly::uniform(&c, 2, false, true, &mut rng);
-        scratch.permute_from(&src, &perm);
-        assert_eq!(scratch, want);
-    }
-
-    #[test]
-    fn lift_from_row_reuses_scratch_across_forms() {
-        let c = ctx();
-        let coeffs: Vec<i64> = (0..32).map(|i| i * 31 - 400).collect();
-        let p = RnsPoly::from_i64(&c, &coeffs, 3, false);
-        let mut scratch = RnsPoly::zero(&c, 3, true, false);
-        scratch.lift_from_row(p.limb(1), &c);
-        let first = scratch.clone();
-        // Dirty the scratch (including its form flag), then lift again:
-        // every element is rewritten, so the result must be identical.
-        scratch.to_ntt(&c);
-        scratch.lift_from_row(p.limb(1), &c);
-        assert_eq!(scratch, first);
-        assert!(!scratch.ntt);
-        for i in 0..scratch.limbs() {
-            let q = c.primes[scratch.basis[i]];
-            for (x, src) in scratch.limb(i).iter().zip(p.limb(1)) {
-                assert_eq!(*x, src % q);
-            }
-        }
-    }
-
-    #[test]
     fn views_expose_limbs_and_primes() {
         let c = ctx();
         let mut rng = StdRng::seed_from_u64(21);
@@ -1535,41 +1271,93 @@ mod tests {
     }
 
     #[test]
-    fn decomposer_digits_match_manual_lift() {
+    fn hoisted_digits_match_a_hand_lift() {
         let c = ctx();
         let mut rng = StdRng::seed_from_u64(33);
-        let mut d = RnsPoly::uniform(&c, 3, false, false, &mut rng);
-        d.to_ntt(&c);
-        let dec = Decomposer::new(&c, &d);
-        assert_eq!(dec.digits(), 3);
-        // Manual reference: inverse NTT, per-digit lift + forward NTT.
-        let mut d_coeff = d.clone();
-        d_coeff.to_coeff(&c);
-        let hoisted = dec.hoist();
-        let mut scratch = RnsPoly::zero(&c, 3, true, false);
-        // Digit rows carry the 4p-redundant lazy representation (they only
-        // ever feed `mul_shoup_lazy` products), so compare residues, not
-        // representatives.
-        let canon = |row: &[u64], q: u64| -> Vec<u64> { row.iter().map(|&x| x % q).collect() };
-        for j in 0..dec.digits() {
-            let mut want = RnsPoly::zero(&c, 3, true, false);
-            want.lift_from_row(d_coeff.limb(j), &c);
-            want.to_ntt(&c);
-            let via_stream = dec.digit_into(j, &mut scratch);
-            for i in 0..want.limbs() {
-                let q = c.primes[want.basis[i]];
-                assert_eq!(
-                    canon(via_stream.limb(i), q),
-                    want.limb(i),
-                    "stream digit {j} limb {i}"
-                );
-                assert_eq!(
-                    canon(hoisted.digit(j).limb(i), q),
-                    want.limb(i),
-                    "hoist digit {j} limb {i}"
-                );
+        let d_coeff = RnsPoly::uniform(&c, 3, false, false, &mut rng);
+        let mut d_ntt = d_coeff.clone();
+        d_ntt.to_ntt(&c);
+        let ext = [0, 1, 2, c.special];
+        for input in [&d_ntt, &d_coeff] {
+            let hoisted = HoistedDigits::new(&c, input);
+            assert_eq!(hoisted.digits(), 3);
+            for j in 0..3 {
+                let digit = hoisted.digit(j);
+                assert!(digit.ntt);
+                assert_eq!(digit.basis(), ext.as_slice());
+                for (i, &bi) in ext.iter().enumerate() {
+                    // Residue row j reduced into q_i, then transformed.
+                    let q = c.primes[bi];
+                    let mut want: Vec<u64> = d_coeff.limb(j).iter().map(|&v| v % q).collect();
+                    c.tables[bi].forward(&mut want);
+                    // Digit rows may stay 4q-redundant: compare residues.
+                    let got = digit.limb(i);
+                    assert!(got.iter().all(|&x| x < 4 * q), "digit {j} limb {i} >= 4q");
+                    let got: Vec<u64> = got.iter().map(|&x| x % q).collect();
+                    assert_eq!(got, want, "digit {j} limb {i}, NTT input: {}", input.ntt);
+                }
             }
-            assert!(via_stream.ntt && hoisted.digit(j).ntt);
+        }
+    }
+
+    /// `Σ_j (d_j mod q)·k_j mod q` limb by limb, one canonical product and
+    /// sum at a time — the textbook key-switch inner product, with digit
+    /// rows optionally read through an automorphism index map.
+    fn inner_product(
+        digits: &HoistedDigits,
+        keys: &[&ShoupPoly],
+        perm: Option<&[usize]>,
+        ctx: &RnsContext,
+    ) -> RnsPoly {
+        let mut acc = RnsPoly::with_basis(digits.n, digits.ext_basis.clone(), true);
+        for i in 0..acc.limbs() {
+            let q = ctx.primes[acc.basis[i]];
+            let out = acc.limb_slice_mut(i);
+            for (j, key) in keys.iter().enumerate() {
+                let d = digits.digit(j).limb(i);
+                let kw = key.poly.limb(i);
+                for (k, o) in out.iter_mut().enumerate() {
+                    let dk = d[perm.map_or(k, |p| p[k])] % q;
+                    *o = addmod(*o, mulmod(dk, kw[k], q), q);
+                }
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn keyswitch_fused_matches_the_per_digit_inner_product() {
+        // 100 digits: on the 59-bit base and special limbs the raw sums
+        // outgrow a u64 after about 64 lazy products, so the result is
+        // only exact if the mid-run Barrett flush fires.
+        let c = RnsContext::new(32, 99);
+        let mut rng = StdRng::seed_from_u64(99);
+        let d = RnsPoly::uniform(&c, 100, false, true, &mut rng);
+        let digits = HoistedDigits::new(&c, &d);
+        assert_eq!(digits.digits(), 100);
+        let mut keys = Vec::with_capacity(100);
+        for _ in 0..100 {
+            let b = ShoupPoly::new(RnsPoly::uniform(&c, 100, true, true, &mut rng), &c);
+            let a = ShoupPoly::new(RnsPoly::uniform(&c, 100, true, true, &mut rng), &c);
+            keys.push((b, a));
+        }
+        let pairs: Vec<(&ShoupPoly, &ShoupPoly)> = keys.iter().map(|(b, a)| (b, a)).collect();
+        let b_keys: Vec<&ShoupPoly> = keys.iter().map(|(b, _)| b).collect();
+        let a_keys: Vec<&ShoupPoly> = keys.iter().map(|(_, a)| a).collect();
+        let perm = crate::toy::ntt::automorphism_indices(c.n, 5);
+        for perm in [None, Some(perm.as_slice())] {
+            let (acc0, acc1) = keyswitch_fused(&digits, &pairs, perm, &c);
+            let tag = if perm.is_some() { "with" } else { "without" };
+            assert_eq!(
+                acc0,
+                inner_product(&digits, &b_keys, perm, &c),
+                "b half, {tag} automorphism"
+            );
+            assert_eq!(
+                acc1,
+                inner_product(&digits, &a_keys, perm, &c),
+                "a half, {tag} automorphism"
+            );
         }
     }
 

@@ -23,9 +23,8 @@ use crate::metrics;
 use crate::params::CkksParams;
 use crate::snapshot::{put_f64, put_u32, put_u64, put_u8, SnapError, SnapReader, SnapshotBackend};
 use crate::toy::encode::Encoder;
-use crate::toy::modular::{reduction_mode, ReductionMode};
 use crate::toy::ntt::automorphism_indices;
-use crate::toy::poly::{keyswitch_fused, Decomposer, RnsContext, RnsPoly, ShoupPoly};
+use crate::toy::poly::{keyswitch_fused, HoistedDigits, RnsContext, RnsPoly, ShoupPoly};
 
 /// The waterline scale of the toy instance (independent of the simulated
 /// parameters' `Rf`; the level primes are ≈ 2^40 so rescaling preserves
@@ -54,6 +53,12 @@ struct Ksk {
 /// A lazily generated key-switching key chain, shared by reference so
 /// concurrent ops never deep-copy key material.
 type SharedKsk = Arc<Vec<Ksk>>;
+
+/// The `(b, a)` halves of every digit, in the shape [`keyswitch_fused`]
+/// takes.
+fn key_pairs(key: &[Ksk]) -> Vec<(&ShoupPoly, &ShoupPoly)> {
+    key.iter().map(|k| (&k.b, &k.a)).collect()
+}
 
 /// Which secret the key switches *from* (always switching to `s`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -271,58 +276,26 @@ impl ToyBackend {
     }
 
     /// Switches `d` (NTT, level basis) from secret `w` to `s`, returning
-    /// the additive pair `(k0, k1)` with `k0 + k1·s ≈ d·w`.
-    ///
-    /// The inner loop is allocation-free: a [`Decomposer`] streams each
-    /// lifted digit into one scratch buffer as a borrowed view and the
-    /// accumulators are folded in place via [`RnsPoly::fma_key_assign`] —
-    /// no per-digit row sets, no `acc = acc.add(...)` rebuilds, no Barrett
-    /// reductions in the key products (the keys carry Shoup companions).
+    /// the additive pair `(k0, k1)` with `k0 + k1·s ≈ d·w`: decompose once
+    /// ([`HoistedDigits`]), take both key products in one fused pass
+    /// ([`keyswitch_fused`]: raw-`u64` sums, one reduction per output
+    /// element), then divide by the special prime.
     fn keyswitch(&self, d: &RnsPoly, kind: KeyKind, level: u32) -> (RnsPoly, RnsPoly) {
         metrics::count_keyswitch();
-        let rows = self.rows(level);
-        debug_assert_eq!(d.limbs(), rows);
+        debug_assert_eq!(d.limbs(), self.rows(level));
         let key = self.ksk(kind, level);
-        let dec = Decomposer::new(&self.ctx, d);
-        if reduction_mode() == ReductionMode::Lazy {
-            // Fused inner product: hoist all digits once, then one pass
-            // per limb sums the 2p-redundant key products as raw u64s
-            // with a single reduction per output element
-            // (`poly::keyswitch_fused`).
-            let digits = dec.hoist();
-            let pairs: Vec<(&ShoupPoly, &ShoupPoly)> = key.iter().map(|k| (&k.b, &k.a)).collect();
-            let (acc0, acc1) = keyswitch_fused(&digits, &pairs, None, &self.ctx);
-            return (self.mod_down_special(acc0), self.mod_down_special(acc1));
-        }
-        let mut scratch = RnsPoly::zero(&self.ctx, rows, true, false);
-        let mut acc0 = RnsPoly::zero(&self.ctx, rows, true, true);
-        let mut acc1 = RnsPoly::zero(&self.ctx, rows, true, true);
-        for (j, ksk) in key.iter().enumerate() {
-            // Lift digit j (residues < q_j) across the extended basis.
-            let digit = dec.digit_into(j, &mut scratch);
-            acc0.fma_key_assign(digit, &ksk.b, &self.ctx);
-            acc1.fma_key_assign(digit, &ksk.a, &self.ctx);
-        }
+        let digits = HoistedDigits::new(&self.ctx, d);
+        let (acc0, acc1) = keyswitch_fused(&digits, &key_pairs(&key), None, &self.ctx);
         (self.mod_down_special(acc0), self.mod_down_special(acc1))
     }
 
     /// Divides by the special prime with centered rounding, dropping its
-    /// limb (the tail of GHS key switching). The centered division is the
-    /// same kernel as rescaling — only the dropped prime differs.
-    ///
-    /// Lazy mode stays in the evaluation domain ([`RnsPoly::mod_down_top_ntt`]:
-    /// one inverse row plus one forward row per survivor); eager mode keeps
-    /// the full coefficient-domain round trip as the frozen differential
-    /// baseline. Both produce bit-identical canonical residues.
+    /// limb (the tail of GHS key switching) without leaving the evaluation
+    /// domain. The centered division is the same kernel as rescaling —
+    /// only the dropped prime differs.
     fn mod_down_special(&self, mut p: RnsPoly) -> RnsPoly {
         debug_assert_eq!(p.basis.last().copied(), Some(self.ctx.special));
-        if reduction_mode() == ReductionMode::Lazy {
-            p.mod_down_top_ntt(&self.ctx);
-        } else {
-            p.to_coeff(&self.ctx);
-            p.rescale_by_top(&self.ctx);
-            p.to_ntt(&self.ctx);
-        }
+        p.mod_down_top_ntt(&self.ctx);
         p
     }
 
@@ -582,16 +555,15 @@ impl Backend for ToyBackend {
                 .expect("one rotation per offset");
             return Ok(vec![one; offsets.len()]);
         }
-        let rows = a.c1.limbs();
         // Halevi–Shoup hoisting: decompose c1 and NTT the lifted digits
         // *once* into one flat slab, then realize each offset's
         // automorphism as an NTT-domain index permutation of the shared
-        // digits (see `ntt::automorphism_indices`) followed by its own
-        // key-switch inner product. Offsets sharing one Galois exponent
-        // reuse the first result instead of repeating the key switch —
-        // rotations are deterministic, so the clone is bit-identical.
-        let digits = Decomposer::new(&self.ctx, &a.c1).hoist();
-        let mut scratch = RnsPoly::zero(&self.ctx, rows, true, true);
+        // digits (see `ntt::automorphism_indices`), read by its own fused
+        // key-switch inner product without materializing any permuted
+        // digit. Offsets sharing one Galois exponent reuse the first
+        // result instead of repeating the key switch — rotations are
+        // deterministic, so the clone is bit-identical.
+        let digits = HoistedDigits::new(&self.ctx, &a.c1);
         let mut out: Vec<ToyCt> = Vec::with_capacity(offsets.len());
         let mut first_at: HashMap<usize, usize> = HashMap::new();
         for &offset in offsets {
@@ -608,23 +580,7 @@ impl Backend for ToyBackend {
             let key = self.ksk(KeyKind::Galois(t), a.level);
             let perm = automorphism_indices(self.ctx.n, t);
             metrics::count_keyswitch();
-            let (acc0, acc1) = if reduction_mode() == ReductionMode::Lazy {
-                // Fused inner product reading digit rows through the
-                // automorphism index map — no permuted digit is ever
-                // materialized.
-                let pairs: Vec<(&ShoupPoly, &ShoupPoly)> =
-                    key.iter().map(|k| (&k.b, &k.a)).collect();
-                keyswitch_fused(&digits, &pairs, Some(&perm), &self.ctx)
-            } else {
-                let mut acc0 = RnsPoly::zero(&self.ctx, rows, true, true);
-                let mut acc1 = RnsPoly::zero(&self.ctx, rows, true, true);
-                for (j, ksk) in key.iter().enumerate() {
-                    scratch.permute_from_view(digits.digit(j), &perm);
-                    acc0.fma_key_assign(scratch.view(), &ksk.b, &self.ctx);
-                    acc1.fma_key_assign(scratch.view(), &ksk.a, &self.ctx);
-                }
-                (acc0, acc1)
-            };
+            let (acc0, acc1) = keyswitch_fused(&digits, &key_pairs(&key), Some(&perm), &self.ctx);
             let k0 = self.mod_down_special(acc0);
             let k1 = self.mod_down_special(acc1);
             let mut c0 = a.c0.permuted(&perm);
@@ -658,16 +614,8 @@ impl Backend for ToyBackend {
         let mut c0 = a.c0.clone();
         let mut c1 = a.c1.clone();
         let q_top = self.ctx.primes[a.c0.limbs() - 1];
-        let lazy = reduction_mode() == ReductionMode::Lazy;
-        for p in [&mut c0, &mut c1] {
-            if lazy {
-                p.mod_down_top_ntt(&self.ctx);
-            } else {
-                p.to_coeff(&self.ctx);
-                p.rescale_by_top(&self.ctx);
-                p.to_ntt(&self.ctx);
-            }
-        }
+        c0.mod_down_top_ntt(&self.ctx);
+        c1.mod_down_top_ntt(&self.ctx);
         Ok(ToyCt {
             c0,
             c1,
@@ -819,8 +767,27 @@ impl SnapshotBackend for ToyBackend {
                 "scale degree {degree} not in 1..=2"
             )));
         }
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(SnapError::Malformed(format!(
+                "scale {scale} is not finite and positive"
+            )));
+        }
         let c0 = poly_load(&self.ctx, r)?;
         let c1 = poly_load(&self.ctx, r)?;
+        // Every ciphertext at rest is NTT-resident over exactly the level
+        // basis `0..=level`; anything else would panic in the first op.
+        let level_basis: Vec<usize> = (0..=level as usize).collect();
+        for (name, p) in [("c0", &c0), ("c1", &c1)] {
+            if !p.ntt {
+                return Err(SnapError::Malformed(format!("{name} is not in NTT form")));
+            }
+            if p.basis != level_basis {
+                return Err(SnapError::Malformed(format!(
+                    "{name} basis {:?} is not the level-{level} basis",
+                    p.basis
+                )));
+            }
+        }
         Ok(ToyCt {
             c0,
             c1,
@@ -1103,6 +1070,63 @@ mod tests {
             be.ct_save(ct, &mut out);
             let back = be.ct_load(&mut SnapReader::new(&out)).unwrap();
             assert_eq!(&back, ct);
+        }
+    }
+
+    /// The `ct_save` bytes of `ct`, passed through `tamper`, then loaded.
+    fn load_tampered(
+        be: &ToyBackend,
+        ct: &ToyCt,
+        tamper: impl FnOnce(&mut Vec<u8>),
+    ) -> std::result::Result<ToyCt, SnapError> {
+        let mut bytes = Vec::new();
+        be.ct_save(ct, &mut bytes);
+        tamper(&mut bytes);
+        be.ct_load(&mut SnapReader::new(&bytes))
+    }
+
+    #[test]
+    fn ct_load_rejects_a_cleared_ntt_flag() {
+        let be = backend();
+        let x = be.encrypt(&[0.5], 2).unwrap();
+        // Header: level u32, degree u32, scale f64; then c0's NTT flag.
+        let got = load_tampered(&be, &x, |b| {
+            assert_eq!(b[16], 1);
+            b[16] = 0;
+        });
+        assert!(matches!(got, Err(SnapError::Malformed(_))), "{got:?}");
+    }
+
+    #[test]
+    fn ct_load_rejects_a_level_that_disagrees_with_the_limbs() {
+        let be = backend();
+        let x = be.encrypt(&[0.5], 2).unwrap(); // three limbs
+        let got = load_tampered(&be, &x, |b| b[..4].copy_from_slice(&4u32.to_le_bytes()));
+        assert!(matches!(got, Err(SnapError::Malformed(_))), "{got:?}");
+    }
+
+    #[test]
+    fn ct_load_rejects_components_with_different_limb_counts() {
+        let be = backend();
+        let x = be.encrypt(&[0.5], 2).unwrap();
+        let y = be.encrypt(&[0.5], 3).unwrap();
+        let mixed = ToyCt { c1: y.c1, ..x };
+        let got = load_tampered(&be, &mixed, |_| {});
+        assert!(matches!(got, Err(SnapError::Malformed(_))), "{got:?}");
+    }
+
+    #[test]
+    fn ct_load_rejects_non_finite_or_non_positive_scales() {
+        let be = backend();
+        let x = be.encrypt(&[0.5], 2).unwrap();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let got = load_tampered(&be, &x, |b| {
+                b[8..16].copy_from_slice(&bad.to_bits().to_le_bytes());
+            });
+            assert!(
+                matches!(got, Err(SnapError::Malformed(_))),
+                "scale {bad}: {got:?}"
+            );
         }
     }
 

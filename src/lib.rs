@@ -31,8 +31,7 @@ pub mod prelude {
     pub use halo_ckks::sim::{NoiseProfile, SimBackend};
     pub use halo_ckks::snapshot::SnapshotBackend;
     pub use halo_ckks::toy::{
-        reduction_mode, set_reduction_mode, Decomposer, HoistedDigits, LimbMut, LimbRef, PolyView,
-        ReductionMode, RnsContext, RnsPoly, ShoupPoly, ToyBackend,
+        HoistedDigits, LimbMut, LimbRef, PolyView, RnsContext, RnsPoly, ShoupPoly, ToyBackend,
     };
     pub use halo_core::{compile, CompileOptions, CompileResult, CompilerConfig};
     pub use halo_ir::op::TripCount;

@@ -1,8 +1,8 @@
-//! Op/alloc counter assertions for hoisted rotation. These live in their
-//! own integration-test binary (and one test function) because the
-//! metrics counters — and the limb-buffer pool — are process-global:
-//! sibling tests running ciphertext ops concurrently would perturb the
-//! deltas.
+//! Op/alloc counter assertions for hoisted rotation and the exact
+//! transform budget of the key-switching ops. These live in their own
+//! integration-test binary (and one test function) because the metrics
+//! counters — and the limb-buffer pool — are process-global: sibling
+//! tests running ciphertext ops concurrently would perturb the deltas.
 
 use halo_fhe::ckks::metrics;
 use halo_fhe::prelude::*;
@@ -64,6 +64,32 @@ fn hoisted_batch_decomposes_once_and_reuses_pooled_buffers() {
         hoisted.digit_ntt_rows, single.digit_ntt_rows,
         "the batch must run one per-digit forward-NTT set, same as one rotation"
     );
+
+    // The transform budget, pinned exactly. At level 6 (7 limbs) one key
+    // switch runs 7 inverse rows to decompose, 7 × 8 − 7 = 49 digit rows
+    // (each digit's own-prime row is reused, not transformed), and a
+    // mod-down of 1 inverse + 7 forward rows per half; a rescale drops one
+    // limb from each component (1 inverse + 6 forward rows). Every
+    // deferred canonicalization is counted, so a change that adds back a
+    // transform or a per-element reduction fails here on any machine.
+    std::hint::black_box(be.mult(&ct, &ct).expect("relin key warm-up"));
+    metrics::reset();
+    let prod = be.mult(&ct, &ct).expect("mult");
+    let mult = metrics::snapshot();
+    metrics::reset();
+    std::hint::black_box(be.rescale(&prod).expect("rescale"));
+    let rescale = metrics::snapshot();
+    let budget = |m: &metrics::MetricsSnapshot| {
+        (
+            m.ntt_forward_rows,
+            m.ntt_inverse_rows,
+            m.digit_ntt_rows,
+            m.lazy_reductions_skipped,
+        )
+    };
+    assert_eq!(budget(&mult), (63, 9, 49, 28_736), "warm ct-ct multiply");
+    assert_eq!(budget(&rescale), (12, 2, 0, 3_584), "rescale");
+    assert_eq!(budget(&single), (63, 9, 49, 28_736), "single-offset rotate");
 
     // The sequential path decomposes (and NTTs digits) once per rotation.
     metrics::reset();

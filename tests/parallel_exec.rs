@@ -1,16 +1,19 @@
 //! Tentpole acceptance tests for the shared-state parallel execution
 //! engine: the parallel toy backend is *bit-identical* to the serial one,
-//! and a single `Arc<ToyBackend>` serves many threads concurrently.
+//! its ciphertext bytes match a pinned digest at every thread count, and
+//! a single `Arc<ToyBackend>` serves many threads concurrently.
 
 use std::sync::{Arc, Mutex};
 
 use halo_fhe::ckks::parallel;
 use halo_fhe::ckks::snapshot::SnapReader;
+use halo_fhe::ckks::toy::encode::Encoder;
+use halo_fhe::ckks::toy::ToyCt;
 use halo_fhe::prelude::*;
 
-/// Serializes the tests that flip process-global knobs (the thread-count
-/// override and the reduction mode) so they never race each other. Other
-/// tests tolerate any setting — both knobs are bit-identity-preserving.
+/// Serializes the tests that flip the process-global thread-count
+/// override so they never race each other. Other tests tolerate any
+/// setting — the override is bit-identity-preserving.
 static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
 
 // Large enough that the per-limb loops cross `parallel::MIN_PAR_WORK`
@@ -51,10 +54,10 @@ fn expected() -> Vec<f64> {
     (0..SLOTS).map(|i| prod[(i + 3) % SLOTS] + b[i]).collect()
 }
 
-/// The hard tentpole requirement: with identical seeds, a 4-thread run
-/// decrypts to *bit-identical* `f64` slots as a 1-thread run. Both runs
-/// live in one test function so the process-global thread override is
-/// never raced by a sibling test.
+/// The parallel engine's core requirement: with identical seeds, 2- and
+/// 4-thread runs decrypt to *bit-identical* `f64` slots as a 1-thread
+/// run. All runs live in one test function so the process-global thread
+/// override is never raced by a sibling test.
 #[test]
 fn parallel_execution_is_bit_identical_to_serial() {
     let _g = GLOBAL_KNOBS
@@ -62,91 +65,126 @@ fn parallel_execution_is_bit_identical_to_serial() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     parallel::set_threads(Some(1));
     let serial = workload(&ToyBackend::new(N, LEVELS, 0xB17));
-    parallel::set_threads(Some(4));
-    let parallel_out = workload(&ToyBackend::new(N, LEVELS, 0xB17));
-    parallel::set_threads(None);
-
-    assert_eq!(serial.len(), parallel_out.len());
-    for (slot, (s, p)) in serial.iter().zip(&parallel_out).enumerate() {
-        assert_eq!(
-            s.to_bits(),
-            p.to_bits(),
-            "slot {slot} differs between 1 and 4 threads: {s} vs {p}"
-        );
+    for threads in [2usize, 4] {
+        parallel::set_threads(Some(threads));
+        let parallel_out = workload(&ToyBackend::new(N, LEVELS, 0xB17));
+        assert_eq!(serial.len(), parallel_out.len());
+        for (slot, (s, p)) in serial.iter().zip(&parallel_out).enumerate() {
+            assert_eq!(
+                s.to_bits(),
+                p.to_bits(),
+                "slot {slot} differs between 1 and {threads} threads: {s} vs {p}"
+            );
+        }
     }
+    parallel::set_threads(None);
     // Sanity: both are the *right* answer, not identically wrong.
     for (slot, (s, e)) in serial.iter().zip(&expected()).enumerate() {
         assert!((s - e).abs() < 1e-3, "slot {slot}: {s} vs expected {e}");
     }
 }
 
-/// The lazy-reduction NTT/key-product path (the default) must be
-/// *bit-identical* to the eager Barrett oracle — the PR5-era arithmetic —
-/// at every thread count. Laziness is an instruction-count optimization
-/// confined inside single kernel calls; both paths compute the exact same
-/// canonical residues, so decryption bits must match exactly.
+/// The pinned digest of [`chain_digest`]. It was derived while the toy
+/// backend still carried a second, per-operation-reduction arithmetic
+/// path, and both paths produced it at 1, 2 and 4 threads. A change that
+/// alters toy ciphertexts on purpose derives it again and says so.
+const PINNED_DIGEST: u64 = 0x7409_c28b_33e1_e447;
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Dyadic constants: each encodes exactly to `m_0 = cΔ` with every other
+/// coefficient zero, so no `sin`/`cos` rounding reaches a ciphertext.
+const DYADIC: [f64; 3] = [1.0, 0.5, -0.25];
+
+/// The FNV-1a digest of the `halo-ct-toy/1` bytes of every intermediate of
+/// a fixed op chain, then of the RNG replay state. Nothing is decrypted or
+/// bootstrapped, so the digest depends only on integer arithmetic and the
+/// seeded RNG, not on the platform's floating-point library.
+fn chain_digest() -> u64 {
+    let be = ToyBackend::new(N, LEVELS, 0xD16E57);
+    let [one, half, minus_quarter] = DYADIC;
+    let a = be.encrypt(&[one], LEVELS).expect("encrypt a");
+    let b = be.encrypt(&[half], LEVELS).expect("encrypt b");
+    let m = be.mult(&a, &b).expect("mult");
+    let r = be.rescale(&m).expect("rescale");
+    let rot = be.rotate(&r, 3).expect("rotate");
+    // A repeated offset, and two identity offsets (0 and a full cycle).
+    let batch = be
+        .rotate_batch(&r, &[1, 0, 5, 1, SLOTS as i64])
+        .expect("rotate_batch");
+    let mp = be.mult_plain(&rot, &[minus_quarter]).expect("mult_plain");
+    let ap = be.add_plain(&mp, &[half]).expect("add_plain");
+    let ms = be.modswitch(&b, 1).expect("modswitch");
+    let s = be.add(&rot, &ms).expect("add");
+    let chain: Vec<&ToyCt> = [&a, &b, &m, &r, &rot]
+        .into_iter()
+        .chain(&batch)
+        .chain([&mp, &ap, &ms, &s])
+        .collect();
+    let mut bytes = Vec::new();
+    for ct in chain {
+        be.ct_save(ct, &mut bytes);
+    }
+    be.rng_save(&mut bytes);
+    fnv1a(0xcbf2_9ce4_8422_2325, &bytes)
+}
+
+/// Toy ciphertext bytes are pinned: the fixed chain hashes to the same
+/// digest at 1, 2 and 4 threads, and that digest is [`PINNED_DIGEST`].
 #[test]
-fn lazy_ntt_is_bit_identical_to_eager_at_every_thread_count() {
+fn ciphertext_bytes_match_the_pinned_digest_at_every_thread_count() {
     let _g = GLOBAL_KNOBS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    set_reduction_mode(ReductionMode::Eager);
-    parallel::set_threads(Some(1));
-    let oracle = workload(&ToyBackend::new(N, LEVELS, 0x1A2));
-
-    set_reduction_mode(ReductionMode::Lazy);
+    let enc = Encoder::new(N);
+    let delta = (1u64 << 40) as f64;
+    for c in DYADIC {
+        let m = enc.encode(&[c; SLOTS], delta);
+        assert_eq!(m[0], (c * delta) as i128, "constant {c}");
+        assert!(m[1..].iter().all(|&x| x == 0), "constant {c}");
+    }
     for threads in [1usize, 2, 4] {
         parallel::set_threads(Some(threads));
-        let lazy = workload(&ToyBackend::new(N, LEVELS, 0x1A2));
-        assert_eq!(oracle.len(), lazy.len());
-        for (slot, (o, l)) in oracle.iter().zip(&lazy).enumerate() {
-            assert_eq!(
-                o.to_bits(),
-                l.to_bits(),
-                "slot {slot} differs between eager/1-thread and lazy/{threads}-thread: {o} vs {l}"
-            );
-        }
+        let digest = chain_digest();
+        assert_eq!(
+            digest, PINNED_DIGEST,
+            "{threads} thread(s): digest {digest:#018x} differs from the pinned one"
+        );
     }
     parallel::set_threads(None);
 }
 
-/// Ciphertext snapshots (`halo-ct-toy/1`) serialize the same bytes no
-/// matter which reduction mode produced the ciphertext — polynomials at
-/// rest are always canonical — and a save → load → resume round-trip is
-/// bit-identical to never having snapshotted.
+/// A save → load → resume round-trip of a ciphertext snapshot
+/// (`halo-ct-toy/1`) plus RNG state is bit-identical to never having
+/// snapshotted, even when the resumed half runs at another thread count.
 #[test]
-fn snapshots_are_mode_independent_and_resume_bit_identically() {
+fn snapshots_resume_bit_identically_at_another_thread_count() {
     let _g = GLOBAL_KNOBS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     parallel::set_threads(Some(1));
-    let pipeline = |mode: ReductionMode| {
-        set_reduction_mode(mode);
-        let be = ToyBackend::new(N, LEVELS, 0xD15C);
-        let a = be.encrypt(&input_a(), LEVELS).expect("encrypt a");
-        let b = be.encrypt(&input_b(), LEVELS).expect("encrypt b");
-        let m = be
-            .rescale(&be.mult(&a, &b).expect("mult"))
-            .expect("rescale");
-        let r = be.rotate(&m, 3).expect("rotate");
-        let mut bytes = Vec::new();
-        be.ct_save(&r, &mut bytes);
-        be.rng_save(&mut bytes);
-        (be, r, bytes)
-    };
-    let (_, _, eager_bytes) = pipeline(ReductionMode::Eager);
-    let (be, ct, lazy_bytes) = pipeline(ReductionMode::Lazy);
-    assert_eq!(
-        eager_bytes, lazy_bytes,
-        "the wire format must not depend on the reduction mode"
-    );
+    let be = ToyBackend::new(N, LEVELS, 0xD15C);
+    let a = be.encrypt(&input_a(), LEVELS).expect("encrypt a");
+    let b = be.encrypt(&input_b(), LEVELS).expect("encrypt b");
+    let m = be
+        .rescale(&be.mult(&a, &b).expect("mult"))
+        .expect("rescale");
+    let ct = be.rotate(&m, 3).expect("rotate");
+    let mut bytes = Vec::new();
+    be.ct_save(&ct, &mut bytes);
+    be.rng_save(&mut bytes);
 
     // Resume: continue the computation on the original handle, then on the
     // reloaded one (with the RNG restored), at a different thread count.
     let resumed_orig = be
         .decrypt(&be.rotate(&ct, 1).expect("rotate"))
         .expect("decrypt");
-    let mut r = SnapReader::new(&lazy_bytes);
+    let mut r = SnapReader::new(&bytes);
     let loaded = be.ct_load(&mut r).expect("ct_load");
     be.rng_load(&mut r).expect("rng_load");
     parallel::set_threads(Some(4));

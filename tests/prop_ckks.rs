@@ -166,32 +166,6 @@ proptest! {
         }
     }
 
-    /// The differential oracle for the lazy-reduction redesign: the same
-    /// random op sequence, run once under the eager Barrett path (the PR5
-    /// baseline arithmetic) and once under the default lazy path, must
-    /// decrypt to *bit-identical* `f64` slots. Both modes compute the same
-    /// canonical residues; laziness never escapes a kernel call.
-    #[test]
-    fn lazy_and_eager_reduction_agree_bit_for_bit(
-        ops in proptest::collection::vec(op_strategy(), 1..8),
-        a0 in proptest::collection::vec(-1.0..1.0f64, N / 2),
-        b0 in proptest::collection::vec(-1.0..1.0f64, N / 2),
-    ) {
-        set_reduction_mode(ReductionMode::Eager);
-        let eager = run(&ToyBackend::new(N, LEVELS, 0xBEEF), &ops, &a0, &b0)
-            .expect("eager run");
-        set_reduction_mode(ReductionMode::Lazy);
-        let lazy = run(&ToyBackend::new(N, LEVELS, 0xBEEF), &ops, &a0, &b0)
-            .expect("lazy run");
-        for (slot, (e, l)) in eager.iter().zip(&lazy).enumerate() {
-            prop_assert!(
-                e.to_bits() == l.to_bits(),
-                "slot {} differs between eager and lazy: {} vs {} (ops: {:?})",
-                slot, e, l, ops
-            );
-        }
-    }
-
     /// A ciphertext survives save → load → save with bit-identical bytes
     /// and bit-identical decryption, at any level and after any prefix of
     /// homomorphic ops.
