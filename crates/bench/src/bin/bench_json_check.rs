@@ -1,148 +1,78 @@
-//! CI schema check for the machine-readable bench artifacts: parses and
-//! validates `BENCH_ROTATE.json`, `BENCH_RUN_ALL.json`, and — when
-//! present or made mandatory with `--ntt` / `--serve` / `--tune` /
-//! `--fuzz` / `--crash` / `--remote` / `--fleet` — the `BENCH_NTT.json`
-//! microbenchmark, the `BENCH_SERVE.json` serving campaign, the
-//! `BENCH_TUNE.json` autotuner sweep, and the `FUZZ_REPORT.json` /
-//! `CRASH_REPORT.json` / `REMOTE_REPORT.json` / `FLEET_REPORT.json`
-//! campaign reports, all from
-//! `HALO_BENCH_JSON_DIR` (default `results/`), exiting non-zero on the
-//! first violation. `--all` instead sweeps every `*.json` in the
-//! directory through its validator (unknown file names are themselves
-//! violations — an artifact nobody validates is an artifact nobody can
-//! trust).
+//! Schema check for the machine-readable bench artifacts: parses each
+//! named file in `HALO_BENCH_JSON_DIR` (default `results/`) and validates
+//! it against its entry in the schema table (`halo_bench::json`), found
+//! by file name. With no names it checks every `*.json` there. Exits
+//! non-zero on any violation, on a file name without an entry (an
+//! artifact nobody validates is an artifact nobody can trust), and on a
+//! directory without artifacts.
 //!
 //! ```sh
 //! cargo run --release -p halo-bench --bin bench_json_check
-//! cargo run --release -p halo-bench --bin bench_json_check -- --ntt
-//! cargo run --release -p halo-bench --bin bench_json_check -- --serve
-//! cargo run --release -p halo-bench --bin bench_json_check -- --tune
-//! cargo run --release -p halo-bench --bin bench_json_check -- --fuzz
-//! cargo run --release -p halo-bench --bin bench_json_check -- --crash
-//! cargo run --release -p halo-bench --bin bench_json_check -- --remote
-//! cargo run --release -p halo-bench --bin bench_json_check -- --fleet
-//! cargo run --release -p halo-bench --bin bench_json_check -- --all
+//! cargo run --release -p halo-bench --bin bench_json_check -- BENCH_SERVE.json
 //! ```
 
-use halo_bench::json::{self, Json};
+use std::path::Path;
+use std::process::ExitCode;
 
-type Validator = fn(&Json) -> Result<(), String>;
+use halo_bench::json::{self, Schema};
 
-/// Maps an artifact file name to its schema validator.
-fn validator_for(name: &str) -> Option<Validator> {
-    match name {
-        "BENCH_ROTATE.json" => Some(json::validate_rotate),
-        "BENCH_RUN_ALL.json" => Some(json::validate_run_all),
-        "BENCH_NTT.json" => Some(json::validate_ntt),
-        "BENCH_SERVE.json" => Some(json::validate_serve),
-        "BENCH_TUNE.json" => Some(json::validate_tune),
-        "FUZZ_REPORT.json" => Some(json::validate_fuzz_report),
-        "CRASH_REPORT.json" => Some(json::validate_crash_report),
-        "REMOTE_REPORT.json" => Some(json::validate_remote_report),
-        "FLEET_REPORT.json" => Some(json::validate_fleet_report),
-        _ => None,
-    }
-}
-
-fn check(name: &str, validate: fn(&Json) -> Result<(), String>) -> Result<(), String> {
-    let dir = halo_bench::bench_json_dir().map_err(|e| format!("{name}: {e}"))?;
+fn check(dir: &Path, name: &str) -> Result<(), String> {
+    let schema =
+        Schema::by_file(name).ok_or(format!("{name}: no schema registered for this artifact"))?;
     let path = dir.join(name);
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let doc = json::parse(&text).map_err(|e| format!("{name}: parse error: {e}"))?;
-    validate(&doc).map_err(|e| format!("{name}: schema violation: {e}"))?;
+    schema
+        .check(&doc)
+        .map_err(|e| format!("{name}: schema violation: {e}"))?;
     println!("OK {}", path.display());
     Ok(())
 }
 
-/// Every `*.json` in the artifact directory, validated by file name.
-fn check_all() -> Vec<Result<(), String>> {
-    let dir = match halo_bench::bench_json_dir() {
-        Ok(d) => d,
-        Err(e) => return vec![Err(format!("--all: {e}"))],
-    };
-    let mut names: Vec<String> = match std::fs::read_dir(&dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.ends_with(".json"))
-            .collect(),
-        Err(e) => return vec![Err(format!("--all: cannot read {}: {e}", dir.display()))],
-    };
+/// Every `*.json` file name in `dir`, sorted; none at all is an error.
+fn artifacts(dir: &Path) -> Result<Vec<String>, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut names: Vec<String> = entries
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.ends_with(".json"))
+        .collect();
     names.sort();
     if names.is_empty() {
-        return vec![Err(format!(
-            "--all: no *.json artifacts in {}",
-            dir.display()
-        ))];
+        return Err(format!("no *.json artifacts in {}", dir.display()));
     }
+    Ok(names)
+}
+
+/// Checks the named artifacts, or every one when none is named, and
+/// returns the violations.
+fn violations(names: Vec<String>) -> Vec<String> {
+    let dir = match halo_bench::bench_json_dir() {
+        Ok(dir) => dir,
+        Err(e) => return vec![format!("bench JSON directory: {e}")],
+    };
+    let names = if names.is_empty() {
+        match artifacts(&dir) {
+            Ok(names) => names,
+            Err(e) => return vec![e],
+        }
+    } else {
+        names
+    };
     names
-        .into_iter()
-        .map(|name| match validator_for(&name) {
-            Some(validate) => check(&name, validate),
-            None => Err(format!("{name}: no validator registered for this artifact")),
-        })
+        .iter()
+        .filter_map(|name| check(&dir, name).err())
         .collect()
 }
 
-fn main() {
-    // `--serve` / `--fuzz` / `--crash` / `--remote` / `--fleet` make the
-    // respective
-    // campaign report mandatory (their CI jobs); otherwise each is
-    // validated only if present, so plain bench runs don't require a
-    // campaign first.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let require_ntt = args.iter().any(|a| a == "--ntt");
-    let require_serve = args.iter().any(|a| a == "--serve");
-    let require_tune = args.iter().any(|a| a == "--tune");
-    let require_fuzz = args.iter().any(|a| a == "--fuzz");
-    let require_crash = args.iter().any(|a| a == "--crash");
-    let require_remote = args.iter().any(|a| a == "--remote");
-    let require_fleet = args.iter().any(|a| a == "--fleet");
-    let all = args.iter().any(|a| a == "--all");
-    let present = |name: &str| {
-        halo_bench::bench_json_dir()
-            .map(|d| d.join(name).exists())
-            .unwrap_or(false)
-    };
-
-    let results = if all {
-        check_all()
-    } else {
-        let mut results = vec![
-            check("BENCH_ROTATE.json", json::validate_rotate),
-            check("BENCH_RUN_ALL.json", json::validate_run_all),
-        ];
-        if require_ntt || present("BENCH_NTT.json") {
-            results.push(check("BENCH_NTT.json", json::validate_ntt));
-        }
-        if require_serve || present("BENCH_SERVE.json") {
-            results.push(check("BENCH_SERVE.json", json::validate_serve));
-        }
-        if require_tune || present("BENCH_TUNE.json") {
-            results.push(check("BENCH_TUNE.json", json::validate_tune));
-        }
-        if require_fuzz || present("FUZZ_REPORT.json") {
-            results.push(check("FUZZ_REPORT.json", json::validate_fuzz_report));
-        }
-        if require_crash || present("CRASH_REPORT.json") {
-            results.push(check("CRASH_REPORT.json", json::validate_crash_report));
-        }
-        if require_remote || present("REMOTE_REPORT.json") {
-            results.push(check("REMOTE_REPORT.json", json::validate_remote_report));
-        }
-        if require_fleet || present("FLEET_REPORT.json") {
-            results.push(check("FLEET_REPORT.json", json::validate_fleet_report));
-        }
-        results
-    };
-    let mut failed = false;
-    for r in results {
-        if let Err(e) = r {
-            eprintln!("FAIL {e}");
-            failed = true;
-        }
+fn main() -> ExitCode {
+    let violations = violations(std::env::args().skip(1).collect());
+    for e in &violations {
+        eprintln!("FAIL {e}");
     }
-    if failed {
-        std::process::exit(1);
+    if violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -1,4 +1,4 @@
-//! Process-level crash-resume harness: spawns a child process running the
+//! Process-level crash-resume campaign: spawns a child process running the
 //! `linear` benchmark under durable execution, SIGKILLs it at a matrix of
 //! snapshot generations, resumes from the on-disk store, and asserts the
 //! final decrypted output is bit-identical (exact backend) to an
@@ -7,88 +7,52 @@
 //!
 //! ```sh
 //! cargo run --release -p halo-bench --bin crash_resume
+//! HALO_CAMPAIGN_SEED=3 cargo run --release -p halo-bench --bin crash_resume
 //! ```
 //!
-//! Emits `results/CRASH_REPORT.json` (schema `halo-crash-report/1`,
-//! validated by `bench_json_check --crash`) and exits non-zero on any
-//! divergence or abort. Work directories live under
-//! `target/crash_resume/` (override with `HALO_CRASH_DIR`); the child is
-//! this same binary re-invoked with `--child`, slowed to one snapshot per
-//! `HALO_SNAP_DELAY_MS` so the parent can aim its kill.
+//! Emits `results/CRASH_REPORT.json` (schema `halo-crash-report/1`) and
+//! exits non-zero unless the report passes its schema (see
+//! `halo_bench::campaign`). Work directories live under
+//! `target/crash_resume/`; the child is this same binary re-invoked with
+//! `--child`, slowed to one snapshot per [`SNAP_DELAY`] so the parent can
+//! aim its kill.
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
-use halo_bench::json::{self, num, obj, Json};
-use halo_bench::Scale;
-use halo_ckks::SimBackend;
-use halo_core::{compile, CompilerConfig};
-use halo_ir::Function;
-use halo_ml::bench::{BenchSpec, Linear, MlBenchmark};
-use halo_runtime::{DiskStore, ExecPolicy, Executor, Inputs, SnapshotStore};
+use halo_bench::campaign::{self, Trial};
+use halo_bench::json::{num, Json};
+use halo_runtime::{DiskStore, ExecPolicy, Executor, RunStats, SnapshotStore};
 
 /// Loop iterations the benchmark runs (one snapshot generation each).
 const ITERS: u64 = 12;
 /// Snapshot generations after which the child is killed.
 const KILL_POINTS: [u64; 6] = [1, 2, 4, 6, 8, 10];
-/// Dataset seeds: each changes the encrypted inputs, so bit-identity is
-/// re-proven on different ciphertext contents.
-const SEEDS: [u64; 2] = [1, 2];
 /// Generations the store retains (≥ 2 so fallback has somewhere to go).
 const KEEP: usize = 3;
+/// Salt of this campaign's dataset seeds.
+const SALT: u64 = 0xC4A5;
+/// Wall time of every child snapshot write: the window the parent uses to
+/// land its SIGKILL between generations rather than straddling the whole
+/// run in one scheduler tick.
+const SNAP_DELAY: Duration = Duration::from_millis(40);
 
-/// Wraps the disk store so every snapshot write takes a visible amount of
-/// wall time — the window the parent uses to land its SIGKILL between
-/// generations rather than straddling the whole run in one scheduler tick.
-struct DelayStore {
-    inner: DiskStore,
-    delay: Duration,
-}
+/// The disk store, with every snapshot write slowed by [`SNAP_DELAY`].
+struct DelayStore(DiskStore);
 
 impl SnapshotStore for DelayStore {
     fn put(&self, bytes: &[u8]) -> io::Result<u64> {
-        std::thread::sleep(self.delay);
-        self.inner.put(bytes)
+        std::thread::sleep(SNAP_DELAY);
+        self.0.put(bytes)
     }
     fn generations(&self) -> io::Result<Vec<u64>> {
-        self.inner.generations()
+        self.0.generations()
     }
     fn get(&self, generation: u64) -> io::Result<Vec<u8>> {
-        self.inner.get(generation)
+        self.0.get(generation)
     }
-}
-
-/// The benchmark program and its bound inputs for one dataset seed.
-fn workload(seed: u64) -> (Function, Inputs) {
-    let spec = BenchSpec {
-        seed: 0xC4A5 ^ seed,
-        ..Scale::Small.spec()
-    };
-    let src = Linear.trace_dynamic(&spec);
-    let compiled = compile(
-        &src,
-        CompilerConfig::Halo,
-        &halo_bench::options(Scale::Small),
-    )
-    .expect("linear benchmark compiles");
-    let mut inputs = Linear.inputs(&spec);
-    for sym in Linear.trip_symbols() {
-        inputs = inputs.env(sym, ITERS);
-    }
-    (compiled.function, inputs)
-}
-
-fn backend() -> SimBackend {
-    SimBackend::exact(Scale::Small.params())
-}
-
-fn bits(outputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
-    outputs
-        .iter()
-        .map(|v| v.iter().map(|x| x.to_bits()).collect())
-        .collect()
 }
 
 fn policy(dir: &Path) -> ExecPolicy {
@@ -101,107 +65,54 @@ fn policy(dir: &Path) -> ExecPolicy {
 /// Child mode: run the workload durably into `dir`, one delayed snapshot
 /// per loop iteration, until killed (or done).
 fn run_child(dir: &Path, seed: u64) -> ! {
-    let delay_ms: u64 = std::env::var("HALO_SNAP_DELAY_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    let (f, inputs) = workload(seed);
-    let store = DelayStore {
-        inner: DiskStore::open(dir, KEEP).expect("open store"),
-        delay: Duration::from_millis(delay_ms),
-    };
-    let be = backend();
-    Executor::with_policy(&be, policy(dir))
+    let (f, inputs) = campaign::workload(SALT, seed, ITERS);
+    let store = DelayStore(DiskStore::open(dir, KEEP).expect("open store"));
+    Executor::with_policy(&campaign::backend(), policy(dir))
         .run_durable_with_store(&f, &inputs, &store)
         .expect("child run");
     std::process::exit(0);
 }
 
-struct Trial {
-    kind: &'static str,
-    seed: u64,
-    kill_point: u64,
-    generations_at_resume: usize,
-    resumes_from_disk: u64,
-    corrupt_snapshots_skipped: u64,
-    bit_identical: bool,
-    aborted: bool,
-}
-
-impl Trial {
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("kind", Json::Str(self.kind.into())),
-            ("seed", num(self.seed as f64)),
-            ("kill_point", num(self.kill_point as f64)),
-            (
-                "generations_at_resume",
-                num(self.generations_at_resume as f64),
-            ),
-            ("resumes_from_disk", num(self.resumes_from_disk as f64)),
-            (
-                "corrupt_snapshots_skipped",
-                num(self.corrupt_snapshots_skipped as f64),
-            ),
-            ("bit_identical", Json::Bool(self.bit_identical)),
-        ])
-    }
-}
-
 /// Resume in-process from `dir` and compare against the baseline bits.
-fn resume_and_compare(
-    kind: &'static str,
-    dir: &Path,
-    seed: u64,
-    kill_point: u64,
-    baseline: &[Vec<u64>],
-) -> Trial {
-    let (f, inputs) = workload(seed);
+fn resume(kind: &str, dir: &Path, seed: u64, kill_point: u64, baseline: &[Vec<u64>]) -> Trial {
+    let (f, inputs) = campaign::workload(SALT, seed, ITERS);
     let generations_at_resume = DiskStore::open(dir, KEEP)
         .and_then(|s| s.generations())
-        .map(|g| g.len())
-        .unwrap_or(0);
-    let be = backend();
-    match Executor::with_policy(&be, policy(dir)).resume(&f, &inputs) {
-        Ok(out) => Trial {
-            kind,
-            seed,
-            kill_point,
-            generations_at_resume,
-            resumes_from_disk: out.stats.resumes_from_disk,
-            corrupt_snapshots_skipped: out.stats.corrupt_snapshots_skipped,
-            bit_identical: bits(&out.outputs) == baseline,
-            aborted: false,
-        },
-        Err(e) => {
-            eprintln!("ABORT {kind} k={kill_point} seed={seed}: {e}");
-            Trial {
-                kind,
-                seed,
-                kill_point,
-                generations_at_resume,
-                resumes_from_disk: 0,
-                corrupt_snapshots_skipped: 0,
-                bit_identical: false,
-                aborted: true,
-            }
-        }
-    }
+        .map_or(0, |g| g.len());
+    let out = Executor::with_policy(&campaign::backend(), policy(dir)).resume(&f, &inputs);
+    let none = RunStats::default();
+    let stats = out.as_ref().map_or(&none, |o| &o.stats);
+    let fields = vec![
+        ("kind", Json::Str(kind.into())),
+        ("seed", num(seed as f64)),
+        ("kill_point", num(kill_point as f64)),
+        ("generations_at_resume", num(generations_at_resume as f64)),
+        ("resumes_from_disk", num(stats.resumes_from_disk as f64)),
+        (
+            "corrupt_snapshots_skipped",
+            num(stats.corrupt_snapshots_skipped as f64),
+        ),
+    ];
+    Trial::new(fields, out.as_ref().map(|o| &o.outputs[..]), baseline)
+}
+
+/// A fresh trial directory under `base`.
+fn trial_dir(base: &Path, name: &str) -> PathBuf {
+    let dir = base.join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create trial dir");
+    dir
 }
 
 /// Kill trial: spawn the child, wait for `kill_point` generations, SIGKILL
 /// it, resume from disk.
 fn kill_trial(base: &Path, kill_point: u64, seed: u64, baseline: &[Vec<u64>]) -> Trial {
-    let dir = base.join(format!("kill-k{kill_point}-s{seed}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create trial dir");
-
+    let dir = trial_dir(base, &format!("kill-k{kill_point}-s{seed}"));
     let exe = std::env::current_exe().expect("current exe");
     let mut child = Command::new(exe)
         .args(["--child", "--dir"])
         .arg(&dir)
         .args(["--seed", &seed.to_string()])
-        .env("HALO_SNAP_DELAY_MS", "40")
         .stdout(Stdio::null())
         .stderr(Stdio::inherit())
         .spawn()
@@ -228,19 +139,15 @@ fn kill_trial(base: &Path, kill_point: u64, seed: u64, baseline: &[Vec<u64>]) ->
     let _ = child.kill(); // SIGKILL on unix: no destructors, no flushing
     let _ = child.wait();
 
-    resume_and_compare("kill", &dir, seed, kill_point, baseline)
+    resume("kill", &dir, seed, kill_point, baseline)
 }
 
 /// Corruption trial: run durably to completion in-process, flip a byte in
 /// the newest generation file, resume — must fall back, not abort.
 fn corrupt_trial(base: &Path, seed: u64, baseline: &[Vec<u64>]) -> Trial {
-    let dir = base.join(format!("corrupt-s{seed}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create trial dir");
-
-    let (f, inputs) = workload(seed);
-    let be = backend();
-    Executor::with_policy(&be, policy(&dir))
+    let dir = trial_dir(base, &format!("corrupt-s{seed}"));
+    let (f, inputs) = campaign::workload(SALT, seed, ITERS);
+    Executor::with_policy(&campaign::backend(), policy(&dir))
         .run_durable(&f, &inputs)
         .expect("uninterrupted durable run");
 
@@ -256,107 +163,34 @@ fn corrupt_trial(base: &Path, seed: u64, baseline: &[Vec<u64>]) -> Trial {
     bytes[mid] ^= 0x01;
     std::fs::write(&path, &bytes).expect("write corrupted generation");
 
-    let mut t = resume_and_compare("corrupt", &dir, seed, newest, baseline);
-    if t.corrupt_snapshots_skipped < 1 || t.resumes_from_disk < 1 {
-        eprintln!(
-            "FAIL corrupt seed={seed}: expected generation fallback, got \
-             skipped={} resumes={}",
-            t.corrupt_snapshots_skipped, t.resumes_from_disk
-        );
-        t.bit_identical = false;
-    }
-    t
+    resume("corrupt", &dir, seed, newest, baseline)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--child") {
-        let dir = args
-            .iter()
-            .position(|a| a == "--dir")
-            .and_then(|i| args.get(i + 1))
-            .expect("--child requires --dir");
-        let seed = args
-            .iter()
-            .position(|a| a == "--seed")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .expect("--child requires --seed");
-        run_child(Path::new(dir), seed);
+        let arg = |flag: &str| {
+            args.iter()
+                .position(|a| a == flag)
+                .and_then(|i| args.get(i + 1))
+                .unwrap_or_else(|| panic!("--child requires {flag}"))
+        };
+        let seed = arg("--seed").parse().expect("--seed takes a number");
+        run_child(Path::new(arg("--dir")), seed);
     }
 
     let start = Instant::now();
-    let base = PathBuf::from(
-        std::env::var("HALO_CRASH_DIR").unwrap_or_else(|_| "target/crash_resume".into()),
-    );
-
+    let base = campaign::work_dir("crash_resume");
+    let seeds = campaign::seeds();
     let mut trials = Vec::new();
-    for &seed in &SEEDS {
-        // Uninterrupted baseline, same backend construction as every
-        // resume (exact backend: zero noise, so bit-identity is the only
-        // acceptable outcome).
-        let (f, inputs) = workload(seed);
-        let be = backend();
-        let baseline = bits(
-            &Executor::with_policy(&be, policy(&base))
-                .run(&f, &inputs)
-                .expect("baseline run")
-                .outputs,
-        );
-
+    for &seed in &seeds {
+        let (f, inputs) = campaign::workload(SALT, seed, ITERS);
+        let baseline = campaign::baseline(&f, &inputs);
         for &k in &KILL_POINTS {
-            let t = kill_trial(&base, k, seed, &baseline);
-            println!(
-                "{} kill k={k} seed={seed}: gens={} resumed={} skipped={}",
-                if t.bit_identical { "OK  " } else { "FAIL" },
-                t.generations_at_resume,
-                t.resumes_from_disk,
-                t.corrupt_snapshots_skipped,
-            );
-            trials.push(t);
+            trials.push(kill_trial(&base, k, seed, &baseline));
         }
-
-        let t = corrupt_trial(&base, seed, &baseline);
-        println!(
-            "{} corrupt seed={seed}: gens={} resumed={} skipped={}",
-            if t.bit_identical { "OK  " } else { "FAIL" },
-            t.generations_at_resume,
-            t.resumes_from_disk,
-            t.corrupt_snapshots_skipped,
-        );
-        trials.push(t);
+        trials.push(corrupt_trial(&base, seed, &baseline));
     }
-
-    let passed = trials.iter().filter(|t| t.bit_identical).count();
-    let failed = trials.len() - passed;
-    let aborts = trials.iter().filter(|t| t.aborted).count();
-    let doc = obj(vec![
-        ("schema", Json::Str("halo-crash-report/1".into())),
-        ("bench", Json::Str(Linear.name().into())),
-        ("scale", Json::Str("small".into())),
-        ("iters", num(ITERS as f64)),
-        ("snapshot_keep", num(KEEP as f64)),
-        ("seeds", num(SEEDS.len() as f64)),
-        ("wall_ms", num(start.elapsed().as_secs_f64() * 1e3)),
-        ("passed", num(passed as f64)),
-        ("failed", num(failed as f64)),
-        ("aborts", num(aborts as f64)),
-        (
-            "trials",
-            Json::Arr(trials.iter().map(Trial::to_json).collect()),
-        ),
-    ]);
-
-    let dir = halo_bench::bench_json_dir().expect("bench json dir");
-    let out = dir.join("CRASH_REPORT.json");
-    std::fs::write(&out, doc.pretty()).expect("write report");
-    println!(
-        "wrote {} ({} trials, {passed} passed, {failed} failed, {aborts} aborts)",
-        out.display(),
-        trials.len(),
-    );
-    if failed > 0 {
-        std::process::exit(1);
-    }
-    json::validate_crash_report(&doc).expect("self-check: emitted report must satisfy its schema");
+    let header = vec![("snapshot_keep", num(KEEP as f64))];
+    campaign::finish("halo-crash-report/1", ITERS, &seeds, header, trials, start)
 }

@@ -98,7 +98,7 @@ fn main() {
         ("mult_us", num(mult_us)),
         ("lazy_reductions_skipped", num(lazy_skipped as f64)),
     ]);
-    json::validate_ntt(&doc).expect("emitted document must satisfy its own schema");
+    json::validate("halo-bench-ntt/2", &doc).expect("emitted document must satisfy its own schema");
     let dir = halo_bench::bench_json_dir().expect("bench json dir");
     let path = dir.join("BENCH_NTT.json");
     std::fs::write(&path, doc.pretty()).expect("write BENCH_NTT.json");

@@ -12,31 +12,28 @@
 //!
 //! ```sh
 //! cargo run --release -p halo-bench --bin fleet_chaos
-//! HALO_FLEET_SEED=3 cargo run --release -p halo-bench --bin fleet_chaos
+//! HALO_CAMPAIGN_SEED=3 cargo run --release -p halo-bench --bin fleet_chaos
 //! ```
 //!
-//! Emits `results/FLEET_REPORT.json` (schema `halo-fleet-report/1`,
-//! validated by `bench_json_check --fleet`) and exits non-zero on any
-//! divergence or abort.
+//! Emits `results/FLEET_REPORT.json` (schema `halo-fleet-report/1`) and
+//! exits non-zero unless the report passes its schema (see
+//! `halo_bench::campaign`).
 
+use std::process::ExitCode;
 use std::time::Instant;
 
-use halo_bench::json::{self, num, obj, Json};
-use halo_bench::Scale;
-use halo_ckks::SimBackend;
-use halo_core::{compile, CompilerConfig};
-use halo_ir::Function;
-use halo_ml::bench::{BenchSpec, Linear, MlBenchmark};
-use halo_runtime::fleet::baseline_policy;
+use halo_bench::campaign::{self, Trial};
+use halo_bench::json::{num, Json};
 use halo_runtime::{
-    run_fleet, Executor, FleetConfig, FleetFaultSpec, FleetJob, FleetReport, Inputs,
-    RemoteFaultSpec, SimObjectStore,
+    run_fleet, FleetConfig, FleetFaultSpec, FleetJob, FleetReport, RemoteFaultSpec, SimObjectStore,
 };
 
 /// Source-loop iterations the job runs. HALO splits the dynamic loop at
 /// the bootstrap interval, so the compiled program carries a chunk loop
 /// plus a remainder loop; the fleet's leg schedule straddles both.
 const ITERS: u64 = 20;
+/// Salt of this campaign's dataset seeds.
+const SALT: u64 = 0xF1EE;
 
 /// The fault profiles: store faults alone, fleet faults alone, and the
 /// combined worst case. `zombie_drill` deterministically produces a
@@ -94,35 +91,6 @@ fn profiles() -> Vec<(&'static str, RemoteFaultSpec, FleetFaultSpec)> {
     ]
 }
 
-/// The benchmark program and its inputs for one dataset seed — *without*
-/// the trip bindings: the fleet binds every trip symbol to [`ITERS`]
-/// itself, so every slice runs the identical program the baseline runs.
-fn workload(seed: u64) -> (Function, Inputs) {
-    let spec = BenchSpec {
-        seed: 0xF1EE ^ seed,
-        ..Scale::Small.spec()
-    };
-    let src = Linear.trace_dynamic(&spec);
-    let compiled = compile(
-        &src,
-        CompilerConfig::Halo,
-        &halo_bench::options(Scale::Small),
-    )
-    .expect("linear benchmark compiles");
-    (compiled.function, Linear.inputs(&spec))
-}
-
-fn backend() -> SimBackend {
-    SimBackend::exact(Scale::Small.params())
-}
-
-fn bits(outputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
-    outputs
-        .iter()
-        .map(|v| v.iter().map(|x| x.to_bits()).collect())
-        .collect()
-}
-
 /// Fleet topology of the campaign: three executors, two global loop
 /// headers per leg, and a slice quantum wide enough that any executor
 /// can cross a leg boundary of the `linear` workload in one tick.
@@ -133,128 +101,16 @@ fn config() -> FleetConfig {
     }
 }
 
-struct Trial {
-    profile: &'static str,
-    seed: u64,
-    legs: u32,
-    ticks: u64,
-    legs_claimed: u64,
-    leases_expired: u64,
-    zombie_writes_fenced: u64,
-    legs_reassigned: u64,
-    coordinator_resumes: u64,
-    executor_crashes: u64,
-    executor_stalls: u64,
-    snapshot_writes: u64,
-    remote_puts: u64,
-    store_faults: u64,
-    bit_identical: bool,
-    aborted: bool,
-}
-
-impl Trial {
-    fn from_report(
-        profile: &'static str,
-        seed: u64,
-        report: &FleetReport,
-        store_faults: u64,
-        bit_identical: bool,
-    ) -> Trial {
-        Trial {
-            profile,
-            seed,
-            legs: report.legs,
-            ticks: report.ticks,
-            legs_claimed: report.stats.legs_claimed,
-            leases_expired: report.stats.leases_expired,
-            zombie_writes_fenced: report.stats.zombie_writes_fenced,
-            legs_reassigned: report.stats.legs_reassigned,
-            coordinator_resumes: report.stats.coordinator_resumes,
-            executor_crashes: report.executor_crashes,
-            executor_stalls: report.executor_stalls,
-            snapshot_writes: report.stats.snapshot_writes,
-            remote_puts: report.stats.remote_puts,
-            store_faults,
-            bit_identical,
-            aborted: false,
-        }
-    }
-
-    fn aborted(profile: &'static str, seed: u64) -> Trial {
-        Trial {
-            profile,
-            seed,
-            legs: 0,
-            ticks: 0,
-            legs_claimed: 0,
-            leases_expired: 0,
-            zombie_writes_fenced: 0,
-            legs_reassigned: 0,
-            coordinator_resumes: 0,
-            executor_crashes: 0,
-            executor_stalls: 0,
-            snapshot_writes: 0,
-            remote_puts: 0,
-            store_faults: 0,
-            bit_identical: false,
-            aborted: true,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("profile", Json::Str(self.profile.into())),
-            ("seed", num(self.seed as f64)),
-            ("legs", num(f64::from(self.legs))),
-            ("ticks", num(self.ticks as f64)),
-            ("legs_claimed", num(self.legs_claimed as f64)),
-            ("leases_expired", num(self.leases_expired as f64)),
-            (
-                "zombie_writes_fenced",
-                num(self.zombie_writes_fenced as f64),
-            ),
-            ("legs_reassigned", num(self.legs_reassigned as f64)),
-            ("coordinator_resumes", num(self.coordinator_resumes as f64)),
-            ("executor_crashes", num(self.executor_crashes as f64)),
-            ("executor_stalls", num(self.executor_stalls as f64)),
-            ("snapshot_writes", num(self.snapshot_writes as f64)),
-            ("remote_puts", num(self.remote_puts as f64)),
-            ("store_faults", num(self.store_faults as f64)),
-            ("bit_identical", Json::Bool(self.bit_identical)),
-        ])
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let start = Instant::now();
-    // One seed from the CI matrix, or a two-seed sweep locally.
-    let seeds: Vec<u64> = match std::env::var("HALO_FLEET_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(s) => vec![s],
-        None => vec![1, 2],
-    };
+    let seeds = campaign::seeds();
     let cfg = config();
-
     let mut trials = Vec::new();
     for &seed in &seeds {
-        // Solo uninterrupted baseline on the exact backend, under the
-        // fleet's own per-slice policy: zero noise, so bit-identity is
-        // the only acceptable outcome for every surviving schedule.
-        let (f, inputs) = workload(seed);
-        let mut solo_inputs = inputs.clone();
-        for sym in Linear.trip_symbols() {
-            solo_inputs = solo_inputs.env(sym, ITERS);
-        }
-        let be = backend();
-        let baseline = bits(
-            &Executor::with_policy(&be, baseline_policy())
-                .run(&f, &solo_inputs)
-                .expect("baseline run")
-                .outputs,
-        );
-
+        // The fleet binds every trip symbol to ITERS itself, so every
+        // slice runs the program the baseline runs.
+        let (f, inputs) = campaign::workload(SALT, seed, ITERS);
+        let baseline = campaign::baseline(&f, &inputs);
         for (idx, (profile, store_spec, fleet_spec)) in profiles().into_iter().enumerate() {
             let store = SimObjectStore::new(store_spec, 0xF1EE7 ^ seed ^ ((idx as u64) << 8));
             let job = FleetJob {
@@ -263,76 +119,39 @@ fn main() {
                 trip_symbols: &["iters"],
                 iters: ITERS,
             };
-            let trial = match run_fleet(&job, &store, &cfg, &fleet_spec, seed, backend) {
-                Ok(report) => Trial::from_report(
-                    profile,
-                    seed,
-                    &report,
-                    store.report().total(),
-                    bits(&report.outputs) == baseline,
+            let out = run_fleet(&job, &store, &cfg, &fleet_spec, seed, campaign::backend);
+            let report = out.as_ref().ok();
+            let count = |get: fn(&FleetReport) -> u64| num(report.map_or(0, get) as f64);
+            let fields = vec![
+                ("profile", Json::Str(profile.into())),
+                ("seed", num(seed as f64)),
+                ("legs", count(|r| u64::from(r.legs))),
+                ("ticks", count(|r| r.ticks)),
+                ("legs_claimed", count(|r| r.stats.legs_claimed)),
+                ("leases_expired", count(|r| r.stats.leases_expired)),
+                (
+                    "zombie_writes_fenced",
+                    count(|r| r.stats.zombie_writes_fenced),
                 ),
-                Err(e) => {
-                    eprintln!("ABORT {profile} seed={seed}: {e}");
-                    Trial::aborted(profile, seed)
-                }
-            };
-            trials.push(trial);
+                ("legs_reassigned", count(|r| r.stats.legs_reassigned)),
+                (
+                    "coordinator_resumes",
+                    count(|r| r.stats.coordinator_resumes),
+                ),
+                ("executor_crashes", count(|r| r.executor_crashes)),
+                ("executor_stalls", count(|r| r.executor_stalls)),
+                ("snapshot_writes", count(|r| r.stats.snapshot_writes)),
+                ("remote_puts", count(|r| r.stats.remote_puts)),
+                ("store_faults", num(store.report().total() as f64)),
+            ];
+            let outputs = out.as_ref().map(|r| &r.outputs[..]);
+            trials.push(Trial::new(fields, outputs, &baseline));
         }
     }
-
-    for t in &trials {
-        println!(
-            "{} {:<18} seed={}: legs={} ticks={} claimed={} expired={} fenced={} \
-             reassigned={} resumes={} crashes={} stalls={} snaps={} store_faults={}",
-            if t.bit_identical { "OK  " } else { "FAIL" },
-            t.profile,
-            t.seed,
-            t.legs,
-            t.ticks,
-            t.legs_claimed,
-            t.leases_expired,
-            t.zombie_writes_fenced,
-            t.legs_reassigned,
-            t.coordinator_resumes,
-            t.executor_crashes,
-            t.executor_stalls,
-            t.snapshot_writes,
-            t.store_faults,
-        );
-    }
-
-    let passed = trials.iter().filter(|t| t.bit_identical).count();
-    let failed = trials.len() - passed;
-    let aborts = trials.iter().filter(|t| t.aborted).count();
-    let doc = obj(vec![
-        ("schema", Json::Str("halo-fleet-report/1".into())),
-        ("bench", Json::Str(Linear.name().into())),
-        ("scale", Json::Str("small".into())),
-        ("iters", num(ITERS as f64)),
-        ("seeds", num(seeds.len() as f64)),
+    let header = vec![
         ("profiles", num(profiles().len() as f64)),
         ("executors", num(f64::from(cfg.executors))),
         ("leg_len", num(cfg.leg_len as f64)),
-        ("wall_ms", num(start.elapsed().as_secs_f64() * 1e3)),
-        ("passed", num(passed as f64)),
-        ("failed", num(failed as f64)),
-        ("aborts", num(aborts as f64)),
-        (
-            "trials",
-            Json::Arr(trials.iter().map(Trial::to_json).collect()),
-        ),
-    ]);
-
-    let dir = halo_bench::bench_json_dir().expect("bench json dir");
-    let out = dir.join("FLEET_REPORT.json");
-    std::fs::write(&out, doc.pretty()).expect("write report");
-    println!(
-        "wrote {} ({} trials, {passed} passed, {failed} failed, {aborts} aborts)",
-        out.display(),
-        trials.len(),
-    );
-    if failed > 0 {
-        std::process::exit(1);
-    }
-    json::validate_fleet_report(&doc).expect("self-check: emitted report must satisfy its schema");
+    ];
+    campaign::finish("halo-fleet-report/1", ITERS, &seeds, header, trials, start)
 }

@@ -113,7 +113,8 @@ fn main() {
         ("sequential", counters_json(seq_counters)),
         ("hoisted", counters_json(hoist_counters)),
     ]);
-    json::validate_rotate(&doc).expect("emitted document must satisfy its own schema");
+    json::validate("halo-bench-rotate/1", &doc)
+        .expect("emitted document must satisfy its own schema");
     let dir = halo_bench::bench_json_dir().expect("bench json dir");
     let path = dir.join("BENCH_ROTATE.json");
     std::fs::write(&path, doc.pretty()).expect("write BENCH_ROTATE.json");

@@ -10,30 +10,29 @@
 //!
 //! ```sh
 //! cargo run --release -p halo-bench --bin remote_chaos
-//! HALO_REMOTE_SEED=3 cargo run --release -p halo-bench --bin remote_chaos
+//! HALO_CAMPAIGN_SEED=3 cargo run --release -p halo-bench --bin remote_chaos
 //! ```
 //!
-//! Emits `results/REMOTE_REPORT.json` (schema `halo-remote-report/1`,
-//! validated by `bench_json_check --remote`) and exits non-zero on any
-//! divergence or abort. Spill directories live under
-//! `target/remote_chaos/` (override with `HALO_REMOTE_DIR`).
+//! Emits `results/REMOTE_REPORT.json` (schema `halo-remote-report/1`) and
+//! exits non-zero unless the report passes its schema (see
+//! `halo_bench::campaign`). Spill directories live under
+//! `target/remote_chaos/`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use halo_bench::json::{self, num, obj, Json};
-use halo_bench::Scale;
-use halo_ckks::SimBackend;
-use halo_core::{compile, CompilerConfig};
-use halo_ir::Function;
-use halo_ml::bench::{BenchSpec, Linear, MlBenchmark};
+use halo_bench::campaign::{self, Trial};
+use halo_bench::json::{num, Json};
 use halo_runtime::{
-    DiskStore, ExecPolicy, Executor, Inputs, RemoteFaultSpec, RemotePolicy, RemoteStore, RunStats,
+    DiskStore, ExecPolicy, Executor, RemoteFaultSpec, RemotePolicy, RemoteStore, RunStats,
     SimObjectStore,
 };
 
 /// Loop iterations the benchmark runs (one snapshot generation each).
 const ITERS: u64 = 12;
+/// Salt of this campaign's dataset seeds.
+const SALT: u64 = 0x5E07;
 
 /// The fault profiles, each exercising one failure class in isolation
 /// plus the combined chaos mix (and a healthy control). `blackout` makes
@@ -69,119 +68,6 @@ fn remote_policy() -> RemotePolicy {
     }
 }
 
-/// The benchmark program and its bound inputs for one dataset seed.
-fn workload(seed: u64) -> (Function, Inputs) {
-    let spec = BenchSpec {
-        seed: 0x5E07 ^ seed,
-        ..Scale::Small.spec()
-    };
-    let src = Linear.trace_dynamic(&spec);
-    let compiled = compile(
-        &src,
-        CompilerConfig::Halo,
-        &halo_bench::options(Scale::Small),
-    )
-    .expect("linear benchmark compiles");
-    let mut inputs = Linear.inputs(&spec);
-    for sym in Linear.trip_symbols() {
-        inputs = inputs.env(sym, ITERS);
-    }
-    (compiled.function, inputs)
-}
-
-fn backend() -> SimBackend {
-    SimBackend::exact(Scale::Small.params())
-}
-
-fn bits(outputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
-    outputs
-        .iter()
-        .map(|v| v.iter().map(|x| x.to_bits()).collect())
-        .collect()
-}
-
-fn policy() -> ExecPolicy {
-    ExecPolicy::durable("/unused") // store is always passed explicitly
-}
-
-struct Trial {
-    profile: &'static str,
-    seed: u64,
-    kind: &'static str,
-    faults_injected: u64,
-    snapshot_writes: u64,
-    remote_puts: u64,
-    remote_retries: u64,
-    remote_backoff_us: f64,
-    hedged_reads: u64,
-    breaker_opens: u64,
-    spilled_snapshots: u64,
-    bit_identical: bool,
-    aborted: bool,
-}
-
-impl Trial {
-    fn from_stats(
-        profile: &'static str,
-        seed: u64,
-        kind: &'static str,
-        faults_injected: u64,
-        stats: &RunStats,
-        bit_identical: bool,
-    ) -> Trial {
-        Trial {
-            profile,
-            seed,
-            kind,
-            faults_injected,
-            snapshot_writes: stats.snapshot_writes,
-            remote_puts: stats.remote_puts,
-            remote_retries: stats.remote_retries,
-            remote_backoff_us: stats.remote_backoff_us,
-            hedged_reads: stats.hedged_reads,
-            breaker_opens: stats.breaker_opens,
-            spilled_snapshots: stats.spilled_snapshots,
-            bit_identical,
-            aborted: false,
-        }
-    }
-
-    fn aborted(profile: &'static str, seed: u64, kind: &'static str) -> Trial {
-        Trial {
-            profile,
-            seed,
-            kind,
-            faults_injected: 0,
-            snapshot_writes: 0,
-            remote_puts: 0,
-            remote_retries: 0,
-            remote_backoff_us: 0.0,
-            hedged_reads: 0,
-            breaker_opens: 0,
-            spilled_snapshots: 0,
-            bit_identical: false,
-            aborted: true,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        obj(vec![
-            ("profile", Json::Str(self.profile.into())),
-            ("seed", num(self.seed as f64)),
-            ("kind", Json::Str(self.kind.into())),
-            ("faults_injected", num(self.faults_injected as f64)),
-            ("snapshot_writes", num(self.snapshot_writes as f64)),
-            ("remote_puts", num(self.remote_puts as f64)),
-            ("remote_retries", num(self.remote_retries as f64)),
-            ("remote_backoff_us", num(self.remote_backoff_us)),
-            ("hedged_reads", num(self.hedged_reads as f64)),
-            ("breaker_opens", num(self.breaker_opens as f64)),
-            ("spilled_snapshots", num(self.spilled_snapshots as f64)),
-            ("bit_identical", Json::Bool(self.bit_identical)),
-        ])
-    }
-}
-
 /// Builds the resilient store for one campaign leg: flaky simulated
 /// remote plus a fresh local spill directory.
 fn build_store(
@@ -200,63 +86,58 @@ fn build_store(
 }
 
 /// One fault profile × one seed: the durable run plus both resume legs.
+/// Returns the faults the remote injected across the three legs.
 fn run_profile(
-    profile: &'static str,
+    profile: &str,
     spec: RemoteFaultSpec,
     seed: u64,
     base: &Path,
     baseline: &[Vec<u64>],
     trials: &mut Vec<Trial>,
-) {
-    let (f, inputs) = workload(seed);
+) -> u64 {
+    let (f, inputs) = campaign::workload(SALT, seed, ITERS);
     let dir = base.join(format!("{profile}-s{seed}"));
+    let mut faults = 0;
+    let mut leg = |kind: &str, store: &RemoteStore<SimObjectStore>| {
+        let before = store.remote().report().total();
+        let be = campaign::backend();
+        // The store is always passed explicitly; the directory is unused.
+        let exec = Executor::with_policy(&be, ExecPolicy::durable("/unused"));
+        let out = if kind == "run" {
+            exec.run_durable_with_store(&f, &inputs, store)
+        } else {
+            exec.resume_with_store(&f, &inputs, store)
+        };
+        let injected = store.remote().report().total() - before;
+        faults += injected;
+        let none = RunStats::default();
+        let stats = out.as_ref().map_or(&none, |o| &o.stats);
+        let fields = vec![
+            ("profile", Json::Str(profile.into())),
+            ("seed", num(seed as f64)),
+            ("kind", Json::Str(kind.into())),
+            ("faults_injected", num(injected as f64)),
+            ("snapshot_writes", num(stats.snapshot_writes as f64)),
+            ("remote_puts", num(stats.remote_puts as f64)),
+            ("remote_retries", num(stats.remote_retries as f64)),
+            ("remote_backoff_us", num(stats.remote_backoff_us)),
+            ("hedged_reads", num(stats.hedged_reads as f64)),
+            ("breaker_opens", num(stats.breaker_opens as f64)),
+            ("spilled_snapshots", num(stats.spilled_snapshots as f64)),
+        ];
+        let outputs = out.as_ref().map(|o| &o.outputs[..]);
+        trials.push(Trial::new(fields, outputs, baseline));
+    };
 
-    // Leg 1 — "run": the full durable run through the flaky remote.
+    // "run": the full durable run through the flaky remote; "resume":
+    // continue from everything it left behind (remote objects + local
+    // spill), as the same machine would after a crash.
     let store = build_store(spec, seed, seed, &dir.join("run-spill"));
-    let run_trial = {
-        let be = backend();
-        match Executor::with_policy(&be, policy()).run_durable_with_store(&f, &inputs, &store) {
-            Ok(out) => Trial::from_stats(
-                profile,
-                seed,
-                "run",
-                store.remote().report().total(),
-                &out.stats,
-                bits(&out.outputs) == baseline,
-            ),
-            Err(e) => {
-                eprintln!("ABORT run {profile} seed={seed}: {e}");
-                Trial::aborted(profile, seed, "run")
-            }
-        }
-    };
-    trials.push(run_trial);
+    leg("run", &store);
+    leg("resume", &store);
 
-    // Leg 2 — "resume": continue from everything the run left behind
-    // (remote objects + local spill), as the same machine would after a
-    // crash.
-    let faults_before = store.remote().report().total();
-    let resume_trial = {
-        let be = backend();
-        match Executor::with_policy(&be, policy()).resume_with_store(&f, &inputs, &store) {
-            Ok(out) => Trial::from_stats(
-                profile,
-                seed,
-                "resume",
-                store.remote().report().total() - faults_before,
-                &out.stats,
-                bits(&out.outputs) == baseline,
-            ),
-            Err(e) => {
-                eprintln!("ABORT resume {profile} seed={seed}: {e}");
-                Trial::aborted(profile, seed, "resume")
-            }
-        }
-    };
-    trials.push(resume_trial);
-
-    // Leg 3 — "resume_prefix": a *different* machine resumes with only
-    // the oldest half of the run's uploaded objects present (the state a
+    // "resume_prefix": a *different* machine resumes with only the
+    // oldest half of the run's uploaded objects present (the state a
     // mid-run machine loss strands in the object store) and an empty
     // local spill. Torn or missing newer generations must degrade to
     // fallback or a fresh start, never an abort.
@@ -270,106 +151,26 @@ fn run_profile(
     for (key, bytes) in objects.iter().take(objects.len() / 2) {
         prefix_store.remote().insert_raw(key, bytes);
     }
-    let faults_before = prefix_store.remote().report().total();
-    let prefix_trial = {
-        let be = backend();
-        match Executor::with_policy(&be, policy()).resume_with_store(&f, &inputs, &prefix_store) {
-            Ok(out) => Trial::from_stats(
-                profile,
-                seed,
-                "resume_prefix",
-                prefix_store.remote().report().total() - faults_before,
-                &out.stats,
-                bits(&out.outputs) == baseline,
-            ),
-            Err(e) => {
-                eprintln!("ABORT resume_prefix {profile} seed={seed}: {e}");
-                Trial::aborted(profile, seed, "resume_prefix")
-            }
-        }
-    };
-    trials.push(prefix_trial);
+    leg("resume_prefix", &prefix_store);
+    faults
 }
 
-fn main() {
+fn main() -> ExitCode {
     let start = Instant::now();
-    let base = PathBuf::from(
-        std::env::var("HALO_REMOTE_DIR").unwrap_or_else(|_| "target/remote_chaos".into()),
-    );
-    // One seed from the CI matrix, or a two-seed sweep locally.
-    let seeds: Vec<u64> = match std::env::var("HALO_REMOTE_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(s) => vec![s],
-        None => vec![1, 2],
-    };
-
+    let base = campaign::work_dir("remote_chaos");
+    let seeds = campaign::seeds();
     let mut trials = Vec::new();
+    let mut faults = 0;
     for &seed in &seeds {
-        // Uninterrupted baseline on the exact backend: zero noise, so
-        // bit-identity is the only acceptable outcome for every leg.
-        let (f, inputs) = workload(seed);
-        let be = backend();
-        let baseline = bits(
-            &Executor::with_policy(&be, policy())
-                .run(&f, &inputs)
-                .expect("baseline run")
-                .outputs,
-        );
+        let (f, inputs) = campaign::workload(SALT, seed, ITERS);
+        let baseline = campaign::baseline(&f, &inputs);
         for (profile, spec) in profiles() {
-            run_profile(profile, spec, seed, &base, &baseline, &mut trials);
+            faults += run_profile(profile, spec, seed, &base, &baseline, &mut trials);
         }
     }
-
-    for t in &trials {
-        println!(
-            "{} {:<13} {:<13} seed={}: faults={} puts={} retries={} hedged={} breaker={} spilled={}",
-            if t.bit_identical { "OK  " } else { "FAIL" },
-            t.profile,
-            t.kind,
-            t.seed,
-            t.faults_injected,
-            t.remote_puts,
-            t.remote_retries,
-            t.hedged_reads,
-            t.breaker_opens,
-            t.spilled_snapshots,
-        );
-    }
-
-    let passed = trials.iter().filter(|t| t.bit_identical).count();
-    let failed = trials.len() - passed;
-    let aborts = trials.iter().filter(|t| t.aborted).count();
-    let faults_total: u64 = trials.iter().map(|t| t.faults_injected).sum();
-    let doc = obj(vec![
-        ("schema", Json::Str("halo-remote-report/1".into())),
-        ("bench", Json::Str(Linear.name().into())),
-        ("scale", Json::Str("small".into())),
-        ("iters", num(ITERS as f64)),
-        ("seeds", num(seeds.len() as f64)),
+    let header = vec![
         ("profiles", num(profiles().len() as f64)),
-        ("wall_ms", num(start.elapsed().as_secs_f64() * 1e3)),
-        ("faults_injected", num(faults_total as f64)),
-        ("passed", num(passed as f64)),
-        ("failed", num(failed as f64)),
-        ("aborts", num(aborts as f64)),
-        (
-            "trials",
-            Json::Arr(trials.iter().map(Trial::to_json).collect()),
-        ),
-    ]);
-
-    let dir = halo_bench::bench_json_dir().expect("bench json dir");
-    let out = dir.join("REMOTE_REPORT.json");
-    std::fs::write(&out, doc.pretty()).expect("write report");
-    println!(
-        "wrote {} ({} trials, {passed} passed, {failed} failed, {aborts} aborts, {faults_total} faults injected)",
-        out.display(),
-        trials.len(),
-    );
-    if failed > 0 {
-        std::process::exit(1);
-    }
-    json::validate_remote_report(&doc).expect("self-check: emitted report must satisfy its schema");
+        ("faults_injected", num(faults as f64)),
+    ];
+    campaign::finish("halo-remote-report/1", ITERS, &seeds, header, trials, start)
 }

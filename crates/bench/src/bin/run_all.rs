@@ -78,7 +78,8 @@ fn main() {
             Json::Arr(tuning.iter().map(TuneRow::to_json).collect()),
         ),
     ]);
-    json::validate_run_all(&doc).expect("emitted document must satisfy its own schema");
+    json::validate("halo-bench-run-all/1", &doc)
+        .expect("emitted document must satisfy its own schema");
     let dir = halo_bench::bench_json_dir().expect("bench json dir");
     let path = dir.join("BENCH_RUN_ALL.json");
     std::fs::write(&path, doc.pretty()).expect("write BENCH_RUN_ALL.json");

@@ -59,7 +59,8 @@ fn main() {
         .speedup_vs_solo;
 
     let report = doc(scale, seed, &rows, speedup_at_16);
-    json::validate_serve(&report).expect("emitted document must satisfy its own schema");
+    json::validate("halo-bench-serve/1", &report)
+        .expect("emitted document must satisfy its own schema");
     let dir = halo_bench::bench_json_dir().expect("bench json dir");
     let path = dir.join("BENCH_SERVE.json");
     std::fs::write(&path, report.pretty()).expect("write BENCH_SERVE.json");

@@ -1,12 +1,16 @@
 //! Minimal dependency-free JSON: a value tree, an emitter, a
-//! recursive-descent parser, and schema validators for the two
-//! machine-readable bench artifacts (`BENCH_ROTATE.json`,
-//! `BENCH_RUN_ALL.json`).
+//! recursive-descent parser, and one schema table that validates all nine
+//! machine-readable bench artifacts (`results/*.json`).
 //!
 //! The workspace deliberately vendors no serde; the bench trajectory only
 //! needs flat objects of numbers and strings, so a ~200-line JSON core
 //! keeps the artifact format honest (CI round-trips every emitted file
 //! through this parser before accepting it).
+//!
+//! Each artifact has one [`Schema`] entry: its file name, its schema id,
+//! its typed fields (row arrays carry typed row fields) and a few closures
+//! for the rules that span fields. `bench_json_check` finds an entry by
+//! file name; every emitter self-checks through [`validate`] by schema id.
 
 use std::fmt::Write as _;
 
@@ -287,735 +291,653 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash at once,
+                // validating only that run: both are ASCII, so never part
+                // of a multi-byte character.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |i| *pos + i);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
 }
 
-/// Convenience: a finite, non-negative number under `key`.
-fn require_num(v: &Json, key: &str) -> Result<f64, String> {
-    let x = v
-        .get(key)
-        .ok_or(format!("missing key '{key}'"))?
-        .as_num()
-        .ok_or(format!("key '{key}' is not a number"))?;
-    if !x.is_finite() || x < 0.0 {
-        return Err(format!("key '{key}' must be finite and >= 0, got {x}"));
+/// A cross-field rule: the violation it names, and a predicate over a
+/// value whose fields the table has already checked.
+type Rule = (&'static str, fn(&Json) -> bool);
+
+/// A field: its key and what its value must be.
+type Field = (&'static str, Ty);
+
+/// What a field's value must be.
+enum Ty {
+    /// A string.
+    Str,
+    /// One of these strings.
+    OneOf(&'static [&'static str]),
+    /// `true` or `false`.
+    Bool,
+    /// A finite number at least this bound.
+    Min(f64),
+    /// A finite number above 0.
+    Pos,
+    /// An object with these fields.
+    Obj(&'static [Field]),
+    /// An array of rows.
+    Arr(&'static Rows),
+    /// Absent, or what the inner type says.
+    Opt(&'static Ty),
+}
+
+use Ty::{Arr, Bool, Min, Obj, OneOf, Opt, Pos, Str};
+
+/// A finite number `>= 0`: every numeric field is at least this.
+const NUM: Ty = Min(0.0);
+
+/// A row array: the fields of every row and the rules over them.
+struct Rows {
+    /// Fewest rows accepted.
+    min: usize,
+    /// Typed fields of every row.
+    fields: &'static [Field],
+    /// Rules over one row, run once its fields passed.
+    each: &'static [Rule],
+    /// Rules over the whole array, run once every row passed.
+    all: &'static [Rule],
+}
+
+/// One artifact's entry in the schema table.
+pub struct Schema {
+    /// File name under the bench JSON directory.
+    pub(crate) file: &'static str,
+    /// Value of the document's `schema` field.
+    id: &'static str,
+    /// Typed top-level fields.
+    fields: &'static [Field],
+    /// Cross-field rules, run once every field passed.
+    rules: &'static [Rule],
+}
+
+impl Schema {
+    /// The entry for the artifact file `name`.
+    #[must_use]
+    pub fn by_file(name: &str) -> Option<&'static Schema> {
+        SCHEMAS.iter().find(|s| s.file == name)
     }
-    Ok(x)
-}
 
-fn require_str<'j>(v: &'j Json, key: &str) -> Result<&'j str, String> {
-    v.get(key)
-        .ok_or(format!("missing key '{key}'"))?
-        .as_str()
-        .ok_or(format!("key '{key}' is not a string"))
-}
-
-/// Counter sub-object shared by both rotate snapshots.
-fn check_counters(v: &Json, key: &str) -> Result<(), String> {
-    let obj = v.get(key).ok_or(format!("missing object '{key}'"))?;
-    for k in ["poly_allocs", "digit_decomposes", "digit_ntt_rows"] {
-        require_num(obj, k).map_err(|e| format!("{key}: {e}"))?;
+    /// The entry whose schema id is `id`.
+    pub(crate) fn by_id(id: &str) -> Option<&'static Schema> {
+        SCHEMAS.iter().find(|s| s.id == id)
     }
-    Ok(())
+
+    /// Validates `doc` against this entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation.
+    pub fn check(&self, doc: &Json) -> Result<(), String> {
+        if doc.get("schema").and_then(Json::as_str) != Some(self.id) {
+            return Err(format!("'schema' must be '{}'", self.id));
+        }
+        check_fields(doc, self.fields)?;
+        apply(self.rules, doc)
+    }
 }
 
-/// Validates a `BENCH_ROTATE.json` document (schema
-/// `halo-bench-rotate/1`): hoisted-rotation microbenchmark results with
-/// op/alloc counter snapshots for the sequential and hoisted paths.
+/// Validates `doc` against the schema whose id is `id`: the self-check
+/// every emitter runs before it writes an artifact.
 ///
 /// # Errors
 ///
-/// Returns the first schema violation.
-pub fn validate_rotate(v: &Json) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != "halo-bench-rotate/1" {
-        return Err(format!("unexpected schema '{schema}'"));
-    }
-    for k in ["n", "levels", "batch", "reps", "threads"] {
-        let x = require_num(v, k)?;
-        if x < 1.0 {
-            return Err(format!("key '{k}' must be >= 1"));
-        }
-    }
-    let seq = require_num(v, "sequential_us")?;
-    let hoisted = require_num(v, "hoisted_us")?;
-    let speedup = require_num(v, "speedup")?;
-    if hoisted > 0.0 && (speedup - seq / hoisted).abs() > 1e-6 * speedup.max(1.0) {
-        return Err(format!(
-            "speedup {speedup} inconsistent with {seq} / {hoisted}"
-        ));
-    }
-    check_counters(v, "sequential")?;
-    check_counters(v, "hoisted")?;
-    // The hoisting contract: one decomposition per batch on the hoisted
-    // path, one per rotation on the sequential path.
-    let seq_dec = require_num(v.get("sequential").unwrap(), "digit_decomposes")?;
-    let hoist_dec = require_num(v.get("hoisted").unwrap(), "digit_decomposes")?;
-    if hoist_dec >= seq_dec {
-        return Err(format!(
-            "hoisted path must decompose less ({hoist_dec} vs {seq_dec})"
-        ));
+/// Returns the first violation, or names an unknown id.
+pub fn validate(id: &str, doc: &Json) -> Result<(), String> {
+    Schema::by_id(id)
+        .ok_or(format!("no schema '{id}'"))?
+        .check(doc)
+}
+
+fn check_fields(v: &Json, fields: &[Field]) -> Result<(), String> {
+    for (key, ty) in fields {
+        check_value(v.get(key), ty).map_err(|e| format!("'{key}': {e}"))?;
     }
     Ok(())
 }
 
-/// Validates a `BENCH_NTT.json` document (schema `halo-bench-ntt/2`):
-/// the toy backend's kernel microbenchmark. Records the per-limb
-/// negacyclic transform cost and the ct-ct multiply latency, plus the
-/// deferred-reduction count proving the lazy kernels actually ran.
-///
-/// # Errors
-///
-/// Returns the first schema violation.
-pub fn validate_ntt(v: &Json) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != "halo-bench-ntt/2" {
-        return Err(format!("unexpected schema '{schema}'"));
+fn check_value(v: Option<&Json>, ty: &Ty) -> Result<(), String> {
+    let ok = match (ty, v) {
+        (Opt(_), None) => true,
+        (Opt(ty), v) => return check_value(v, ty),
+        (_, None) => return Err("missing".into()),
+        (Obj(fields), Some(v @ Json::Obj(_))) => return check_fields(v, fields),
+        (Arr(rows), Some(v @ Json::Arr(_))) => return rows.check(v),
+        (Str, Some(Json::Str(_))) | (Bool, Some(Json::Bool(_))) => true,
+        (OneOf(names), Some(Json::Str(s))) => names.contains(&s.as_str()),
+        (Min(min), Some(Json::Num(x))) => x.is_finite() && x >= min,
+        (Pos, Some(Json::Num(x))) => x.is_finite() && *x > 0.0,
+        _ => false,
+    };
+    if ok {
+        return Ok(());
     }
-    for k in ["n", "levels", "reps", "threads"] {
-        let x = require_num(v, k)?;
-        if x < 1.0 {
-            return Err(format!("key '{k}' must be >= 1"));
-        }
-    }
-    for k in ["ntt_ns_per_limb", "mult_us"] {
-        if require_num(v, k)? <= 0.0 {
-            return Err(format!("key '{k}' must be > 0"));
-        }
-    }
-    if require_num(v, "lazy_reductions_skipped")? < 1.0 {
-        return Err("lazy_reductions_skipped must be >= 1".into());
-    }
-    Ok(())
+    Err(match ty {
+        Str => "must be a string".into(),
+        OneOf(names) => format!("must be one of {names:?}"),
+        Bool => "must be a boolean".into(),
+        Min(min) => format!("must be a finite number >= {min}"),
+        Pos => "must be a finite number > 0".into(),
+        Obj(_) => "must be an object".into(),
+        Arr(_) | Opt(_) => "must be an array".into(),
+    })
 }
 
-/// Validates a `BENCH_RUN_ALL.json` document (schema
-/// `halo-bench-run-all/1`): per-benchmark modeled latencies and bootstrap
-/// counts plus the run's wall time.
-///
-/// # Errors
-///
-/// Returns the first schema violation.
-pub fn validate_run_all(v: &Json) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != "halo-bench-run-all/1" {
-        return Err(format!("unexpected schema '{schema}'"));
-    }
-    require_str(v, "scale")?;
-    require_num(v, "iters")?;
-    require_num(v, "wall_ms")?;
-    require_num(v, "poly_allocs")?;
-    let benches = v
-        .get("benchmarks")
-        .and_then(Json::as_arr)
-        .ok_or("missing array 'benchmarks'".to_string())?;
-    if benches.is_empty() {
-        return Err("'benchmarks' must be non-empty".into());
-    }
-    for (i, row) in benches.iter().enumerate() {
-        let ctx = |e| format!("benchmarks[{i}]: {e}");
-        require_str(row, "bench").map_err(ctx)?;
-        require_str(row, "config").map_err(ctx)?;
-        require_num(row, "bootstraps").map_err(ctx)?;
-        let total = require_num(row, "total_us").map_err(ctx)?;
-        let boot = require_num(row, "bootstrap_us").map_err(ctx)?;
-        if boot > total {
-            return Err(format!(
-                "benchmarks[{i}]: bootstrap_us {boot} exceeds total_us {total}"
-            ));
+impl Rows {
+    fn check(&self, arr: &Json) -> Result<(), String> {
+        let rows = items(arr);
+        if rows.len() < self.min {
+            return Err(format!("needs at least {} row(s)", self.min));
         }
-    }
-    // The serving campaign rides along in newer documents; when present
-    // it must be internally consistent (same row shape as BENCH_SERVE).
-    if let Some(serving) = v.get("serving") {
-        let rows = serving
-            .as_arr()
-            .ok_or("'serving' must be an array".to_string())?;
-        if rows.is_empty() {
-            return Err("'serving' must be non-empty when present".into());
+        for (i, row) in rows.iter().enumerate() {
+            check_fields(row, self.fields)
+                .and_then(|()| apply(self.each, row))
+                .map_err(|e| format!("row [{i}]: {e}"))?;
         }
-        check_serving_rows(rows)?;
+        apply(self.all, arr)
     }
-    // Likewise the autotuning summary (same row shape as BENCH_TUNE).
-    if let Some(tuning) = v.get("tuning") {
-        let rows = tuning
-            .as_arr()
-            .ok_or("'tuning' must be an array".to_string())?;
-        if rows.is_empty() {
-            return Err("'tuning' must be non-empty when present".into());
-        }
-        check_tune_rows(rows)?;
-    }
-    Ok(())
 }
 
-/// Row shape shared by `BENCH_SERVE.json` and the optional `serving`
-/// section of `BENCH_RUN_ALL.json`: one closed-loop campaign result per
-/// swept maximum batch size, with modeled latency percentiles and the
-/// batched-vs-solo throughput ratio.
-fn check_serving_rows(rows: &[Json]) -> Result<(), String> {
-    let mut saw_solo = false;
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |e| format!("serving row [{i}]: {e}");
-        let batch = require_num(row, "batch").map_err(ctx)?;
-        if batch < 1.0 {
-            return Err(format!("serving row [{i}]: batch must be >= 1"));
-        }
-        let jobs = require_num(row, "jobs").map_err(ctx)?;
-        if jobs < 1.0 {
-            return Err(format!("serving row [{i}]: jobs must be >= 1"));
-        }
-        let packed = require_num(row, "packed_batches").map_err(ctx)?;
-        if batch > 1.0 && packed < 1.0 {
-            return Err(format!(
-                "serving row [{i}]: batch {batch} run never coalesced"
-            ));
-        }
-        let jps = require_num(row, "jobs_per_sec").map_err(ctx)?;
-        if jps <= 0.0 {
-            return Err(format!("serving row [{i}]: jobs_per_sec must be > 0"));
-        }
-        let p50 = require_num(row, "p50_us").map_err(ctx)?;
-        let p99 = require_num(row, "p99_us").map_err(ctx)?;
-        if p50 > p99 {
-            return Err(format!("serving row [{i}]: p50 {p50} exceeds p99 {p99}"));
-        }
-        if require_num(row, "makespan_us").map_err(ctx)? <= 0.0 {
-            return Err(format!("serving row [{i}]: makespan_us must be > 0"));
-        }
-        let speedup = require_num(row, "speedup_vs_solo").map_err(ctx)?;
-        if batch == 1.0 {
-            saw_solo = true;
-            if (speedup - 1.0).abs() > 1e-9 {
-                return Err(format!(
-                    "serving row [{i}]: solo row must have speedup 1, got {speedup}"
-                ));
-            }
-        }
+fn apply(rules: &[Rule], v: &Json) -> Result<(), String> {
+    match rules.iter().find(|(_, holds)| !holds(v)) {
+        Some((violation, _)) => Err((*violation).into()),
+        None => Ok(()),
     }
-    if !saw_solo {
-        return Err("serving rows lack the batch-1 (solo baseline) row".into());
-    }
-    Ok(())
 }
 
-/// Validates a `BENCH_SERVE.json` document (schema `halo-bench-serve/1`):
-/// the multi-tenant serving-layer throughput campaign. Rows sweep the
-/// maximum batch size over the same seeded job stream; throughput and
-/// latency are modeled (cost-model accounted), so the headline
-/// batched-vs-solo ratio is machine-independent and the schema itself
-/// demands the paper-level bar: batch-16 coalescing must model >= 10x
-/// the solo throughput.
-///
-/// # Errors
-///
-/// Returns the first schema violation.
-pub fn validate_serve(v: &Json) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != "halo-bench-serve/1" {
-        return Err(format!("unexpected schema '{schema}'"));
-    }
-    require_str(v, "bench")?;
-    require_str(v, "scale")?;
-    require_num(v, "seed")?;
-    for k in ["jobs", "sessions", "workers", "iters", "slots", "width"] {
-        let x = require_num(v, k)?;
-        if x < 1.0 {
-            return Err(format!("key '{k}' must be >= 1"));
-        }
-    }
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("missing array 'rows'".to_string())?;
-    if rows.is_empty() {
-        return Err("'rows' must be non-empty".into());
-    }
-    check_serving_rows(rows)?;
-    let speedup_at_16 = require_num(v, "speedup_at_16")?;
-    let row_16 = rows
+/// `a` equals `b` up to `rel`, relative to `a` (absolute below 1).
+fn close(a: f64, b: f64, rel: f64) -> bool {
+    (a - b).abs() <= rel * a.max(1.0)
+}
+
+/// The value at the dotted `path`, which the field table has already
+/// checked; rules read fields only through these accessors.
+fn at<'j>(v: &'j Json, path: &str) -> &'j Json {
+    path.split('.')
+        .try_fold(v, Json::get)
+        .expect("field checked by the table")
+}
+
+fn n(v: &Json, path: &str) -> f64 {
+    at(v, path).as_num().expect("number checked by the table")
+}
+
+fn text<'j>(v: &'j Json, path: &str) -> &'j str {
+    at(v, path).as_str().expect("string checked by the table")
+}
+
+fn items(v: &Json) -> &[Json] {
+    v.as_arr().expect("array checked by the table")
+}
+
+/// The trials' values under `keys`, summed: a campaign must exercise the
+/// machinery it reports on.
+fn sum(trials: &Json, keys: &[&str]) -> f64 {
+    items(trials)
         .iter()
-        .find(|r| r.get("batch").and_then(Json::as_num) == Some(16.0))
-        .ok_or("rows lack the batch-16 entry".to_string())?;
-    let row_speedup = require_num(row_16, "speedup_vs_solo")?;
-    if (speedup_at_16 - row_speedup).abs() > 1e-9 * speedup_at_16.max(1.0) {
-        return Err(format!(
-            "speedup_at_16 {speedup_at_16} inconsistent with batch-16 row {row_speedup}"
-        ));
-    }
-    if speedup_at_16 < 10.0 {
-        return Err(format!(
-            "batch-16 modeled speedup {speedup_at_16} below the 10x bar"
-        ));
-    }
-    Ok(())
+        .flat_map(|t| keys.iter().map(move |k| n(t, k)))
+        .sum()
 }
 
-/// Row shape shared by `BENCH_TUNE.json` and the optional `tuning`
-/// section of `BENCH_RUN_ALL.json`: one program per row, with the HALO
-/// heuristic's modeled cost, the autotuned plan's modeled cost, and the
-/// search accounting. The schema itself enforces the optimality bar: a
-/// tuned plan may never model costlier than the HALO heuristic, and the
-/// search's accounting must cover its whole candidate space. Returns the
-/// number of rows with a strict improvement.
-fn check_tune_rows(rows: &[Json]) -> Result<usize, String> {
-    let mut improved = 0;
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |e| format!("tune row [{i}]: {e}");
-        require_str(row, "program").map_err(ctx)?;
-        require_str(row, "plan").map_err(ctx)?;
-        let halo = require_num(row, "halo_us").map_err(ctx)?;
-        let tuned = require_num(row, "tuned_us").map_err(ctx)?;
-        if halo <= 0.0 || tuned <= 0.0 {
-            return Err(format!("tune row [{i}]: costs must be > 0"));
-        }
-        if tuned > halo * (1.0 + 1e-9) {
-            return Err(format!(
-                "tune row [{i}]: tuned plan models costlier than the HALO \
-                 heuristic ({tuned} > {halo})"
-            ));
-        }
-        let gap = require_num(row, "gap").map_err(ctx)?;
-        if (gap - halo / tuned).abs() > 1e-6 * gap.max(1.0) {
-            return Err(format!(
-                "tune row [{i}]: gap {gap} inconsistent with {halo} / {tuned}"
-            ));
-        }
-        if tuned < halo * (1.0 - 1e-9) {
-            improved += 1;
-        }
-        let evaluated = require_num(row, "evaluated").map_err(ctx)?;
-        let pruned = require_num(row, "pruned").map_err(ctx)?;
-        let space = require_num(row, "space").map_err(ctx)?;
-        if evaluated < 1.0 {
-            return Err(format!("tune row [{i}]: evaluated must be >= 1"));
-        }
-        if evaluated + pruned != space {
-            return Err(format!(
-                "tune row [{i}]: evaluated {evaluated} + pruned {pruned} does \
-                 not cover space {space}"
-            ));
-        }
-    }
-    Ok(improved)
+/// The rules every campaign report shares: `passed + failed` covers the
+/// trials, `passed` counts exactly the bit-identical ones, and a green
+/// report has no failed trial and no abort.
+const CAMPAIGN_TOTALS: &[Rule] = &[
+    ("passed + failed does not cover the trials", |v| {
+        n(v, "passed") + n(v, "failed") == items(at(v, "trials")).len() as f64
+    }),
+    ("passed differs from the bit-identical trial count", |v| {
+        let trials = items(at(v, "trials"));
+        let identical = trials
+            .iter()
+            .filter(|t| t.get("bit_identical") == Some(&Json::Bool(true)));
+        n(v, "passed") == identical.count() as f64
+    }),
+    ("report is red: a trial failed or aborted", |v| {
+        n(v, "failed") == 0.0 && n(v, "aborts") == 0.0
+    }),
+];
+
+/// Counter snapshot of one rotation path in `BENCH_ROTATE.json`.
+const COUNTERS: &[Field] = &[
+    ("poly_allocs", NUM),
+    ("digit_decomposes", NUM),
+    ("digit_ntt_rows", NUM),
+];
+
+/// One benchmark × configuration of `BENCH_RUN_ALL.json`.
+const BENCH_ROWS: Rows = Rows {
+    min: 1,
+    fields: &[
+        ("bench", Str),
+        ("config", Str),
+        ("bootstraps", NUM),
+        ("total_us", NUM),
+        ("bootstrap_us", NUM),
+    ],
+    each: &[("bootstrap_us exceeds total_us", |r| {
+        n(r, "bootstrap_us") <= n(r, "total_us")
+    })],
+    all: &[],
+};
+
+/// One swept maximum batch size of the serving campaign
+/// (`BENCH_SERVE.json`, and `BENCH_RUN_ALL.json`'s `serving`): modeled
+/// latency percentiles and the batched-vs-solo throughput ratio, against
+/// the batch-1 row.
+const SERVING_ROWS: Rows = Rows {
+    min: 1,
+    fields: &[
+        ("batch", Min(1.0)),
+        ("jobs", Min(1.0)),
+        ("packed_batches", NUM),
+        ("jobs_per_sec", Pos),
+        ("p50_us", NUM),
+        ("p99_us", NUM),
+        ("makespan_us", Pos),
+        ("speedup_vs_solo", NUM),
+    ],
+    each: &[
+        ("a batched run never coalesced", |r| {
+            n(r, "batch") <= 1.0 || n(r, "packed_batches") >= 1.0
+        }),
+        ("p50_us exceeds p99_us", |r| {
+            n(r, "p50_us") <= n(r, "p99_us")
+        }),
+        ("the solo row's speedup must be 1", |r| {
+            n(r, "batch") != 1.0 || (n(r, "speedup_vs_solo") - 1.0).abs() <= 1e-9
+        }),
+    ],
+    all: &[("no batch-1 (solo baseline) row", |rows| {
+        items(rows).iter().any(|r| n(r, "batch") == 1.0)
+    })],
+};
+
+/// One program of the autotuner sweep (`BENCH_TUNE.json`, and
+/// `BENCH_RUN_ALL.json`'s `tuning`): the HALO heuristic's modeled cost,
+/// the tuned plan's, and the search accounting. A tuned plan never models
+/// costlier than the heuristic, and the search covers its whole space.
+const TUNE_ROWS: Rows = Rows {
+    min: 1,
+    fields: &[
+        ("program", Str),
+        ("plan", Str),
+        ("halo_us", Pos),
+        ("tuned_us", Pos),
+        ("gap", NUM),
+        ("evaluated", Min(1.0)),
+        ("pruned", NUM),
+        ("space", NUM),
+    ],
+    each: &[
+        (
+            "the tuned plan models costlier than the HALO heuristic",
+            |r| n(r, "tuned_us") <= n(r, "halo_us") * (1.0 + 1e-9),
+        ),
+        ("gap is not halo_us / tuned_us", |r| {
+            close(n(r, "gap"), n(r, "halo_us") / n(r, "tuned_us"), 1e-6)
+        }),
+        ("evaluated + pruned does not cover space", |r| {
+            n(r, "evaluated") + n(r, "pruned") == n(r, "space")
+        }),
+    ],
+    all: &[],
+};
+
+/// One differential-fuzzing failure: seed, stage, diagnosis and a
+/// reproduction command line.
+const FAILURES: Rows = Rows {
+    min: 0,
+    fields: &[
+        ("seed", NUM),
+        ("stage", Str),
+        ("detail", Str),
+        ("repro", Str),
+        ("shrink_steps", NUM),
+        ("shrunk_spec", Str),
+    ],
+    each: &[
+        ("a pass-verify failure must name its pass", |r| {
+            text(r, "stage") != "pass-verify" || r.get("pass").and_then(Json::as_str).is_some()
+        }),
+        ("repro lacks a --seed flag", |r| {
+            text(r, "repro").contains("--seed")
+        }),
+    ],
+    all: &[],
+};
+
+/// One crash-resume trial: `kill` is a SIGKILL mid-run then a resume,
+/// `corrupt` damages the newest generation and then resumes.
+const CRASH_TRIALS: Rows = Rows {
+    min: 1,
+    fields: &[
+        ("kind", OneOf(&["kill", "corrupt"])),
+        ("seed", NUM),
+        ("kill_point", NUM),
+        ("generations_at_resume", NUM),
+        ("resumes_from_disk", NUM),
+        ("corrupt_snapshots_skipped", NUM),
+        ("bit_identical", Bool),
+    ],
+    each: &[(
+        "a corrupt trial must skip a generation and fall back",
+        |t| {
+            text(t, "kind") != "corrupt"
+                || (n(t, "corrupt_snapshots_skipped") >= 1.0 && n(t, "resumes_from_disk") >= 1.0)
+        },
+    )],
+    all: &[("the matrix has no 'corrupt' trial", |trials| {
+        items(trials).iter().any(|t| text(t, "kind") == "corrupt")
+    })],
+};
+
+/// One remote-fault leg: `run` is a durable run through the flaky remote,
+/// `resume` continues from the same store, `resume_prefix` from a remote
+/// holding only a prefix of the run's objects.
+const REMOTE_TRIALS: Rows = Rows {
+    min: 1,
+    fields: &[
+        ("profile", Str),
+        ("seed", NUM),
+        ("kind", OneOf(&["run", "resume", "resume_prefix"])),
+        ("faults_injected", NUM),
+        ("snapshot_writes", NUM),
+        ("remote_puts", NUM),
+        ("remote_retries", NUM),
+        ("remote_backoff_us", NUM),
+        ("hedged_reads", NUM),
+        ("breaker_opens", NUM),
+        ("spilled_snapshots", NUM),
+        ("bit_identical", Bool),
+    ],
+    each: &[],
+    all: &[
+        ("the campaign must exercise both resume legs", |trials| {
+            let has = |leg| items(trials).iter().any(|t| text(t, "kind") == leg);
+            has("resume") && has("resume_prefix")
+        }),
+        ("the resilience stack never engaged", |trials| {
+            let events = [
+                "remote_puts",
+                "remote_retries",
+                "remote_backoff_us",
+                "hedged_reads",
+                "breaker_opens",
+                "spilled_snapshots",
+            ];
+            sum(trials, &events) >= 1.0
+        }),
+    ],
+};
+
+/// One fleet trial: the job sharded into legs under one fault profile,
+/// with the fleet telemetry. Across the trials the campaign must fence a
+/// zombie write, expire and reassign a lease, crash an executor, and
+/// resume the coordinator.
+const FLEET_TRIALS: Rows = Rows {
+    min: 1,
+    fields: &[
+        ("profile", Str),
+        ("seed", NUM),
+        ("legs", Min(2.0)),
+        ("ticks", NUM),
+        ("legs_claimed", Min(1.0)),
+        ("snapshot_writes", NUM),
+        ("remote_puts", NUM),
+        ("executor_stalls", NUM),
+        ("zombie_writes_fenced", NUM),
+        ("leases_expired", NUM),
+        ("legs_reassigned", NUM),
+        ("executor_crashes", NUM),
+        ("coordinator_resumes", NUM),
+        ("bit_identical", Bool),
+    ],
+    each: &[],
+    all: &[
+        ("no trial fenced a zombie write", |trials| {
+            sum(trials, &["zombie_writes_fenced"]) >= 1.0
+        }),
+        ("no lease ever expired", |trials| {
+            sum(trials, &["leases_expired"]) >= 1.0
+        }),
+        ("no leg was ever reassigned", |trials| {
+            sum(trials, &["legs_reassigned"]) >= 1.0
+        }),
+        ("no executor ever crashed", |trials| {
+            sum(trials, &["executor_crashes"]) >= 1.0
+        }),
+        ("no coordinator restart was exercised", |trials| {
+            sum(trials, &["coordinator_resumes"]) >= 1.0
+        }),
+    ],
+};
+
+/// The batch-16 row of a serving campaign, if any.
+fn batch_16(v: &Json) -> Option<&Json> {
+    items(at(v, "rows")).iter().find(|r| n(r, "batch") == 16.0)
 }
 
-/// Validates a `BENCH_TUNE.json` document (schema `halo-bench-tune/1`):
-/// the autotuner sweep over the seeded fuzz loop corpus. One row per
-/// corpus program comparing the HALO heuristic's modeled cost against the
-/// autotuned plan's; the schema demands the acceptance bar directly —
-/// tuned never costlier on any row, strictly cheaper on at least one —
-/// and cross-checks the headline aggregates against the rows.
-///
-/// # Errors
-///
-/// Returns the first schema violation.
-pub fn validate_tune(v: &Json) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != "halo-bench-tune/1" {
-        return Err(format!("unexpected schema '{schema}'"));
-    }
-    require_str(v, "tuner")?;
-    for k in ["seeds", "assumed_trips"] {
-        let x = require_num(v, k)?;
-        if x < 1.0 {
-            return Err(format!("key '{k}' must be >= 1"));
-        }
-    }
-    require_num(v, "wall_ms")?;
-    let rows = v
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("missing array 'rows'".to_string())?;
-    if rows.is_empty() {
-        return Err("'rows' must be non-empty".into());
-    }
-    let improved_rows = check_tune_rows(rows)?;
-    let improved = require_num(v, "improved")?;
-    if improved != improved_rows as f64 {
-        return Err(format!(
-            "improved {improved} inconsistent with {improved_rows} strictly \
-             improved rows"
-        ));
-    }
-    if improved < 1.0 {
-        return Err("no corpus program strictly improved on the HALO heuristic".into());
-    }
-    let geomean: f64 = rows
-        .iter()
-        .map(|r| require_num(r, "gap").map(f64::ln))
-        .sum::<Result<f64, _>>()
-        .map(|s| (s / rows.len() as f64).exp())?;
-    let geomean_gap = require_num(v, "geomean_gap")?;
-    if (geomean_gap - geomean).abs() > 1e-6 * geomean_gap.max(1.0) {
-        return Err(format!(
-            "geomean_gap {geomean_gap} inconsistent with rows ({geomean})"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates a `FUZZ_REPORT.json` document (schema `halo-fuzz-report/1`):
-/// differential-fuzzing run coverage plus, per failure, the seed, stage,
-/// diagnosis, and a reproduction command line.
-///
-/// # Errors
-///
-/// Returns the first schema violation.
-pub fn validate_fuzz_report(v: &Json) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != "halo-fuzz-report/1" {
-        return Err(format!("unexpected schema '{schema}'"));
-    }
-    let seeds = require_num(v, "seeds")?;
-    for k in ["start_seed", "ran", "skipped"] {
-        require_num(v, k)?;
-    }
-    let ran = require_num(v, "ran")?;
-    let skipped = require_num(v, "skipped")?;
-    if ran + skipped > seeds {
-        return Err(format!(
-            "ran {ran} + skipped {skipped} exceeds seeds {seeds}"
-        ));
-    }
-    if !matches!(v.get("pass_verify"), Some(Json::Bool(_))) {
-        return Err("key 'pass_verify' must be a boolean".into());
-    }
-    let failures = v
-        .get("failures")
-        .and_then(Json::as_arr)
-        .ok_or("missing array 'failures'".to_string())?;
-    for (i, row) in failures.iter().enumerate() {
-        let ctx = |e| format!("failures[{i}]: {e}");
-        require_num(row, "seed").map_err(ctx)?;
-        let stage = require_str(row, "stage").map_err(ctx)?;
-        if stage == "pass-verify" {
-            require_str(row, "pass").map_err(ctx)?;
-        }
-        require_str(row, "detail").map_err(ctx)?;
-        let repro = require_str(row, "repro").map_err(ctx)?;
-        if !repro.contains("--seed") {
-            return Err(format!("failures[{i}]: repro lacks a --seed flag"));
-        }
-        require_num(row, "shrink_steps").map_err(ctx)?;
-        require_str(row, "shrunk_spec").map_err(ctx)?;
-    }
-    Ok(())
-}
-
-/// Validates a `CRASH_REPORT.json` document (schema
-/// `halo-crash-report/1`): the process-kill crash-resume matrix. Every
-/// trial must carry its kind (`kill` = SIGKILL mid-run then resume,
-/// `corrupt` = newest generation damaged then resume), the kill point,
-/// resume telemetry, and the bit-identity verdict; the aggregate counts
-/// must be consistent with the trial rows, and a green report has zero
-/// aborts and zero failures.
-///
-/// # Errors
-///
-/// Returns the first schema violation.
-pub fn validate_crash_report(v: &Json) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != "halo-crash-report/1" {
-        return Err(format!("unexpected schema '{schema}'"));
-    }
-    require_str(v, "bench")?;
-    require_str(v, "scale")?;
-    for k in ["iters", "snapshot_keep", "seeds", "wall_ms"] {
-        require_num(v, k)?;
-    }
-    if require_num(v, "snapshot_keep")? < 2.0 {
-        return Err("snapshot_keep must be >= 2 for generation fallback".into());
-    }
-    let passed = require_num(v, "passed")?;
-    let failed = require_num(v, "failed")?;
-    let aborts = require_num(v, "aborts")?;
-    let trials = v
-        .get("trials")
-        .and_then(Json::as_arr)
-        .ok_or("missing array 'trials'".to_string())?;
-    if trials.is_empty() {
-        return Err("'trials' must be non-empty".into());
-    }
-    let mut bit_identical = 0.0;
-    let mut corrupt_trials = 0;
-    for (i, row) in trials.iter().enumerate() {
-        let ctx = |e| format!("trials[{i}]: {e}");
-        let kind = require_str(row, "kind").map_err(ctx)?;
-        if !matches!(kind, "kill" | "corrupt") {
-            return Err(format!("trials[{i}]: unknown kind '{kind}'"));
-        }
-        require_num(row, "seed").map_err(ctx)?;
-        require_num(row, "kill_point").map_err(ctx)?;
-        require_num(row, "generations_at_resume").map_err(ctx)?;
-        let resumes = require_num(row, "resumes_from_disk").map_err(ctx)?;
-        let skipped = require_num(row, "corrupt_snapshots_skipped").map_err(ctx)?;
-        match row.get("bit_identical") {
-            Some(Json::Bool(ok)) => {
-                if *ok {
-                    bit_identical += 1.0;
-                }
-            }
-            _ => return Err(format!("trials[{i}]: 'bit_identical' must be a boolean")),
-        }
-        if kind == "corrupt" {
-            corrupt_trials += 1;
-            if skipped < 1.0 {
-                return Err(format!(
-                    "trials[{i}]: corrupt trial must skip >= 1 generation, got {skipped}"
-                ));
-            }
-            if resumes < 1.0 {
-                return Err(format!(
-                    "trials[{i}]: corrupt trial must fall back to an older generation"
-                ));
-            }
-        }
-    }
-    if corrupt_trials == 0 {
-        return Err("matrix must include at least one 'corrupt' trial".into());
-    }
-    if passed + failed != trials.len() as f64 {
-        return Err(format!(
-            "passed {passed} + failed {failed} does not cover {} trials",
-            trials.len()
-        ));
-    }
-    if bit_identical != passed {
-        return Err(format!(
-            "passed {passed} inconsistent with {bit_identical} bit-identical trials"
-        ));
-    }
-    if failed > 0.0 || aborts > 0.0 {
-        return Err(format!(
-            "report is red: {failed} failed trials, {aborts} aborts"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates a `REMOTE_REPORT.json` document (schema
-/// `halo-remote-report/1`): the seeded remote-fault campaign. Every trial
-/// names its fault profile and kind (`run` = durable run through the
-/// flaky `RemoteStore`, `resume` = continuation from the same store,
-/// `resume_prefix` = continuation from a mid-run prefix of the remote's
-/// objects), carries the remote-resilience telemetry, and reports the
-/// bit-identity verdict; the aggregate counts must be consistent with the
-/// trial rows, the campaign must actually have injected faults and
-/// exercised both resume legs, and a green report has zero aborts and
-/// zero failures.
-///
-/// # Errors
-///
-/// Returns the first schema violation.
-pub fn validate_remote_report(v: &Json) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != "halo-remote-report/1" {
-        return Err(format!("unexpected schema '{schema}'"));
-    }
-    require_str(v, "bench")?;
-    require_str(v, "scale")?;
-    for k in ["iters", "seeds", "profiles", "wall_ms"] {
-        require_num(v, k)?;
-    }
-    if require_num(v, "faults_injected")? < 1.0 {
-        return Err("campaign injected no faults: the flaky remote was a no-op".into());
-    }
-    let passed = require_num(v, "passed")?;
-    let failed = require_num(v, "failed")?;
-    let aborts = require_num(v, "aborts")?;
-    let trials = v
-        .get("trials")
-        .and_then(Json::as_arr)
-        .ok_or("missing array 'trials'".to_string())?;
-    if trials.is_empty() {
-        return Err("'trials' must be non-empty".into());
-    }
-    let mut bit_identical = 0.0;
-    let mut resumes = 0;
-    let mut prefix_resumes = 0;
-    let mut resilience_events = 0.0;
-    for (i, row) in trials.iter().enumerate() {
-        let ctx = |e| format!("trials[{i}]: {e}");
-        require_str(row, "profile").map_err(ctx)?;
-        require_num(row, "seed").map_err(ctx)?;
-        let kind = require_str(row, "kind").map_err(ctx)?;
-        match kind {
-            "run" => {}
-            "resume" => resumes += 1,
-            "resume_prefix" => prefix_resumes += 1,
-            _ => return Err(format!("trials[{i}]: unknown kind '{kind}'")),
-        }
-        require_num(row, "faults_injected").map_err(ctx)?;
-        require_num(row, "snapshot_writes").map_err(ctx)?;
-        for k in [
-            "remote_puts",
-            "remote_retries",
-            "remote_backoff_us",
-            "hedged_reads",
-            "breaker_opens",
-            "spilled_snapshots",
-        ] {
-            resilience_events += require_num(row, k).map_err(ctx)?;
-        }
-        match row.get("bit_identical") {
-            Some(Json::Bool(ok)) => {
-                if *ok {
-                    bit_identical += 1.0;
-                }
-            }
-            _ => return Err(format!("trials[{i}]: 'bit_identical' must be a boolean")),
-        }
-    }
-    if resumes == 0 || prefix_resumes == 0 {
-        return Err(format!(
-            "campaign must exercise both resume legs (got {resumes} resume, \
-             {prefix_resumes} resume_prefix trials)"
-        ));
-    }
-    if resilience_events < 1.0 {
-        return Err("no trial recorded any resilience telemetry: the stack never engaged".into());
-    }
-    if passed + failed != trials.len() as f64 {
-        return Err(format!(
-            "passed {passed} + failed {failed} does not cover {} trials",
-            trials.len()
-        ));
-    }
-    if bit_identical != passed {
-        return Err(format!(
-            "passed {passed} inconsistent with {bit_identical} bit-identical trials"
-        ));
-    }
-    if failed > 0.0 || aborts > 0.0 {
-        return Err(format!(
-            "report is red: {failed} failed trials, {aborts} aborts"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates a `FLEET_REPORT.json` document (schema
-/// `halo-fleet-report/1`): the fenced lease-based fleet campaign. Every
-/// trial names its fault profile, carries the fleet telemetry (legs
-/// claimed, leases expired, zombie writes fenced, legs reassigned,
-/// coordinator resumes, executor crashes and stalls), and reports the
-/// bit-identity verdict against the solo uninterrupted run. A green
-/// report has zero aborts, zero failures, at least eight fault profiles,
-/// and a campaign that provably exercised the failure machinery: at
-/// least one fenced zombie write, one lease expiry with reassignment,
-/// one executor crash, and one coordinator resume somewhere in the
-/// trial set.
-///
-/// # Errors
-///
-/// Returns the first schema violation.
-pub fn validate_fleet_report(v: &Json) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != "halo-fleet-report/1" {
-        return Err(format!("unexpected schema '{schema}'"));
-    }
-    require_str(v, "bench")?;
-    require_str(v, "scale")?;
-    for k in [
-        "iters",
-        "seeds",
-        "profiles",
-        "executors",
-        "leg_len",
-        "wall_ms",
-    ] {
-        require_num(v, k)?;
-    }
-    if require_num(v, "profiles")? < 8.0 {
-        return Err("campaign must cover at least 8 fault profiles".into());
-    }
-    let passed = require_num(v, "passed")?;
-    let failed = require_num(v, "failed")?;
-    let aborts = require_num(v, "aborts")?;
-    let trials = v
-        .get("trials")
-        .and_then(Json::as_arr)
-        .ok_or("missing array 'trials'".to_string())?;
-    if trials.is_empty() {
-        return Err("'trials' must be non-empty".into());
-    }
-    let mut bit_identical = 0.0;
-    let mut fenced = 0.0;
-    let mut expired = 0.0;
-    let mut reassigned = 0.0;
-    let mut crashes = 0.0;
-    let mut resumes = 0.0;
-    for (i, row) in trials.iter().enumerate() {
-        let ctx = |e| format!("trials[{i}]: {e}");
-        require_str(row, "profile").map_err(ctx)?;
-        require_num(row, "seed").map_err(ctx)?;
-        if require_num(row, "legs").map_err(ctx)? < 2.0 {
-            return Err(format!(
-                "trials[{i}]: the job must shard into at least 2 legs"
-            ));
-        }
-        require_num(row, "ticks").map_err(ctx)?;
-        if require_num(row, "legs_claimed").map_err(ctx)? < 1.0 {
-            return Err(format!("trials[{i}]: no leg was ever claimed"));
-        }
-        require_num(row, "snapshot_writes").map_err(ctx)?;
-        require_num(row, "remote_puts").map_err(ctx)?;
-        require_num(row, "executor_stalls").map_err(ctx)?;
-        fenced += require_num(row, "zombie_writes_fenced").map_err(ctx)?;
-        expired += require_num(row, "leases_expired").map_err(ctx)?;
-        reassigned += require_num(row, "legs_reassigned").map_err(ctx)?;
-        crashes += require_num(row, "executor_crashes").map_err(ctx)?;
-        resumes += require_num(row, "coordinator_resumes").map_err(ctx)?;
-        match row.get("bit_identical") {
-            Some(Json::Bool(ok)) => {
-                if *ok {
-                    bit_identical += 1.0;
-                }
-            }
-            _ => return Err(format!("trials[{i}]: 'bit_identical' must be a boolean")),
-        }
-    }
-    if fenced < 1.0 {
-        return Err("no trial fenced a zombie write: the fencing machinery never engaged".into());
-    }
-    if expired < 1.0 || reassigned < 1.0 {
-        return Err(format!(
-            "campaign must observe lease expiry and reassignment \
-             (got {expired} expiries, {reassigned} reassignments)"
-        ));
-    }
-    if crashes < 1.0 {
-        return Err("no executor ever crashed: the kill machinery never engaged".into());
-    }
-    if resumes < 1.0 {
-        return Err("no coordinator restart was exercised".into());
-    }
-    if passed + failed != trials.len() as f64 {
-        return Err(format!(
-            "passed {passed} + failed {failed} does not cover {} trials",
-            trials.len()
-        ));
-    }
-    if bit_identical != passed {
-        return Err(format!(
-            "passed {passed} inconsistent with {bit_identical} bit-identical trials"
-        ));
-    }
-    if failed > 0.0 || aborts > 0.0 {
-        return Err(format!(
-            "report is red: {failed} failed trials, {aborts} aborts"
-        ));
-    }
-    Ok(())
-}
+/// Every machine-readable bench artifact, one entry each. Unknown fields
+/// are allowed; every listed one is required unless marked optional.
+const SCHEMAS: &[Schema] = &[
+    // Hoisted-rotation microbenchmark: timings plus counter snapshots of
+    // the sequential and hoisted paths.
+    Schema {
+        file: "BENCH_ROTATE.json",
+        id: "halo-bench-rotate/1",
+        fields: &[
+            ("n", Min(1.0)),
+            ("levels", Min(1.0)),
+            ("batch", Min(1.0)),
+            ("reps", Min(1.0)),
+            ("threads", Min(1.0)),
+            ("sequential_us", NUM),
+            ("hoisted_us", NUM),
+            ("speedup", NUM),
+            ("sequential", Obj(COUNTERS)),
+            ("hoisted", Obj(COUNTERS)),
+        ],
+        rules: &[
+            ("speedup is not sequential_us / hoisted_us", |v| {
+                let (seq, hoisted) = (n(v, "sequential_us"), n(v, "hoisted_us"));
+                hoisted == 0.0 || close(n(v, "speedup"), seq / hoisted, 1e-6)
+            }),
+            // The hoisting contract: one decomposition per batch on the
+            // hoisted path, one per rotation on the sequential path.
+            (
+                "the hoisted path must decompose less than the sequential",
+                |v| n(v, "hoisted.digit_decomposes") < n(v, "sequential.digit_decomposes"),
+            ),
+        ],
+    },
+    // The toy backend's kernel microbenchmark: the per-limb transform and
+    // the ct-ct multiply, plus the deferred-reduction count proving the
+    // lazy kernels ran.
+    Schema {
+        file: "BENCH_NTT.json",
+        id: "halo-bench-ntt/2",
+        fields: &[
+            ("n", Min(1.0)),
+            ("levels", Min(1.0)),
+            ("reps", Min(1.0)),
+            ("threads", Min(1.0)),
+            ("ntt_ns_per_limb", Pos),
+            ("mult_us", Pos),
+            ("lazy_reductions_skipped", Min(1.0)),
+        ],
+        rules: &[],
+    },
+    // Per-benchmark modeled latencies and bootstrap counts, the run's wall
+    // time, and optional serving and tuning sections.
+    Schema {
+        file: "BENCH_RUN_ALL.json",
+        id: "halo-bench-run-all/1",
+        fields: &[
+            ("scale", Str),
+            ("iters", NUM),
+            ("wall_ms", NUM),
+            ("poly_allocs", NUM),
+            ("benchmarks", Arr(&BENCH_ROWS)),
+            ("serving", Opt(&Arr(&SERVING_ROWS))),
+            ("tuning", Opt(&Arr(&TUNE_ROWS))),
+        ],
+        rules: &[],
+    },
+    // The multi-tenant serving campaign. Throughput is modeled, so the
+    // batched-vs-solo ratio is machine-independent, and the schema demands
+    // the bar: batch-16 coalescing must model >= 10x the solo throughput.
+    Schema {
+        file: "BENCH_SERVE.json",
+        id: "halo-bench-serve/1",
+        fields: &[
+            ("bench", Str),
+            ("scale", Str),
+            ("seed", NUM),
+            ("jobs", Min(1.0)),
+            ("sessions", Min(1.0)),
+            ("workers", Min(1.0)),
+            ("iters", Min(1.0)),
+            ("slots", Min(1.0)),
+            ("width", Min(1.0)),
+            ("rows", Arr(&SERVING_ROWS)),
+            ("speedup_at_16", NUM),
+        ],
+        rules: &[
+            ("the rows lack the batch-16 entry", |v| {
+                batch_16(v).is_some()
+            }),
+            ("speedup_at_16 differs from the batch-16 row", |v| {
+                batch_16(v)
+                    .is_some_and(|r| close(n(v, "speedup_at_16"), n(r, "speedup_vs_solo"), 1e-9))
+            }),
+            ("batch-16 modeled speedup below the 10x bar", |v| {
+                n(v, "speedup_at_16") >= 10.0
+            }),
+        ],
+    },
+    // The autotuner sweep over the seeded fuzz corpus: tuned never
+    // costlier on any row, strictly cheaper on at least one, and the
+    // headline aggregates match the rows.
+    Schema {
+        file: "BENCH_TUNE.json",
+        id: "halo-bench-tune/1",
+        fields: &[
+            ("tuner", Str),
+            ("seeds", Min(1.0)),
+            ("assumed_trips", Min(1.0)),
+            ("wall_ms", NUM),
+            ("rows", Arr(&TUNE_ROWS)),
+            ("improved", NUM),
+            ("geomean_gap", NUM),
+        ],
+        rules: &[
+            ("improved differs from the strictly improved rows", |v| {
+                let rows = items(at(v, "rows")).iter();
+                let improved = rows.filter(|r| n(r, "tuned_us") < n(r, "halo_us") * (1.0 - 1e-9));
+                n(v, "improved") == improved.count() as f64
+            }),
+            (
+                "no corpus program strictly improved on the HALO heuristic",
+                |v| n(v, "improved") >= 1.0,
+            ),
+            ("geomean_gap differs from the rows' geometric mean", |v| {
+                let rows = items(at(v, "rows"));
+                let ln_sum: f64 = rows.iter().map(|r| n(r, "gap").ln()).sum();
+                close(
+                    n(v, "geomean_gap"),
+                    (ln_sum / rows.len() as f64).exp(),
+                    1e-6,
+                )
+            }),
+        ],
+    },
+    // Differential-fuzzing coverage plus, per failure, how to reproduce it.
+    Schema {
+        file: "FUZZ_REPORT.json",
+        id: "halo-fuzz-report/1",
+        fields: &[
+            ("seeds", NUM),
+            ("start_seed", NUM),
+            ("ran", NUM),
+            ("skipped", NUM),
+            ("pass_verify", Bool),
+            ("failures", Arr(&FAILURES)),
+        ],
+        rules: &[("ran + skipped exceeds seeds", |v| {
+            n(v, "ran") + n(v, "skipped") <= n(v, "seeds")
+        })],
+    },
+    // The process-kill crash-resume matrix.
+    Schema {
+        file: "CRASH_REPORT.json",
+        id: "halo-crash-report/1",
+        fields: &[
+            ("bench", Str),
+            ("scale", Str),
+            ("iters", NUM),
+            // Generation fallback needs an older generation to fall to.
+            ("snapshot_keep", Min(2.0)),
+            ("seeds", NUM),
+            ("wall_ms", NUM),
+            ("passed", NUM),
+            ("failed", NUM),
+            ("aborts", NUM),
+            ("trials", Arr(&CRASH_TRIALS)),
+        ],
+        rules: CAMPAIGN_TOTALS,
+    },
+    // The seeded remote-fault campaign; it must actually inject faults.
+    Schema {
+        file: "REMOTE_REPORT.json",
+        id: "halo-remote-report/1",
+        fields: &[
+            ("bench", Str),
+            ("scale", Str),
+            ("iters", NUM),
+            ("seeds", NUM),
+            ("profiles", NUM),
+            ("wall_ms", NUM),
+            ("faults_injected", Min(1.0)),
+            ("passed", NUM),
+            ("failed", NUM),
+            ("aborts", NUM),
+            ("trials", Arr(&REMOTE_TRIALS)),
+        ],
+        rules: CAMPAIGN_TOTALS,
+    },
+    // The fenced lease-based fleet campaign over at least eight fault
+    // profiles.
+    Schema {
+        file: "FLEET_REPORT.json",
+        id: "halo-fleet-report/1",
+        fields: &[
+            ("bench", Str),
+            ("scale", Str),
+            ("iters", NUM),
+            ("seeds", NUM),
+            ("profiles", Min(8.0)),
+            ("executors", NUM),
+            ("leg_len", NUM),
+            ("wall_ms", NUM),
+            ("passed", NUM),
+            ("failed", NUM),
+            ("aborts", NUM),
+            ("trials", Arr(&FLEET_TRIALS)),
+        ],
+        rules: CAMPAIGN_TOTALS,
+    },
+];
 
 /// Builds an object from key/value pairs (emit-side convenience).
 #[must_use]
@@ -1032,6 +954,16 @@ pub fn num(x: f64) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ROTATE: &str = "halo-bench-rotate/1";
+    const NTT: &str = "halo-bench-ntt/2";
+    const RUN_ALL: &str = "halo-bench-run-all/1";
+    const SERVE: &str = "halo-bench-serve/1";
+    const TUNE: &str = "halo-bench-tune/1";
+    const FUZZ: &str = "halo-fuzz-report/1";
+    const CRASH: &str = "halo-crash-report/1";
+    const REMOTE: &str = "halo-remote-report/1";
+    const FLEET: &str = "halo-fleet-report/1";
 
     #[test]
     fn roundtrip_through_parser() {
@@ -1052,6 +984,16 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_text_round_trips() {
+        let doc = obj(vec![("text", Json::Str("é λ \u{1D11E} \\ \"q\" é".into()))]);
+        assert_eq!(parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(
+            parse("\"caf\\u00e9 λ\u{1D11E}\"").unwrap(),
+            Json::Str("café λ\u{1D11E}".into())
+        );
+    }
+
+    #[test]
     fn parser_rejects_malformed_documents() {
         for bad in ["{", "[1,]", "{\"a\" 1}", "tru", "{} x", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
@@ -1065,7 +1007,36 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).pretty().trim(), "null");
     }
 
-    fn rotate_doc(hoist_dec: f64) -> Json {
+    fn s(x: &str) -> Json {
+        Json::Str(x.into())
+    }
+
+    /// `doc` with each dotted path set to its value, or removed where the
+    /// value is `None`; numeric segments index arrays.
+    fn with(doc: &Json, edits: &[(&str, Option<Json>)]) -> Json {
+        let mut doc = doc.clone();
+        for (path, value) in edits {
+            let (parent, last) = path.rsplit_once('.').map_or(("", *path), |(p, l)| (p, l));
+            let mut cur = &mut doc;
+            for key in parent.split('.').filter(|k| !k.is_empty()) {
+                cur = match cur {
+                    Json::Obj(m) => &mut m.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                    Json::Arr(v) => &mut v[key.parse::<usize>().unwrap()],
+                    _ => panic!("{path}: no '{key}'"),
+                };
+            }
+            let Json::Obj(members) = cur else {
+                panic!("{path}: not an object")
+            };
+            members.retain(|(k, _)| k != last);
+            if let Some(v) = value {
+                members.push((last.into(), v.clone()));
+            }
+        }
+        doc
+    }
+
+    fn rotate() -> Json {
         let counters = |dec: f64| {
             obj(vec![
                 ("poly_allocs", num(100.0)),
@@ -1074,7 +1045,7 @@ mod tests {
             ])
         };
         obj(vec![
-            ("schema", Json::Str("halo-bench-rotate/1".into())),
+            ("schema", s(ROTATE)),
             ("n", num(4096.0)),
             ("levels", num(8.0)),
             ("batch", num(8.0)),
@@ -1084,82 +1055,21 @@ mod tests {
             ("hoisted_us", num(400.0)),
             ("speedup", num(2.0)),
             ("sequential", counters(8.0)),
-            ("hoisted", counters(hoist_dec)),
+            ("hoisted", counters(1.0)),
         ])
     }
 
-    #[test]
-    fn rotate_schema_validates_and_rejects() {
-        validate_rotate(&rotate_doc(1.0)).unwrap();
-        // Hoisted path decomposing as often as sequential is a regression.
-        assert!(validate_rotate(&rotate_doc(8.0)).is_err());
-        // Missing keys are caught.
-        assert!(validate_rotate(&obj(vec![(
-            "schema",
-            Json::Str("halo-bench-rotate/1".into())
-        )]))
-        .is_err());
-    }
-
-    fn ntt_doc(mult_us: f64, lazy_skipped: f64) -> Json {
+    fn ntt() -> Json {
         obj(vec![
-            ("schema", Json::Str("halo-bench-ntt/2".into())),
+            ("schema", s(NTT)),
             ("n", num(4096.0)),
             ("levels", num(8.0)),
             ("reps", num(50.0)),
             ("threads", num(4.0)),
             ("ntt_ns_per_limb", num(3000.0)),
-            ("mult_us", num(mult_us)),
-            ("lazy_reductions_skipped", num(lazy_skipped)),
+            ("mult_us", num(1000.0)),
+            ("lazy_reductions_skipped", num(1e6)),
         ])
-    }
-
-    #[test]
-    fn ntt_schema_validates_and_rejects() {
-        validate_ntt(&ntt_doc(1000.0, 1_000_000.0)).unwrap();
-        // A run that never deferred a reduction measured the wrong code.
-        assert!(validate_ntt(&ntt_doc(1000.0, 0.0)).is_err());
-        // Timings must be positive.
-        assert!(validate_ntt(&ntt_doc(0.0, 1.0)).is_err());
-        // The v1 layout (eager and lazy columns) is a different schema.
-        let mut v1 = ntt_doc(1000.0, 1.0);
-        if let Json::Obj(members) = &mut v1 {
-            members[0].1 = Json::Str("halo-bench-ntt/1".into());
-        }
-        assert!(validate_ntt(&v1).is_err());
-        // Missing keys are caught.
-        assert!(
-            validate_ntt(&obj(vec![("schema", Json::Str("halo-bench-ntt/2".into()))])).is_err()
-        );
-    }
-
-    #[test]
-    fn run_all_schema_validates_and_rejects() {
-        let row = obj(vec![
-            ("bench", Json::Str("linear".into())),
-            ("config", Json::Str("Halo".into())),
-            ("bootstraps", num(3.0)),
-            ("total_us", num(1000.0)),
-            ("bootstrap_us", num(900.0)),
-        ]);
-        let doc = obj(vec![
-            ("schema", Json::Str("halo-bench-run-all/1".into())),
-            ("scale", Json::Str("Small".into())),
-            ("iters", num(40.0)),
-            ("wall_ms", num(12.5)),
-            ("poly_allocs", num(0.0)),
-            ("benchmarks", Json::Arr(vec![row])),
-        ]);
-        validate_run_all(&doc).unwrap();
-        let empty = obj(vec![
-            ("schema", Json::Str("halo-bench-run-all/1".into())),
-            ("scale", Json::Str("Small".into())),
-            ("iters", num(40.0)),
-            ("wall_ms", num(12.5)),
-            ("poly_allocs", num(0.0)),
-            ("benchmarks", Json::Arr(vec![])),
-        ]);
-        assert!(validate_run_all(&empty).is_err());
     }
 
     fn serving_row(batch: f64, packed: f64, speedup: f64) -> Json {
@@ -1175,11 +1085,51 @@ mod tests {
         ])
     }
 
-    fn serve_doc(rows: Vec<Json>, speedup_at_16: f64) -> Json {
+    fn tune_row(halo: f64, tuned: f64, evaluated: f64, pruned: f64) -> Json {
         obj(vec![
-            ("schema", Json::Str("halo-bench-serve/1".into())),
-            ("bench", Json::Str("square_iter".into())),
-            ("scale", Json::Str("Small".into())),
+            ("program", s("fuzz-0")),
+            ("seed", num(7.0)),
+            ("plan", s("unroll=heur pack=on peel=+0 tune=on")),
+            ("halo_us", num(halo)),
+            ("tuned_us", num(tuned)),
+            ("gap", num(halo / tuned)),
+            ("evaluated", num(evaluated)),
+            ("pruned", num(pruned)),
+            ("space", num(evaluated + pruned)),
+        ])
+    }
+
+    fn run_all() -> Json {
+        let bench_row = obj(vec![
+            ("bench", s("linear")),
+            ("config", s("Halo")),
+            ("bootstraps", num(3.0)),
+            ("total_us", num(1000.0)),
+            ("bootstrap_us", num(900.0)),
+        ]);
+        obj(vec![
+            ("schema", s(RUN_ALL)),
+            ("scale", s("Small")),
+            ("iters", num(40.0)),
+            ("wall_ms", num(12.5)),
+            ("poly_allocs", num(0.0)),
+            ("benchmarks", Json::Arr(vec![bench_row])),
+            (
+                "serving",
+                Json::Arr(vec![
+                    serving_row(1.0, 0.0, 1.0),
+                    serving_row(16.0, 8.0, 15.0),
+                ]),
+            ),
+            ("tuning", Json::Arr(vec![tune_row(1000.0, 900.0, 8.0, 4.0)])),
+        ])
+    }
+
+    fn serve(rows: Vec<Json>, speedup_at_16: f64) -> Json {
+        obj(vec![
+            ("schema", s(SERVE)),
+            ("bench", s("square_iter")),
+            ("scale", s("Small")),
             ("seed", num(1.0)),
             ("jobs", num(128.0)),
             ("sessions", num(4.0)),
@@ -1192,103 +1142,22 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn serve_schema_validates_and_rejects() {
-        let green_rows = vec![
-            serving_row(1.0, 0.0, 1.0),
-            serving_row(4.0, 32.0, 3.9),
-            serving_row(16.0, 8.0, 15.2),
-            serving_row(64.0, 2.0, 58.0),
-        ];
-        validate_serve(&serve_doc(green_rows.clone(), 15.2)).unwrap();
-
-        // Batch-16 speedup below the 10x bar is red.
-        let slow_rows = vec![serving_row(1.0, 0.0, 1.0), serving_row(16.0, 8.0, 4.0)];
-        assert!(validate_serve(&serve_doc(slow_rows, 4.0)).is_err());
-
-        // A batched row that never coalesced measured solo execution.
-        let uncoalesced = vec![serving_row(1.0, 0.0, 1.0), serving_row(16.0, 0.0, 15.0)];
-        assert!(validate_serve(&serve_doc(uncoalesced, 15.0)).is_err());
-
-        // The headline number must match its row.
-        assert!(validate_serve(&serve_doc(green_rows.clone(), 12.0)).is_err());
-
-        // Missing the solo baseline row is red.
-        let no_solo = vec![serving_row(16.0, 8.0, 15.0)];
-        assert!(validate_serve(&serve_doc(no_solo, 15.0)).is_err());
-
-        // p50 above p99 is incoherent.
-        let mut bad_row = serving_row(16.0, 8.0, 15.0);
-        if let Json::Obj(members) = &mut bad_row {
-            for (k, v) in members.iter_mut() {
-                if k == "p50_us" {
-                    *v = num(1e9);
-                }
-            }
-        }
-        assert!(
-            validate_serve(&serve_doc(vec![serving_row(1.0, 0.0, 1.0), bad_row], 15.0)).is_err()
-        );
-
-        // Missing keys are caught.
-        assert!(validate_serve(&obj(vec![(
-            "schema",
-            Json::Str("halo-bench-serve/1".into())
-        )]))
-        .is_err());
+    fn serve_green() -> Json {
+        serve(
+            vec![
+                serving_row(1.0, 0.0, 1.0),
+                serving_row(4.0, 32.0, 3.9),
+                serving_row(16.0, 8.0, 15.2),
+                serving_row(64.0, 2.0, 58.0),
+            ],
+            15.2,
+        )
     }
 
-    #[test]
-    fn run_all_serving_section_is_checked_when_present() {
-        let bench_row = obj(vec![
-            ("bench", Json::Str("linear".into())),
-            ("config", Json::Str("Halo".into())),
-            ("bootstraps", num(3.0)),
-            ("total_us", num(1000.0)),
-            ("bootstrap_us", num(900.0)),
-        ]);
-        let with_serving = |rows: Vec<Json>| {
-            obj(vec![
-                ("schema", Json::Str("halo-bench-run-all/1".into())),
-                ("scale", Json::Str("Small".into())),
-                ("iters", num(40.0)),
-                ("wall_ms", num(12.5)),
-                ("poly_allocs", num(0.0)),
-                ("benchmarks", Json::Arr(vec![bench_row.clone()])),
-                ("serving", Json::Arr(rows)),
-            ])
-        };
-        validate_run_all(&with_serving(vec![
-            serving_row(1.0, 0.0, 1.0),
-            serving_row(16.0, 8.0, 15.0),
-        ]))
-        .unwrap();
-        // An empty or malformed serving section is red.
-        assert!(validate_run_all(&with_serving(vec![])).is_err());
-        assert!(validate_run_all(&with_serving(vec![serving_row(16.0, 0.0, 15.0)])).is_err());
-    }
-
-    fn tune_row(program: &str, halo: f64, tuned: f64, evaluated: f64, pruned: f64) -> Json {
+    fn tune(rows: Vec<Json>, improved: f64, geomean_gap: f64) -> Json {
         obj(vec![
-            ("program", Json::Str(program.into())),
-            ("seed", num(7.0)),
-            (
-                "plan",
-                Json::Str("unroll=heur pack=on peel=+0 tune=on".into()),
-            ),
-            ("halo_us", num(halo)),
-            ("tuned_us", num(tuned)),
-            ("gap", num(halo / tuned)),
-            ("evaluated", num(evaluated)),
-            ("pruned", num(pruned)),
-            ("space", num(evaluated + pruned)),
-        ])
-    }
-
-    fn tune_doc(rows: Vec<Json>, improved: f64, geomean_gap: f64) -> Json {
-        obj(vec![
-            ("schema", Json::Str("halo-bench-tune/1".into())),
-            ("tuner", Json::Str("branch-bound".into())),
+            ("schema", s(TUNE)),
+            ("tuner", s("branch-bound")),
             ("seeds", num(rows.len() as f64)),
             ("assumed_trips", num(40.0)),
             ("wall_ms", num(1234.0)),
@@ -1298,178 +1167,20 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn tune_schema_validates_and_rejects() {
-        let green = vec![
-            tune_row("fuzz-0", 1000.0, 800.0, 10.0, 30.0),
-            tune_row("fuzz-1", 500.0, 500.0, 40.0, 0.0),
-        ];
-        let geomean = (1000.0f64 / 800.0).sqrt();
-        validate_tune(&tune_doc(green.clone(), 1.0, geomean)).unwrap();
-
-        // A tuned plan costlier than the HALO heuristic breaks the
-        // optimality contract.
-        let worse = vec![tune_row("fuzz-0", 1000.0, 1100.0, 10.0, 0.0)];
-        assert!(validate_tune(&tune_doc(worse, 0.0, 1000.0 / 1100.0)).is_err());
-
-        // No strict improvement anywhere is red (the acceptance bar).
-        let flat = vec![tune_row("fuzz-0", 500.0, 500.0, 10.0, 0.0)];
-        assert!(validate_tune(&tune_doc(flat, 0.0, 1.0)).is_err());
-
-        // The improved counter must match the rows.
-        assert!(validate_tune(&tune_doc(green.clone(), 2.0, geomean)).is_err());
-
-        // The geomean must match the rows.
-        assert!(validate_tune(&tune_doc(green.clone(), 1.0, 9.0)).is_err());
-
-        // Search accounting must cover the whole space.
-        let mut bad_row = tune_row("fuzz-0", 1000.0, 800.0, 10.0, 30.0);
-        if let Json::Obj(members) = &mut bad_row {
-            for (k, v) in members.iter_mut() {
-                if k == "space" {
-                    *v = num(99.0);
-                }
-            }
-        }
-        assert!(validate_tune(&tune_doc(vec![bad_row], 1.0, 1000.0 / 800.0)).is_err());
-
-        // Missing keys are caught.
-        assert!(validate_tune(&obj(vec![(
-            "schema",
-            Json::Str("halo-bench-tune/1".into())
-        )]))
-        .is_err());
-    }
-
-    #[test]
-    fn run_all_tuning_section_is_checked_when_present() {
-        let bench_row = obj(vec![
-            ("bench", Json::Str("linear".into())),
-            ("config", Json::Str("Halo".into())),
-            ("bootstraps", num(3.0)),
-            ("total_us", num(1000.0)),
-            ("bootstrap_us", num(900.0)),
-        ]);
-        let with_tuning = |rows: Vec<Json>| {
-            obj(vec![
-                ("schema", Json::Str("halo-bench-run-all/1".into())),
-                ("scale", Json::Str("Small".into())),
-                ("iters", num(40.0)),
-                ("wall_ms", num(12.5)),
-                ("poly_allocs", num(0.0)),
-                ("benchmarks", Json::Arr(vec![bench_row.clone()])),
-                ("tuning", Json::Arr(rows)),
-            ])
-        };
-        validate_run_all(&with_tuning(vec![tune_row(
-            "linear", 1000.0, 900.0, 8.0, 4.0,
-        )]))
-        .unwrap();
-        // An empty or contract-breaking tuning section is red.
-        assert!(validate_run_all(&with_tuning(vec![])).is_err());
-        assert!(validate_run_all(&with_tuning(vec![tune_row(
-            "linear", 100.0, 200.0, 8.0, 0.0
-        )]))
-        .is_err());
-    }
-
-    fn crash_trial(kind: &str, ok: bool, skipped: f64) -> Json {
-        obj(vec![
-            ("kind", Json::Str(kind.into())),
-            ("seed", num(1.0)),
-            ("kill_point", num(4.0)),
-            ("generations_at_resume", num(3.0)),
-            ("resumes_from_disk", num(1.0)),
-            ("corrupt_snapshots_skipped", num(skipped)),
-            ("bit_identical", Json::Bool(ok)),
-        ])
-    }
-
-    fn crash_doc(trials: Vec<Json>, passed: f64, failed: f64, aborts: f64) -> Json {
-        obj(vec![
-            ("schema", Json::Str("halo-crash-report/1".into())),
-            ("bench", Json::Str("linear".into())),
-            ("scale", Json::Str("small".into())),
-            ("iters", num(12.0)),
-            ("snapshot_keep", num(3.0)),
-            ("seeds", num(2.0)),
-            ("wall_ms", num(900.0)),
-            ("passed", num(passed)),
-            ("failed", num(failed)),
-            ("aborts", num(aborts)),
-            ("trials", Json::Arr(trials)),
-        ])
-    }
-
-    #[test]
-    fn crash_report_schema_validates_and_rejects() {
-        let green = crash_doc(
+    fn tune_green() -> Json {
+        tune(
             vec![
-                crash_trial("kill", true, 0.0),
-                crash_trial("corrupt", true, 1.0),
-            ],
-            2.0,
-            0.0,
-            0.0,
-        );
-        validate_crash_report(&green).unwrap();
-
-        // A diverged trial makes the report red.
-        let red = crash_doc(
-            vec![
-                crash_trial("kill", false, 0.0),
-                crash_trial("corrupt", true, 1.0),
+                tune_row(1000.0, 800.0, 10.0, 30.0),
+                tune_row(500.0, 500.0, 40.0, 0.0),
             ],
             1.0,
-            1.0,
-            0.0,
-        );
-        assert!(validate_crash_report(&red).is_err());
-
-        // Any abort is red even if outputs matched.
-        let aborted = crash_doc(
-            vec![
-                crash_trial("kill", true, 0.0),
-                crash_trial("corrupt", true, 1.0),
-            ],
-            2.0,
-            0.0,
-            1.0,
-        );
-        assert!(validate_crash_report(&aborted).is_err());
-
-        // A corrupt trial that did not fall back is a lie.
-        let no_fallback = crash_doc(
-            vec![
-                crash_trial("kill", true, 0.0),
-                crash_trial("corrupt", true, 0.0),
-            ],
-            2.0,
-            0.0,
-            0.0,
-        );
-        assert!(validate_crash_report(&no_fallback).is_err());
-
-        // The matrix must exercise the corruption leg at all.
-        let kills_only = crash_doc(vec![crash_trial("kill", true, 0.0)], 1.0, 0.0, 0.0);
-        assert!(validate_crash_report(&kills_only).is_err());
-
-        // Aggregate counters must cover the trial rows.
-        let bad_counts = crash_doc(
-            vec![
-                crash_trial("kill", true, 0.0),
-                crash_trial("corrupt", true, 1.0),
-            ],
-            5.0,
-            0.0,
-            0.0,
-        );
-        assert!(validate_crash_report(&bad_counts).is_err());
+            (1000.0f64 / 800.0).sqrt(),
+        )
     }
 
-    fn fuzz_doc(failures: Vec<Json>) -> Json {
+    fn fuzz(failures: Vec<Json>) -> Json {
         obj(vec![
-            ("schema", Json::Str("halo-fuzz-report/1".into())),
+            ("schema", s(FUZZ)),
             ("seeds", num(32.0)),
             ("start_seed", num(0.0)),
             ("ran", num(30.0)),
@@ -1479,145 +1190,353 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn fuzz_report_schema_validates_and_rejects() {
-        // Green run: empty failures.
-        validate_fuzz_report(&fuzz_doc(vec![])).unwrap();
-        // Red run with a localized pass-verify failure.
-        let failure = obj(vec![
+    fn fuzz_red() -> Json {
+        fuzz(vec![obj(vec![
             ("seed", num(17.0)),
-            ("stage", Json::Str("pass-verify".into())),
-            ("pass", Json::Str("peel".into())),
-            ("detail", Json::Str("arity mismatch".into())),
-            (
-                "repro",
-                Json::Str("cargo run -p halo-fuzz -- --seed 17".into()),
-            ),
+            ("stage", s("pass-verify")),
+            ("pass", s("peel")),
+            ("detail", s("arity mismatch")),
+            ("repro", s("cargo run -p halo-fuzz -- --seed 17")),
             ("shrink_steps", num(4.0)),
             ("shrunk_size", num(9.0)),
-            ("shrunk_spec", Json::Str("ProgramSpec { .. }".into())),
-        ]);
-        validate_fuzz_report(&fuzz_doc(vec![failure.clone()])).unwrap();
-        // A pass-verify failure without its pass name is invalid.
-        let mut no_pass = failure.clone();
-        if let Json::Obj(members) = &mut no_pass {
-            members.retain(|(k, _)| k != "pass");
-        }
-        assert!(validate_fuzz_report(&fuzz_doc(vec![no_pass])).is_err());
-        // A repro line that can't reproduce (no seed) is invalid.
-        let mut no_seed = failure;
-        if let Json::Obj(members) = &mut no_seed {
-            for (k, v) in members.iter_mut() {
-                if k == "repro" {
-                    *v = Json::Str("cargo run -p halo-fuzz".into());
-                }
-            }
-        }
-        assert!(validate_fuzz_report(&fuzz_doc(vec![no_seed])).is_err());
-        // Coverage accounting must be consistent.
-        let mut bad_counts = fuzz_doc(vec![]);
-        if let Json::Obj(members) = &mut bad_counts {
-            for (k, v) in members.iter_mut() {
-                if k == "ran" {
-                    *v = num(33.0);
-                }
-            }
-        }
-        assert!(validate_fuzz_report(&bad_counts).is_err());
-        // Wrong schema string.
-        let mut wrong = fuzz_doc(vec![]);
-        if let Json::Obj(members) = &mut wrong {
-            for (k, v) in members.iter_mut() {
-                if k == "schema" {
-                    *v = Json::Str("halo-fuzz-report/2".into());
-                }
-            }
-        }
-        assert!(validate_fuzz_report(&wrong).is_err());
+            ("shrunk_spec", s("ProgramSpec { .. }")),
+        ])])
     }
 
-    fn remote_trial(kind: &str, ok: bool, retries: f64) -> Json {
-        obj(vec![
-            ("profile", Json::Str("chaos".into())),
-            ("seed", num(1.0)),
-            ("kind", Json::Str(kind.into())),
-            ("faults_injected", num(3.0)),
-            ("snapshot_writes", num(6.0)),
-            ("remote_puts", num(5.0)),
-            ("remote_retries", num(retries)),
-            ("remote_backoff_us", num(4200.0)),
-            ("hedged_reads", num(1.0)),
-            ("breaker_opens", num(0.0)),
-            ("spilled_snapshots", num(1.0)),
-            ("bit_identical", Json::Bool(ok)),
-        ])
-    }
-
-    fn remote_doc(trials: Vec<Json>, passed: f64, failed: f64, aborts: f64) -> Json {
-        obj(vec![
-            ("schema", Json::Str("halo-remote-report/1".into())),
-            ("bench", Json::Str("linear".into())),
-            ("scale", Json::Str("small".into())),
+    /// A green campaign report: `header` after the common fields, then
+    /// the totals for `trials`, all bit-identical.
+    fn campaign(id: &str, header: Vec<(&str, Json)>, trials: Vec<Json>) -> Json {
+        let mut fields = vec![
+            ("schema", s(id)),
+            ("bench", s("linear")),
+            ("scale", s("small")),
             ("iters", num(12.0)),
             ("seeds", num(1.0)),
-            ("profiles", num(6.0)),
             ("wall_ms", num(700.0)),
-            ("faults_injected", num(9.0)),
-            ("passed", num(passed)),
-            ("failed", num(failed)),
-            ("aborts", num(aborts)),
+        ];
+        fields.extend(header);
+        fields.extend([
+            ("passed", num(trials.len() as f64)),
+            ("failed", num(0.0)),
+            ("aborts", num(0.0)),
             ("trials", Json::Arr(trials)),
+        ]);
+        obj(fields)
+    }
+
+    fn crash_trial(kind: &str, skipped: f64) -> Json {
+        obj(vec![
+            ("kind", s(kind)),
+            ("seed", num(1.0)),
+            ("kill_point", num(4.0)),
+            ("generations_at_resume", num(3.0)),
+            ("resumes_from_disk", num(1.0)),
+            ("corrupt_snapshots_skipped", num(skipped)),
+            ("bit_identical", Json::Bool(true)),
         ])
     }
 
-    fn full_remote_matrix(ok: bool) -> Vec<Json> {
-        vec![
-            remote_trial("run", ok, 2.0),
-            remote_trial("resume", ok, 2.0),
-            remote_trial("resume_prefix", ok, 2.0),
-        ]
+    fn crash(trials: Vec<Json>) -> Json {
+        campaign(CRASH, vec![("snapshot_keep", num(3.0))], trials)
+    }
+
+    fn crash_green() -> Json {
+        crash(vec![crash_trial("kill", 0.0), crash_trial("corrupt", 1.0)])
+    }
+
+    /// A remote leg whose six resilience counters all read `engaged`.
+    fn remote_trial(kind: &str, engaged: f64) -> Json {
+        obj(vec![
+            ("profile", s("chaos")),
+            ("seed", num(1.0)),
+            ("kind", s(kind)),
+            ("faults_injected", num(3.0)),
+            ("snapshot_writes", num(6.0)),
+            ("remote_puts", num(engaged)),
+            ("remote_retries", num(engaged)),
+            ("remote_backoff_us", num(engaged)),
+            ("hedged_reads", num(engaged)),
+            ("breaker_opens", num(engaged)),
+            ("spilled_snapshots", num(engaged)),
+            ("bit_identical", Json::Bool(true)),
+        ])
+    }
+
+    fn remote(trials: Vec<Json>) -> Json {
+        campaign(
+            REMOTE,
+            vec![("profiles", num(6.0)), ("faults_injected", num(9.0))],
+            trials,
+        )
+    }
+
+    fn remote_green() -> Json {
+        remote(vec![
+            remote_trial("run", 1.0),
+            remote_trial("resume", 1.0),
+            remote_trial("resume_prefix", 1.0),
+        ])
+    }
+
+    /// Two fleet trials: a healthy one, and a drill that engages every
+    /// piece of failure machinery once.
+    fn fleet_green() -> Json {
+        let trial = |profile: &str, engaged: f64| {
+            obj(vec![
+                ("profile", s(profile)),
+                ("seed", num(1.0)),
+                ("legs", num(4.0)),
+                ("ticks", num(11.0)),
+                ("legs_claimed", num(9.0)),
+                ("leases_expired", num(engaged)),
+                ("zombie_writes_fenced", num(engaged)),
+                ("legs_reassigned", num(engaged)),
+                ("coordinator_resumes", num(engaged)),
+                ("executor_crashes", num(engaged)),
+                ("executor_stalls", num(0.0)),
+                ("snapshot_writes", num(0.0)),
+                ("remote_puts", num(15.0)),
+                ("store_faults", num(0.0)),
+                ("bit_identical", Json::Bool(true)),
+            ])
+        };
+        campaign(
+            FLEET,
+            vec![
+                ("profiles", num(10.0)),
+                ("executors", num(3.0)),
+                ("leg_len", num(2.0)),
+            ],
+            vec![trial("healthy", 0.0), trial("zombie_drill", 1.0)],
+        )
+    }
+
+    fn id_of(doc: &Json) -> &str {
+        doc.get("schema").and_then(Json::as_str).unwrap()
     }
 
     #[test]
-    fn remote_report_schema_validates_and_rejects() {
-        validate_remote_report(&remote_doc(full_remote_matrix(true), 3.0, 0.0, 0.0)).unwrap();
-
-        // A diverged trial makes the report red.
-        let mut mixed = full_remote_matrix(true);
-        mixed[1] = remote_trial("resume", false, 2.0);
-        assert!(validate_remote_report(&remote_doc(mixed, 2.0, 1.0, 0.0)).is_err());
-
-        // Any abort is red even if outputs matched.
-        assert!(
-            validate_remote_report(&remote_doc(full_remote_matrix(true), 3.0, 0.0, 1.0)).is_err()
-        );
-
-        // Both resume legs are mandatory.
-        let runs_only = vec![
-            remote_trial("run", true, 2.0),
-            remote_trial("run", true, 2.0),
-        ];
-        assert!(validate_remote_report(&remote_doc(runs_only, 2.0, 0.0, 0.0)).is_err());
-
-        // Aggregate counters must cover the trial rows.
-        assert!(
-            validate_remote_report(&remote_doc(full_remote_matrix(true), 7.0, 0.0, 0.0)).is_err()
-        );
-
-        // A campaign that injected no faults validated nothing.
-        let mut tame = remote_doc(full_remote_matrix(true), 3.0, 0.0, 0.0);
-        if let Json::Obj(members) = &mut tame {
-            for (k, v) in members.iter_mut() {
-                if k == "faults_injected" {
-                    *v = num(0.0);
-                }
-            }
+    fn every_artifact_has_one_entry_found_by_file_and_by_id() {
+        for (file, doc) in [
+            ("BENCH_ROTATE.json", rotate()),
+            ("BENCH_NTT.json", ntt()),
+            ("BENCH_RUN_ALL.json", run_all()),
+            ("BENCH_SERVE.json", serve_green()),
+            ("BENCH_TUNE.json", tune_green()),
+            ("FUZZ_REPORT.json", fuzz(vec![])),
+            ("CRASH_REPORT.json", crash_green()),
+            ("REMOTE_REPORT.json", remote_green()),
+            ("FLEET_REPORT.json", fleet_green()),
+        ] {
+            let schema = Schema::by_file(file).unwrap();
+            schema.check(&doc).unwrap();
+            assert_eq!(Schema::by_id(id_of(&doc)).unwrap().file, file);
         }
-        assert!(validate_remote_report(&tame).is_err());
+        assert_eq!(SCHEMAS.len(), 9);
+        assert!(Schema::by_file("UNKNOWN.json").is_none());
+        assert!(validate("halo-unknown/1", &rotate()).is_err());
+    }
 
-        // Unknown trial kinds are rejected.
-        let mut weird = full_remote_matrix(true);
-        weird.push(remote_trial("teleport", true, 0.0));
-        assert!(validate_remote_report(&remote_doc(weird, 4.0, 0.0, 0.0)).is_err());
+    #[test]
+    fn green_documents_validate() {
+        for doc in [
+            rotate(),
+            ntt(),
+            run_all(),
+            with(&run_all(), &[("serving", None), ("tuning", None)]),
+            serve_green(),
+            tune_green(),
+            fuzz(vec![]),
+            fuzz_red(),
+            with(
+                &fuzz_red(),
+                &[
+                    ("failures.0.stage", Some(s("mismatch"))),
+                    ("failures.0.pass", None),
+                ],
+            ),
+            crash_green(),
+            remote_green(),
+            fleet_green(),
+        ] {
+            validate(id_of(&doc), &doc).unwrap_or_else(|e| panic!("{}: {e}", id_of(&doc)));
+        }
+    }
+
+    fn reject(id: &str, case: &str, doc: &Json) {
+        assert!(validate(id, doc).is_err(), "{id}: {case}: must be rejected");
+    }
+
+    #[test]
+    fn schema_violations_are_rejected() {
+        for id in [ROTATE, NTT, SERVE, TUNE] {
+            reject(id, "missing keys", &obj(vec![("schema", s(id))]));
+        }
+        let set = |doc: &Json, path: &str, v: Json| with(doc, &[(path, Some(v))]);
+
+        let hoisted = set(&rotate(), "hoisted.digit_decomposes", num(8.0));
+        reject(
+            ROTATE,
+            "the hoisted path decomposes as often as the sequential one",
+            &hoisted,
+        );
+        let speedup = set(&rotate(), "speedup", num(3.0));
+        reject(ROTATE, "speedup differs from the timings", &speedup);
+
+        let lazy = set(&ntt(), "lazy_reductions_skipped", num(0.0));
+        reject(NTT, "no reduction was deferred", &lazy);
+        reject(NTT, "a zero timing", &set(&ntt(), "mult_us", num(0.0)));
+        reject(
+            NTT,
+            "the v1 schema id",
+            &set(&ntt(), "schema", s("halo-bench-ntt/1")),
+        );
+
+        let empty = Json::Arr(vec![]);
+        let no_rows = set(&run_all(), "benchmarks", empty.clone());
+        reject(RUN_ALL, "no benchmark rows", &no_rows);
+        let boot = set(&run_all(), "benchmarks.0.bootstrap_us", num(2000.0));
+        reject(RUN_ALL, "bootstrap time above the total", &boot);
+        let serving = set(&run_all(), "serving", empty.clone());
+        reject(RUN_ALL, "an empty serving section", &serving);
+        let uncoalesced = Json::Arr(vec![serving_row(16.0, 0.0, 15.0)]);
+        let serving = set(&run_all(), "serving", uncoalesced);
+        reject(
+            RUN_ALL,
+            "serving never coalesced and lacks its solo row",
+            &serving,
+        );
+        let tuning = set(&run_all(), "tuning", empty);
+        reject(RUN_ALL, "an empty tuning section", &tuning);
+        let costlier = Json::Arr(vec![tune_row(100.0, 200.0, 8.0, 0.0)]);
+        let tuning = set(&run_all(), "tuning", costlier);
+        reject(
+            RUN_ALL,
+            "a tuning row costlier than the HALO heuristic",
+            &tuning,
+        );
+
+        let solo = || serving_row(1.0, 0.0, 1.0);
+        let slow = serve(vec![solo(), serving_row(16.0, 8.0, 4.0)], 4.0);
+        reject(SERVE, "batch 16 below the 10x bar", &slow);
+        let uncoalesced = serve(vec![solo(), serving_row(16.0, 0.0, 15.0)], 15.0);
+        reject(SERVE, "a batched row that never coalesced", &uncoalesced);
+        let headline = set(&serve_green(), "speedup_at_16", num(12.0));
+        reject(
+            SERVE,
+            "the headline differs from the batch-16 row",
+            &headline,
+        );
+        let no_16 = serve(vec![solo(), serving_row(8.0, 8.0, 15.0)], 15.0);
+        reject(SERVE, "no batch-16 row", &no_16);
+        let no_solo = serve(vec![serving_row(16.0, 8.0, 15.0)], 15.0);
+        reject(SERVE, "no solo row", &no_solo);
+        let solo_speedup = set(&serve_green(), "rows.0.speedup_vs_solo", num(2.0));
+        reject(SERVE, "a solo row whose speedup is not 1", &solo_speedup);
+        let p50 = set(&serve_green(), "rows.2.p50_us", num(1e9));
+        reject(SERVE, "p50 above p99", &p50);
+
+        let worse = tune(
+            vec![tune_row(1000.0, 1100.0, 10.0, 0.0)],
+            0.0,
+            1000.0 / 1100.0,
+        );
+        reject(
+            TUNE,
+            "a tuned plan costlier than the HALO heuristic",
+            &worse,
+        );
+        let flat = tune(vec![tune_row(500.0, 500.0, 10.0, 0.0)], 0.0, 1.0);
+        reject(TUNE, "no program strictly improved", &flat);
+        let improved = set(&tune_green(), "improved", num(2.0));
+        reject(TUNE, "improved differs from the rows", &improved);
+        let geomean = set(&tune_green(), "geomean_gap", num(9.0));
+        reject(TUNE, "geomean_gap differs from the rows", &geomean);
+        let gap = set(&tune_green(), "rows.0.gap", num(2.0));
+        reject(TUNE, "a row's gap differs from its costs", &gap);
+        let space = set(&tune_green(), "rows.0.space", num(99.0));
+        reject(TUNE, "the search does not cover its space", &space);
+
+        let no_pass = with(&fuzz_red(), &[("failures.0.pass", None)]);
+        reject(FUZZ, "a pass-verify failure without its pass", &no_pass);
+        let no_seed = set(&fuzz_red(), "failures.0.repro", s("cargo run -p halo-fuzz"));
+        reject(FUZZ, "a repro line without a seed", &no_seed);
+        let ran = set(&fuzz(vec![]), "ran", num(33.0));
+        reject(FUZZ, "ran + skipped exceeds seeds", &ran);
+        let wrong = set(&fuzz(vec![]), "schema", s("halo-fuzz-report/2"));
+        reject(FUZZ, "the wrong schema id", &wrong);
+        let flag = set(&fuzz(vec![]), "pass_verify", num(1.0));
+        reject(FUZZ, "pass_verify is not a boolean", &flag);
+
+        let no_fallback = set(
+            &crash_green(),
+            "trials.1.corrupt_snapshots_skipped",
+            num(0.0),
+        );
+        reject(
+            CRASH,
+            "a corrupt trial that did not fall back",
+            &no_fallback,
+        );
+        let kills_only = crash(vec![crash_trial("kill", 0.0)]);
+        reject(CRASH, "no corrupt trial", &kills_only);
+        let kind = set(&crash_green(), "trials.0.kind", s("teleport"));
+        reject(CRASH, "an unknown trial kind", &kind);
+        let keep = set(&crash_green(), "snapshot_keep", num(1.0));
+        reject(CRASH, "too few generations kept to fall back", &keep);
+
+        let runs_only = remote(vec![remote_trial("run", 1.0), remote_trial("run", 1.0)]);
+        reject(REMOTE, "no resume legs", &runs_only);
+        let no_prefix = remote(vec![remote_trial("run", 1.0), remote_trial("resume", 1.0)]);
+        reject(REMOTE, "no resume_prefix leg", &no_prefix);
+        let tame = set(&remote_green(), "faults_injected", num(0.0));
+        reject(REMOTE, "no fault injected", &tame);
+        let kind = set(&remote_green(), "trials.0.kind", s("teleport"));
+        reject(REMOTE, "an unknown trial kind", &kind);
+        let idle = remote(vec![
+            remote_trial("run", 0.0),
+            remote_trial("resume", 0.0),
+            remote_trial("resume_prefix", 0.0),
+        ]);
+        reject(REMOTE, "the resilience stack never engaged", &idle);
+
+        let profiles = set(&fleet_green(), "profiles", num(7.0));
+        reject(FLEET, "fewer than 8 profiles", &profiles);
+        let legs = set(&fleet_green(), "trials.0.legs", num(1.0));
+        reject(FLEET, "a trial with fewer than 2 legs", &legs);
+        let claimed = set(&fleet_green(), "trials.0.legs_claimed", num(0.0));
+        reject(FLEET, "a trial with no leg claimed", &claimed);
+        for sum in [
+            "zombie_writes_fenced",
+            "leases_expired",
+            "legs_reassigned",
+            "executor_crashes",
+            "coordinator_resumes",
+        ] {
+            let idle = set(&fleet_green(), &format!("trials.1.{sum}"), num(0.0));
+            reject(FLEET, &format!("{sum} sums to zero"), &idle);
+        }
+
+        // The totals rule every campaign report shares.
+        for (id, green) in [
+            (CRASH, crash_green()),
+            (REMOTE, remote_green()),
+            (FLEET, fleet_green()),
+        ] {
+            let trials = items(at(&green, "trials")).len() as f64;
+            let diverged = set(&green, "trials.0.bit_identical", Json::Bool(false));
+            let uncovered = set(&green, "passed", num(trials + 3.0));
+            reject(id, "passed + failed misses the trials", &uncovered);
+            reject(id, "passed counts a diverged trial", &diverged);
+            let red = with(
+                &diverged,
+                &[
+                    ("passed", Some(num(trials - 1.0))),
+                    ("failed", Some(num(1.0))),
+                ],
+            );
+            reject(id, "a diverged trial", &red);
+            reject(id, "an abort", &set(&green, "aborts", num(1.0)));
+        }
     }
 }

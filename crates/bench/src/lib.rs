@@ -20,6 +20,7 @@ use halo_ir::Function;
 use halo_ml::bench::{BenchSpec, MlBenchmark};
 use halo_runtime::{reference_run, rmse, ExecError, ExecPolicy, Executor, Inputs, RunStats};
 
+pub mod campaign;
 pub mod json;
 pub mod tables;
 

@@ -79,7 +79,8 @@ fn main() {
         ("improved", num(tune_improved(&rows) as f64)),
         ("geomean_gap", num(tune_geomean_gap(&rows))),
     ]);
-    json::validate_tune(&doc).expect("emitted document must satisfy its own schema");
+    json::validate("halo-bench-tune/1", &doc)
+        .expect("emitted document must satisfy its own schema");
     let dir = halo_bench::bench_json_dir().expect("bench json dir");
     let path = dir.join("BENCH_TUNE.json");
     std::fs::write(&path, doc.pretty()).expect("write BENCH_TUNE.json");

@@ -5,7 +5,7 @@
 //! (seeds run/skipped); a red run additionally carries, per failure, the
 //! seed, stage, configuration, diagnosis, the shrunk spec, and a
 //! command line that reproduces it. CI round-trips the file through
-//! `halo_bench::json::parse` + `validate_fuzz_report` before accepting it.
+//! `halo_bench::json::parse` and its schema table before accepting it.
 
 use halo_bench::json::{num, obj, Json};
 
@@ -100,7 +100,7 @@ impl FuzzReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_bench::json::{parse, validate_fuzz_report};
+    use halo_bench::json::{parse, validate};
 
     fn sample_report() -> FuzzReport {
         FuzzReport {
@@ -128,7 +128,7 @@ mod tests {
     fn report_roundtrips_through_parser_and_validator() {
         let text = sample_report().to_json().pretty();
         let parsed = parse(&text).expect("parses");
-        validate_fuzz_report(&parsed).expect("validates");
+        validate("halo-fuzz-report/1", &parsed).expect("validates");
         assert_eq!(parsed.get("ran").and_then(Json::as_num), Some(7.0));
         let failures = parsed.get("failures").and_then(Json::as_arr).unwrap();
         assert_eq!(failures[0].get("pass").and_then(Json::as_str), Some("peel"));
@@ -149,6 +149,6 @@ mod tests {
             ..FuzzReport::default()
         };
         let parsed = parse(&green.to_json().pretty()).unwrap();
-        validate_fuzz_report(&parsed).expect("empty failures array is valid");
+        validate("halo-fuzz-report/1", &parsed).expect("empty failures array is valid");
     }
 }

@@ -118,10 +118,10 @@ fn shrinker_reduces_failing_cases() {
 }
 
 /// The failure artifact validates against the bench JSON schema — the
-/// exact check CI's `bench_json_check --fuzz` performs.
+/// exact check CI's `bench_json_check FUZZ_REPORT.json` performs.
 #[test]
 fn failure_artifact_round_trips_through_the_schema() {
-    use halo_bench::json::{parse, validate_fuzz_report, Json};
+    use halo_bench::json::{parse, validate, Json};
     use halo_fuzz::report::{FuzzReport, ReportedFailure};
     use halo_fuzz::FuzzFailure;
 
@@ -146,7 +146,7 @@ fn failure_artifact_round_trips_through_the_schema() {
     };
     let text = report.to_json().pretty();
     let doc = parse(&text).expect("parses");
-    validate_fuzz_report(&doc).expect("validates");
+    validate("halo-fuzz-report/1", &doc).expect("validates");
     let failures = doc.get("failures").and_then(Json::as_arr).unwrap();
     assert_eq!(
         failures[0].get("pass").and_then(Json::as_str),
