@@ -853,6 +853,12 @@ impl ShoupPoly {
         &self.poly
     }
 
+    /// Heap bytes held: the residues plus their Shoup companions.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.poly.data.len() + self.shoup.len()) * std::mem::size_of::<u64>()
+    }
+
     /// The Shoup companions of limb `i`.
     fn shoup_limb(&self, i: usize) -> &[u64] {
         &self.shoup[i * self.poly.n..(i + 1) * self.poly.n]
@@ -974,11 +980,16 @@ impl Drop for HoistedDigits {
 /// — the hoisted-rotation inner product without materializing any
 /// permuted digit.
 ///
+/// Key rows are read by prime, not by position: the digits' level primes
+/// must be a prefix of the keys' basis and the special prime the last
+/// limb of both. A key generated over a longer level chain therefore
+/// serves a lower level in place, with no restricted copy.
+///
 /// # Panics
 ///
-/// Panics if the key count mismatches the digit count, a key basis
-/// mismatches the digit basis, a permutation has the wrong length, or
-/// the no-overflow bound fails.
+/// Panics if the key count mismatches the digit count, the keys do not
+/// share one basis covering the digits' extended basis, a permutation
+/// has the wrong length, or the no-overflow bound fails.
 #[must_use]
 pub fn keyswitch_fused(
     digits: &HoistedDigits,
@@ -992,10 +1003,20 @@ pub fn keyswitch_fused(
     let n = digits.n;
     let ext = digits.ext_basis.len();
     let basis: &[usize] = &digits.ext_basis;
+    let key_basis: &[usize] = &keys[0].0.poly.basis;
+    let (level_primes, special) = basis.split_at(ext - 1);
+    assert!(
+        key_basis.starts_with(level_primes) && key_basis.ends_with(special),
+        "key basis {key_basis:?} does not cover the digit basis {basis:?}"
+    );
     for (kb, ka) in keys {
-        assert_eq!(kb.poly.basis, basis, "key basis mismatch");
-        assert_eq!(ka.poly.basis, basis, "key basis mismatch");
+        assert_eq!(kb.poly.basis, key_basis, "key basis mismatch");
+        assert_eq!(ka.poly.basis, key_basis, "key basis mismatch");
     }
+    // Output limb `i` reads key row `i`, except the special limb, which
+    // reads the key's last row.
+    let key_top = key_basis.len() - 1;
+    let key_row = |i: usize| if i + 1 == ext { key_top } else { i };
     if let Some(p) = perm {
         assert_eq!(p.len(), n, "permutation length mismatch");
     }
@@ -1014,12 +1035,13 @@ pub fn keyswitch_fused(
         // so bit-identity of the canonical result is unaffected).
         let max_run = (u64::MAX / (2 * q)).max(2) as usize;
         let mut run = 0usize;
+        let ki = key_row(i);
         for (j, (kb, ka)) in keys.iter().enumerate() {
             let d = &digits.digit(j).limb(i)[..n];
-            let b = &kb.poly.limb(i)[..n];
-            let bs = &kb.shoup_limb(i)[..n];
-            let a = &ka.poly.limb(i)[..n];
-            let asp = &ka.shoup_limb(i)[..n];
+            let b = &kb.poly.limb(ki)[..n];
+            let bs = &kb.shoup_limb(ki)[..n];
+            let a = &ka.poly.limb(ki)[..n];
+            let asp = &ka.shoup_limb(ki)[..n];
             match (j == 0, perm) {
                 (true, None) => {
                     for k in 0..n {
@@ -1359,6 +1381,18 @@ mod tests {
                 "a half, {tag} automorphism"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not cover the digit basis")]
+    fn keyswitch_fused_rejects_a_key_that_misses_a_digit_prime() {
+        let c = ctx();
+        let mut rng = StdRng::seed_from_u64(5);
+        let d = RnsPoly::uniform(&c, 3, false, true, &mut rng);
+        let digits = HoistedDigits::new(&c, &d);
+        // Keys over {q_0, q_1, P} cannot serve digits over {q_0…q_2, P}.
+        let key = ShoupPoly::new(RnsPoly::uniform(&c, 2, true, true, &mut rng), &c);
+        let _ = keyswitch_fused(&digits, &[(&key, &key); 3], None, &c);
     }
 
     #[test]

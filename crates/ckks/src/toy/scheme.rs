@@ -9,8 +9,13 @@
 //! identity `Σ_j [d]_{q_j}·E_j ≡ d (mod Q_l)` makes the accumulated pair
 //! decrypt to `P·d·w + small`, so the mod-down yields `d·w + tiny`.
 //!
-//! Keys are generated lazily per (kind, level) — a toy-appropriate choice
-//! that keeps the implementation honest without a key-management layer.
+//! Keys are generated lazily, one chain per kind (relinearization, or one
+//! Galois exponent), always at the top level `L`: digits `0..=L` over the
+//! limbs `{q_0…q_L, P}`. A level-`l` key switch borrows the slice of
+//! digits `0..=l` and reads only the limbs `{q_0…q_l, P}` of each. The
+//! slice is a valid level-`l` key: digit `j`'s payload `P·E_j·w` is
+//! `δ_ij·(P mod q_j)·w` modulo every level prime `q_i` and 0 modulo `P`,
+//! whatever the chain's length, so cutting the chain changes no payload.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -50,14 +55,14 @@ struct Ksk {
     a: ShoupPoly,
 }
 
-/// A lazily generated key-switching key chain, shared by reference so
-/// concurrent ops never deep-copy key material.
+/// One kind's key-switching chain (`L+1` digits over `L+2` limbs),
+/// shared by reference so concurrent ops never deep-copy key material.
 type SharedKsk = Arc<Vec<Ksk>>;
 
-/// The `(b, a)` halves of every digit, in the shape [`keyswitch_fused`]
-/// takes.
-fn key_pairs(key: &[Ksk]) -> Vec<(&ShoupPoly, &ShoupPoly)> {
-    key.iter().map(|k| (&k.b, &k.a)).collect()
+/// The `(b, a)` halves of digits `0..rows` — the level slice a key switch
+/// over `rows` level limbs uses — in the shape [`keyswitch_fused`] takes.
+fn key_pairs(key: &[Ksk], rows: usize) -> Vec<(&ShoupPoly, &ShoupPoly)> {
+    key[..rows].iter().map(|k| (&k.b, &k.a)).collect()
 }
 
 /// Which secret the key switches *from* (always switching to `s`).
@@ -69,14 +74,6 @@ enum KeyKind {
     Galois(usize),
 }
 
-/// The exact toy RNS-CKKS backend. See the [module docs](self).
-///
-/// Evaluation ops take `&self`; the only mutable state — the encryption
-/// RNG and the lazily generated key cache — sits behind mutexes, so a
-/// `ToyBackend` can be shared across threads (`Arc<ToyBackend>`). Both
-/// locks are taken only on the calling thread, never inside the
-/// limb-parallel regions, which keeps the RNG stream (and therefore every
-/// ciphertext) bit-identical no matter how many worker threads run.
 /// The shared encryption RNG plus its replay log. `StdRng` state is not
 /// extractable, so durable resume ([`SnapshotBackend`]) records the draw
 /// *events* instead: the only consumer of this stream is
@@ -90,6 +87,15 @@ struct EncRng {
     events: Vec<u32>,
 }
 
+/// The exact toy RNS-CKKS backend. See the [module docs](self).
+///
+/// Evaluation ops take `&self`; the only mutable state — the encryption
+/// RNG and the lazily generated key cache, one chain per key kind — sits
+/// behind mutexes, so a `ToyBackend` can be shared across threads
+/// (`Arc<ToyBackend>`). Both locks are taken only on the calling thread,
+/// never inside the limb-parallel regions, which keeps the RNG stream
+/// (and therefore every ciphertext) bit-identical no matter how many
+/// worker threads run.
 #[derive(Debug)]
 pub struct ToyBackend {
     ctx: RnsContext,
@@ -98,8 +104,9 @@ pub struct ToyBackend {
     sk: Vec<i64>,
     sk_squared: Vec<i64>,
     rng: Mutex<EncRng>,
-    keys: Mutex<HashMap<(KeyKind, u32), SharedKsk>>,
-    /// Master seed for per-`(kind, level)` key-generation RNGs — see
+    /// One top-level key-switching chain per kind — see [`ToyBackend::ksk`].
+    keys: Mutex<HashMap<KeyKind, SharedKsk>>,
+    /// Master seed for the per-kind key-generation RNGs — see
     /// [`ToyBackend::key_rng`].
     key_seed: u64,
 }
@@ -152,20 +159,20 @@ impl ToyBackend {
         self.ctx.rows_at_level(level)
     }
 
-    /// The dedicated key-generation RNG for one `(kind, level)` pair,
-    /// derived from the master seed by SplitMix64 chaining. Keying the
-    /// draw per key (instead of pulling from the shared encryption RNG)
-    /// makes key material independent of *generation order*, which is
-    /// what lets [`ToyBackend::ksk`] generate outside the cache lock:
-    /// concurrent first-touchers may race, but every candidate they
-    /// produce is bit-identical.
-    fn key_rng(&self, kind: KeyKind, level: u32) -> StdRng {
+    /// The dedicated key-generation RNG for one key kind, derived from
+    /// the master seed by SplitMix64 chaining. Keying the draw per kind
+    /// (instead of pulling from the shared encryption RNG) makes key
+    /// material independent of *generation order* — which kind is touched
+    /// first, and at which level — and that is what lets
+    /// [`ToyBackend::ksk`] generate outside the cache lock: concurrent
+    /// first-touchers may race, but every candidate they produce is
+    /// bit-identical.
+    fn key_rng(&self, kind: KeyKind) -> StdRng {
         let tag = match kind {
             KeyKind::Relin => 0,
             KeyKind::Galois(t) => 1 + t as u64,
         };
-        let mixed = splitmix(self.key_seed ^ splitmix(tag ^ splitmix(u64::from(level))));
-        StdRng::seed_from_u64(mixed)
+        StdRng::seed_from_u64(splitmix(self.key_seed ^ splitmix(tag)))
     }
 
     /// The secret key embedded at the given basis, NTT form.
@@ -210,15 +217,17 @@ impl ToyBackend {
         m.centered_coeffs(&self.ctx)
     }
 
-    /// Generates the key-switching key chain for `kind` at `level` from
-    /// its dedicated RNG (see [`ToyBackend::key_rng`]).
-    fn generate_ksk(&self, kind: KeyKind, level: u32) -> Vec<Ksk> {
-        let mut rng = self.key_rng(kind, level);
+    /// Generates the key-switching chain for `kind` at the top level —
+    /// one digit per level prime, each over `{q_0…q_L, P}` — from its
+    /// dedicated RNG (see [`ToyBackend::key_rng`]). Every lower level
+    /// uses a prefix of it (see the [module docs](self)).
+    fn generate_ksk(&self, kind: KeyKind) -> Vec<Ksk> {
+        let mut rng = self.key_rng(kind);
         let w: Vec<i64> = match kind {
             KeyKind::Relin => self.sk_squared.clone(),
             KeyKind::Galois(t) => automorphism_i64(&self.sk, t),
         };
-        let rows = self.rows(level);
+        let rows = self.rows(self.params.max_level);
         let p_special = self.ctx.primes[self.ctx.special];
         let s = self.sk_poly(rows, true);
         let mut w_poly = RnsPoly::from_i64(&self.ctx, &w, rows, true);
@@ -253,26 +262,22 @@ impl ToyBackend {
         digits
     }
 
-    /// Lazily generates (and caches) the key-switching key for `kind` at
-    /// `level`. The cache holds `Arc`s so hot ops share keys without deep
-    /// clones. Generation happens *outside* the cache lock — holding the
-    /// mutex across a multi-NTT key generation would serialize concurrent
-    /// executors on first touch — and determinism survives the race
-    /// because key material is drawn from a per-`(kind, level)` RNG, so
-    /// every racing candidate is bit-identical and the double-checked
-    /// insert keeps whichever landed first.
-    fn ksk(&self, kind: KeyKind, level: u32) -> SharedKsk {
-        if let Some(k) = self
-            .keys
-            .lock()
-            .expect("key cache lock")
-            .get(&(kind, level))
-        {
+    /// Lazily generates (and caches) the key-switching chain for `kind`;
+    /// callers at level `l` use its first `l+1` digits
+    /// ([`key_pairs`]). The cache holds `Arc`s so hot ops share keys
+    /// without deep clones. Generation happens *outside* the cache lock —
+    /// holding the mutex across a multi-NTT key generation would
+    /// serialize concurrent executors on first touch — and determinism
+    /// survives the race because key material is drawn from a per-kind
+    /// RNG, so every racing candidate is bit-identical and the
+    /// double-checked insert keeps whichever landed first.
+    fn ksk(&self, kind: KeyKind) -> SharedKsk {
+        if let Some(k) = self.keys.lock().expect("key cache lock").get(&kind) {
             return Arc::clone(k);
         }
-        let fresh = Arc::new(self.generate_ksk(kind, level));
+        let fresh = Arc::new(self.generate_ksk(kind));
         let mut keys = self.keys.lock().expect("key cache lock");
-        Arc::clone(keys.entry((kind, level)).or_insert(fresh))
+        Arc::clone(keys.entry(kind).or_insert(fresh))
     }
 
     /// Switches `d` (NTT, level basis) from secret `w` to `s`, returning
@@ -283,9 +288,10 @@ impl ToyBackend {
     fn keyswitch(&self, d: &RnsPoly, kind: KeyKind, level: u32) -> (RnsPoly, RnsPoly) {
         metrics::count_keyswitch();
         debug_assert_eq!(d.limbs(), self.rows(level));
-        let key = self.ksk(kind, level);
+        let key = self.ksk(kind);
         let digits = HoistedDigits::new(&self.ctx, d);
-        let (acc0, acc1) = keyswitch_fused(&digits, &key_pairs(&key), None, &self.ctx);
+        let pairs = key_pairs(&key, self.rows(level));
+        let (acc0, acc1) = keyswitch_fused(&digits, &pairs, None, &self.ctx);
         (self.mod_down_special(acc0), self.mod_down_special(acc1))
     }
 
@@ -577,10 +583,11 @@ impl Backend for ToyBackend {
                 out.push(ct);
                 continue;
             }
-            let key = self.ksk(KeyKind::Galois(t), a.level);
+            let key = self.ksk(KeyKind::Galois(t));
             let perm = automorphism_indices(self.ctx.n, t);
             metrics::count_keyswitch();
-            let (acc0, acc1) = keyswitch_fused(&digits, &key_pairs(&key), Some(&perm), &self.ctx);
+            let pairs = key_pairs(&key, self.rows(a.level));
+            let (acc0, acc1) = keyswitch_fused(&digits, &pairs, Some(&perm), &self.ctx);
             let k0 = self.mod_down_special(acc0);
             let k1 = self.mod_down_special(acc1);
             let mut c0 = a.c0.permuted(&perm);
@@ -737,8 +744,8 @@ fn poly_load(ctx: &RnsContext, r: &mut SnapReader<'_>) -> std::result::Result<Rn
 /// replay state: the construction seed plus the ordered log of
 /// `rlwe_encrypt` row counts (the secret key's own draws are replayed
 /// implicitly, exactly as the constructor performs them). Key-switching
-/// keys need no snapshotting at all — they come from per-`(kind, level)`
-/// derived RNGs and regenerate bit-identically on demand.
+/// keys need no snapshotting at all — they come from per-kind derived
+/// RNGs and regenerate bit-identically on demand.
 impl SnapshotBackend for ToyBackend {
     fn ct_format(&self) -> &'static str {
         "halo-ct-toy/1"
@@ -1020,26 +1027,226 @@ mod tests {
     #[test]
     fn key_generation_is_order_independent() {
         // Two same-seed backends touching keys in different orders must
-        // produce bit-identical ciphertexts: the keyed per-(kind, level)
-        // RNG decouples key material from generation order, which is the
+        // produce bit-identical ciphertexts: the keyed per-kind RNG
+        // decouples key material from generation order — which kind comes
+        // first, and at which level it is first touched — which is the
         // property that lets `ksk` generate outside the cache lock.
         let be1 = backend();
         let be2 = backend();
-        let x1 = be1.encrypt(&[0.5, -0.25, 2.0], 4).unwrap();
-        let x2 = be2.encrypt(&[0.5, -0.25, 2.0], 4).unwrap();
-        // be1: rotate 2 then 3 then mult; be2: mult then rotate 3 then 2.
-        let r2_a = be1.rotate(&x1, 2).unwrap();
-        let r3_a = be1.rotate(&x1, 3).unwrap();
-        let m_a = be1.mult(&x1, &x1).unwrap();
-        let m_b = be2.mult(&x2, &x2).unwrap();
-        let r3_b = be2.rotate(&x2, 3).unwrap();
-        let r2_b = be2.rotate(&x2, 2).unwrap();
-        assert_eq!(r2_a.c0, r2_b.c0);
-        assert_eq!(r2_a.c1, r2_b.c1);
-        assert_eq!(r3_a.c0, r3_b.c0);
-        assert_eq!(r3_a.c1, r3_b.c1);
-        assert_eq!(m_a.c0, m_b.c0);
-        assert_eq!(m_a.c1, m_b.c1);
+        let (low, high) = (1, 6);
+        let enc = |be: &ToyBackend| {
+            [low, high].map(|level| be.encrypt(&[0.5, -0.25, 2.0], level).unwrap())
+        };
+        let [lo1, hi1] = enc(&be1);
+        let [lo2, hi2] = enc(&be2);
+        // be1 meets every kind at the low level first (rotate 2, rotate 3,
+        // mult), then at the high one; be2 meets them in the reverse kind
+        // order, at the high level first.
+        let fwd = |be: &ToyBackend, x: &ToyCt| {
+            let r2 = be.rotate(x, 2).unwrap();
+            let r3 = be.rotate(x, 3).unwrap();
+            [r2, r3, be.mult(x, x).unwrap()]
+        };
+        let rev = |be: &ToyBackend, x: &ToyCt| {
+            let m = be.mult(x, x).unwrap();
+            let r3 = be.rotate(x, 3).unwrap();
+            [be.rotate(x, 2).unwrap(), r3, m]
+        };
+        let low_a = fwd(&be1, &lo1);
+        let high_a = fwd(&be1, &hi1);
+        let high_b = rev(&be2, &hi2);
+        let low_b = rev(&be2, &lo2);
+        for (a, b) in low_a.iter().zip(&low_b).chain(high_a.iter().zip(&high_b)) {
+            assert_eq!(a.c0, b.c0, "level {}", a.level);
+            assert_eq!(a.c1, b.c1, "level {}", a.level);
+        }
+    }
+
+    /// An owned copy of `p`'s limbs over `basis`, each prime looked up in
+    /// `p`'s own basis.
+    fn restrict(p: &RnsPoly, basis: &[usize], ctx: &RnsContext) -> RnsPoly {
+        let mut out = RnsPoly::with_basis(ctx.n, basis.to_vec(), p.ntt);
+        for (i, &bi) in basis.iter().enumerate() {
+            let src = p
+                .basis
+                .iter()
+                .position(|&x| x == bi)
+                .expect("prime in basis");
+            out.limb_view_mut(ctx, i)
+                .coeffs
+                .copy_from_slice(p.limb(src));
+        }
+        out
+    }
+
+    /// The extended basis `{q_0…q_l, P}` of a level-`l` key switch.
+    fn ext_basis(be: &ToyBackend, level: u32) -> Vec<usize> {
+        (0..be.rows(level)).chain([be.ctx.special]).collect()
+    }
+
+    /// Asserts that every limb of a coefficient-form polynomial holds the
+    /// same integer in `[-bound, bound]` at each position. Exact: such an
+    /// integer is fixed by any one of its residues, so agreement on every
+    /// limb pins the CRT value.
+    fn assert_small_coeffs(p: &RnsPoly, ctx: &RnsContext, bound: i64) {
+        assert!(!p.ntt);
+        let centered = |x: u64, q: u64| {
+            if x > q / 2 {
+                -i64::try_from(q - x).unwrap()
+            } else {
+                i64::try_from(x).unwrap()
+            }
+        };
+        let q0 = ctx.primes[p.basis[0]];
+        let first: Vec<i64> = p.limb(0).iter().map(|&x| centered(x, q0)).collect();
+        for (k, &v) in first.iter().enumerate() {
+            assert!((-bound..=bound).contains(&v), "coefficient {k} = {v}");
+        }
+        for i in 1..p.limbs() {
+            let q = ctx.primes[p.basis[i]];
+            for (k, (&x, &v)) in p.limb(i).iter().zip(&first).enumerate() {
+                assert_eq!(centered(x, q), v, "coefficient {k}, limb {i}");
+            }
+        }
+    }
+
+    /// `P·E_j mod q` for the level-`l` CRT idempotent `E_j` of `q_j`,
+    /// from its definition `E_j = (Q_l/q_j)·[(Q_l/q_j)^{-1} mod q_j]`.
+    fn payload_factor(ctx: &RnsContext, level: u32, j: usize, q: u64) -> u64 {
+        use crate::toy::modular::{invmod, mulmod};
+        let level_primes = &ctx.primes[..=level as usize];
+        let q_j = level_primes[j];
+        let cofactor = |m: u64| {
+            level_primes
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| k != j)
+                .fold(1, |acc, (_, &qk)| mulmod(acc, qk % m, m))
+        };
+        let e_j = mulmod(cofactor(q), invmod(cofactor(q_j), q_j) % q, q);
+        mulmod(ctx.primes[ctx.special] % q, e_j, q)
+    }
+
+    /// Relinearization and one Galois kind, each with its secret `w`.
+    fn kinds_under_test(be: &ToyBackend) -> [(KeyKind, Vec<i64>); 2] {
+        let t = be.enc.rotation_exponent(3);
+        [
+            (KeyKind::Relin, be.sk_squared.clone()),
+            (KeyKind::Galois(t), automorphism_i64(&be.sk, t)),
+        ]
+    }
+
+    #[test]
+    fn every_digit_of_a_sliced_chain_decrypts_to_its_payload() {
+        let be = backend();
+        let top = be.params.max_level;
+        for (kind, w) in kinds_under_test(&be) {
+            let chain = be.ksk(kind);
+            for level in [1, top / 2, top] {
+                let basis = ext_basis(&be, level);
+                let rows = be.rows(level);
+                let slice = &chain[..rows];
+                let s = be.sk_poly(rows, true);
+                let mut w_poly = RnsPoly::from_i64(&be.ctx, &w, rows, true);
+                w_poly.to_ntt(&be.ctx);
+                for (j, digit) in slice.iter().enumerate() {
+                    let b = restrict(digit.b.poly(), &basis, &be.ctx);
+                    let a = restrict(digit.a.poly(), &basis, &be.ctx);
+                    let factors: Vec<u64> = basis
+                        .iter()
+                        .map(|&bi| payload_factor(&be.ctx, level, j, be.ctx.primes[bi]))
+                        .collect();
+                    let payload = w_poly.mul_scalar_rows(&factors, &be.ctx);
+                    // b_j + a_j·s − P·E_j·w = e_j, with |e_j| ≤ 4 exactly.
+                    let mut e = b.add(&a.mul(&s, &be.ctx), &be.ctx).sub(&payload, &be.ctx);
+                    e.to_coeff(&be.ctx);
+                    assert_small_coeffs(&e, &be.ctx, 4);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_key_switch_through_the_slice_matches_an_owned_restricted_key() {
+        let be = backend();
+        let top = be.params.max_level;
+        let mut rng = StdRng::seed_from_u64(17);
+        for (kind, _) in kinds_under_test(&be) {
+            let chain = be.ksk(kind);
+            for level in [1, top / 2, top] {
+                let rows = be.rows(level);
+                let basis = ext_basis(&be, level);
+                let owned: Vec<(ShoupPoly, ShoupPoly)> = chain[..rows]
+                    .iter()
+                    .map(|k| {
+                        let cut = |p: &ShoupPoly| {
+                            ShoupPoly::new(restrict(p.poly(), &basis, &be.ctx), &be.ctx)
+                        };
+                        (cut(&k.b), cut(&k.a))
+                    })
+                    .collect();
+                let owned: Vec<(&ShoupPoly, &ShoupPoly)> =
+                    owned.iter().map(|(b, a)| (b, a)).collect();
+                let d = RnsPoly::uniform(&be.ctx, rows, false, true, &mut rng);
+                let digits = HoistedDigits::new(&be.ctx, &d);
+                let perm = match kind {
+                    KeyKind::Relin => None,
+                    KeyKind::Galois(t) => Some(automorphism_indices(be.ctx.n, t)),
+                };
+                for perm in [None, perm.as_ref().map(|p| p.as_slice())] {
+                    let sliced = keyswitch_fused(&digits, &key_pairs(&chain, rows), perm, &be.ctx);
+                    let want = keyswitch_fused(&digits, &owned, perm, &be.ctx);
+                    assert_eq!(sliced, want, "{kind:?} at level {level}");
+                }
+                // The backend's own key switch takes the same slice.
+                let (k0, k1) = be.keyswitch(&d, kind, level);
+                let (w0, w1) = keyswitch_fused(&digits, &owned, None, &be.ctx);
+                assert_eq!(k0, be.mod_down_special(w0), "{kind:?} at level {level}");
+                assert_eq!(k1, be.mod_down_special(w1), "{kind:?} at level {level}");
+            }
+        }
+    }
+
+    /// Heap bytes of every cached key chain, Shoup companions included.
+    fn key_bytes(be: &ToyBackend) -> usize {
+        let keys = be.keys.lock().unwrap();
+        keys.values()
+            .flat_map(|chain| chain.iter())
+            .map(|k| k.b.heap_bytes() + k.a.heap_bytes())
+            .sum()
+    }
+
+    #[test]
+    fn the_cache_holds_one_top_level_chain_per_kind() {
+        let be = backend();
+        let top = be.params.max_level;
+        let offsets = [1i64, 2, -3, 5, 17];
+        for level in 1..=top {
+            let x = be.encrypt(&[0.5, -1.0], level).unwrap();
+            let _ = be.mult(&x, &x).unwrap();
+            let _ = be.rotate_batch(&x, &offsets).unwrap();
+            let _ = be.rotate(&x, 2).unwrap();
+        }
+        let exponents: std::collections::HashSet<usize> = offsets
+            .iter()
+            .map(|&o| be.enc.rotation_exponent(o))
+            .collect();
+        let kinds = 1 + exponents.len();
+        let full = ext_basis(&be, top);
+        {
+            let keys = be.keys.lock().unwrap();
+            assert_eq!(keys.len(), kinds, "one chain per kind");
+            for (kind, chain) in keys.iter() {
+                assert_eq!(chain.len(), top as usize + 1, "{kind:?}: L+1 digits");
+                for k in chain.iter() {
+                    assert_eq!(k.b.poly().basis, full, "{kind:?}: L+2 limbs");
+                    assert_eq!(k.a.poly().basis, full, "{kind:?}: L+2 limbs");
+                }
+            }
+        }
+        // kinds × (L+1) digits × (L+2) limbs × 4 arrays × N words × 8 B.
+        let l = top as usize;
+        assert_eq!(key_bytes(&be), kinds * (l + 1) * (l + 2) * 4 * be.ctx.n * 8);
     }
 
     #[test]
