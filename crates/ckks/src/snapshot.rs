@@ -187,16 +187,25 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a length prefix, validated against remaining input and
-    /// [`MAX_LEN`].
+    /// [`MAX_LEN`]. Every element a length counts takes at least one
+    /// byte, so a length above the bytes that remain is corrupt, and a
+    /// caller may reserve capacity for any length this returns.
     ///
     /// # Errors
     ///
-    /// [`SnapError`] on truncation or an absurd length.
+    /// [`SnapError`] on truncation, a length above the remaining input, or
+    /// an absurd length.
     pub fn read_len(&mut self) -> Result<usize, SnapError> {
         let n = self.u32()? as usize;
         if n > MAX_LEN {
             return Err(SnapError::Malformed(format!(
                 "length {n} exceeds sanity cap"
+            )));
+        }
+        if n > self.remaining() {
+            return Err(SnapError::Malformed(format!(
+                "length {n} exceeds the {} bytes that remain",
+                self.remaining()
             )));
         }
         Ok(n)
@@ -336,6 +345,19 @@ mod tests {
         put_u32(&mut out, u32::MAX);
         let mut r = SnapReader::new(&out);
         assert!(matches!(r.read_len(), Err(SnapError::Malformed(_))));
+    }
+
+    #[test]
+    fn a_length_above_the_remaining_input_is_rejected() {
+        let mut out = Vec::new();
+        put_u32(&mut out, 5);
+        out.extend_from_slice(&[1, 2, 3, 4]);
+        assert!(matches!(
+            SnapReader::new(&out).read_len(),
+            Err(SnapError::Malformed(_))
+        ));
+        out.push(5);
+        assert_eq!(SnapReader::new(&out).read_len().unwrap(), 5);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The simulation backend carries plaintext semantics with modeled noise;
 //! this module grounds those semantics in real lattice arithmetic:
 //! negacyclic NTT polynomial rings, an RNS prime chain, RLWE
-//! encryption, relinearization and Galois key switching via per-prime
-//! digit decomposition with a special prime, and exact RNS rescaling.
+//! encryption, relinearization and Galois key switching via hybrid
+//! (`dnum`-digit) decomposition over special primes, and exact RNS
+//! rescaling.
 //! Bootstrapping remains a level-restoring re-encryption (`DESIGN.md` §4,
 //! substitution 2) — everything else is the genuine algebra.
 //!

@@ -45,7 +45,7 @@ use rand::Rng;
 use crate::metrics;
 use crate::parallel;
 use crate::toy::modular::{
-    addmod, invmod, is_prime, mul_shoup_lazy, mulmod, shoup_precompute, submod, Modulus,
+    addmod, invmod, is_prime, mul_shoup, mul_shoup_lazy, mulmod, shoup_precompute, submod, Modulus,
 };
 use crate::toy::ntt::NttTable;
 
@@ -108,22 +108,164 @@ fn release_buf(mut buf: Vec<u64>) {
 }
 
 /// The ring/modulus context shared by all polynomials of one scheme
-/// instance: the prime chain `[q₀ (base), q₁…q_L (level primes), P
-/// (special)]`, their NTT tables, and Barrett constants.
+/// instance: the prime chain `[q₀ (base), q₁…q_L (level primes), p₀…p_{k−1}
+/// (special)]`, their NTT tables, Barrett constants, and the basis
+/// conversions of hybrid key switching.
+///
+/// Key switching groups the level primes into digits of `alpha`
+/// consecutive primes (the last digit of a level may be partial) and
+/// extends each digit over the `k` special primes, whose product `P` is
+/// sized to cover the widest digit's product.
 #[derive(Debug)]
 pub struct RnsContext {
     /// Ring degree.
     pub n: usize,
-    /// The prime chain (base, levels…, special last).
+    /// The prime chain (base, levels…, then the `k` special primes).
     pub primes: Vec<u64>,
-    /// Index of the special prime (always `primes.len() − 1`).
+    /// Index of the first of the `k` special primes, which run to the end
+    /// of the chain (see [`RnsContext::special_primes`]).
     pub special: usize,
+    /// Level primes per key-switching digit (`α`); 1 is the per-prime
+    /// decomposition.
+    pub alpha: usize,
     /// NTT tables, aligned with `primes` (shared process-wide per
     /// `(n, p)` via [`NttTable::shared`]).
     pub tables: Vec<Arc<NttTable>>,
     /// Barrett constants, aligned with `primes` — the variable×variable
     /// reduction of the pointwise products.
     pub moduli: Vec<Modulus>,
+    /// ModUp conversions, one per digit shape: entry `e` converts out of
+    /// the digit whose last level prime is `q_e`, i.e. out of
+    /// `q_{α⌊e/α⌋}…q_e` (a full digit, or the partial last digit of level
+    /// `e`).
+    mod_up: Vec<BaseConv>,
+    /// The ModDown conversion out of the special primes.
+    mod_down: BaseConv,
+    /// One-prime conversions, one per level prime: the constants of a
+    /// rescale by that prime.
+    single: Vec<BaseConv>,
+}
+
+/// Fast basis conversion out of `Q = Π_{t∈S} q_t` for a run `S` of
+/// consecutive context primes (a key-switching digit, or the special
+/// primes): `x ↦ Σ_t [x_t·(Q/q_t)⁻¹]_{q_t}·(Q/q_t) mod p_j`. The result
+/// is `[x]_Q + u·Q` with `0 ≤ u < |S|`; for a single prime it is the
+/// plain lift `x_t mod p_j`.
+#[derive(Debug)]
+struct BaseConv {
+    /// Context indices of the source primes.
+    from: Range<usize>,
+    /// `(Q/q_t)⁻¹ mod q_t` with its Shoup companion, per source prime.
+    inv_hat: Vec<(u64, u64)>,
+    /// `(Q/q_t) mod p_j` with its Shoup companion, `|S|` pairs per context
+    /// prime `j` (zero on the source primes, which never convert into
+    /// themselves).
+    hat: Vec<(u64, u64)>,
+    /// `Q mod p_j` per context prime.
+    q_mod: Vec<u64>,
+    /// `Q⁻¹ mod p_j` with its Shoup companion per context prime (zero on
+    /// the source primes).
+    q_inv: Vec<(u64, u64)>,
+}
+
+impl BaseConv {
+    fn new(primes: &[u64], from: Range<usize>) -> BaseConv {
+        let src = &primes[from.clone()];
+        let shoup = |w: u64, p: u64| (w, shoup_precompute(w, p));
+        let product_mod = |skip: Option<usize>, p: u64| {
+            src.iter()
+                .enumerate()
+                .filter(|&(t, _)| Some(t) != skip)
+                .fold(1 % p, |acc, (_, &q)| mulmod(acc, q % p, p))
+        };
+        let inv_hat = src
+            .iter()
+            .enumerate()
+            .map(|(t, &q)| shoup(invmod(product_mod(Some(t), q), q), q))
+            .collect();
+        let mut hat = Vec::with_capacity(primes.len() * src.len());
+        for (j, &p) in primes.iter().enumerate() {
+            for t in 0..src.len() {
+                hat.push(if from.contains(&j) {
+                    (0, 0)
+                } else {
+                    shoup(product_mod(Some(t), p), p)
+                });
+            }
+        }
+        let q_mod: Vec<u64> = primes.iter().map(|&p| product_mod(None, p)).collect();
+        let q_inv = q_mod
+            .iter()
+            .zip(primes)
+            .enumerate()
+            .map(|(j, (&qm, &p))| {
+                if from.contains(&j) {
+                    (0, 0)
+                } else {
+                    shoup(invmod(qm, p), p)
+                }
+            })
+            .collect();
+        BaseConv {
+            from,
+            inv_hat,
+            hat,
+            q_mod,
+            q_inv,
+        }
+    }
+
+    /// The `(Q/q_t) mod p_j` pairs for target prime `j`.
+    fn hat_row(&self, j: usize) -> &[(u64, u64)] {
+        let s = self.from.len();
+        &self.hat[j * s..(j + 1) * s]
+    }
+}
+
+/// The target-prime half of a fast basis conversion: `acc = Σ_t y_t·w_t`
+/// over the source rows `y_t`, each with the Shoup pair of
+/// `w_t = (Q/q_t) mod p` and `⌊q_t/2⌋`. The sum is a raw `u64` of lazy
+/// Shoup products — any representative of the result, which the forward
+/// NTT's lazy pre-twist takes unreduced. `CENTRED` lifts each `y_t` into
+/// `(−q_t/2, q_t/2]`: a `y_t` above `⌊q_t/2⌋` also adds `neg_q ≡ −Q
+/// (mod p)`; otherwise `⌊q_t/2⌋` and `neg_q` are unread. Each term is
+/// below `2p` (`3p` centred), and a Barrett flush folds the sum back below
+/// `p` before a run of terms could overflow.
+fn conv_sum<'a, const CENTRED: bool>(
+    acc: &mut [u64],
+    m: Modulus,
+    neg_q: u64,
+    terms: impl Iterator<Item = (&'a [u64], (u64, u64), u64)>,
+) {
+    let bound = if CENTRED { 3 * m.p } else { m.twice_p };
+    let max_run = (u64::MAX / bound).max(2);
+    let mut run = 0;
+    for (t, (ys, (w, ws), half)) in terms.enumerate() {
+        let term = |y: u64| {
+            let lazy = mul_shoup_lazy(y, w, ws, m.p);
+            if CENTRED {
+                lazy + (neg_q & u64::from(y > half).wrapping_neg())
+            } else {
+                lazy
+            }
+        };
+        if t == 0 {
+            for (a, &y) in acc.iter_mut().zip(ys) {
+                *a = term(y);
+            }
+        } else {
+            if run == max_run {
+                for a in acc.iter_mut() {
+                    *a = m.reduce_u64(*a);
+                }
+                run = 1;
+            }
+            for (a, &y) in acc.iter_mut().zip(ys) {
+                *a += term(y);
+            }
+        }
+        run += 1;
+    }
 }
 
 /// Finds `count` NTT-friendly primes (`≡ 1 mod step`) as close to
@@ -153,29 +295,71 @@ pub fn primes_near(target: u64, step: u64, count: usize) -> Vec<u64> {
 }
 
 impl RnsContext {
-    /// Builds a context with `levels` 40-bit level primes plus a 59-bit
-    /// base prime and a 59-bit special prime, for ring degree `n`.
+    /// Builds a per-prime-digit context: `levels` 40-bit level primes plus
+    /// a 59-bit base prime and one 59-bit special prime, for ring degree
+    /// `n`.
     ///
     /// # Panics
     ///
     /// Panics if `n` is not a power of two.
     #[must_use]
     pub fn new(n: usize, levels: usize) -> RnsContext {
+        RnsContext::with_alpha(n, levels, 1)
+    }
+
+    /// Builds a context whose key-switching digits hold `alpha` level
+    /// primes each, with the fewest 59–60-bit special primes whose bit
+    /// lengths add up to at least the widest digit's. `alpha = 1` gives
+    /// one special prime and the chain of [`RnsContext::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a power of two or `alpha` is zero.
+    #[must_use]
+    pub(crate) fn with_alpha(n: usize, levels: usize, alpha: usize) -> RnsContext {
         assert!(n.is_power_of_two());
+        assert!(alpha >= 1, "a digit holds at least one prime");
         let step = 2 * n as u64;
-        let big = primes_near(1 << 59, step, 2);
-        let level_primes = primes_near(1 << 40, step, levels);
+        // q₀ plus up to α special-prime candidates: a digit holds at most
+        // one 59–60-bit prime and α−1 40–41-bit ones, so α special primes
+        // always cover it. The search order is fixed, so the first two
+        // are the chain's q₀ and P whatever the count.
+        let big = primes_near(1 << 59, step, 1 + alpha);
         let mut primes = vec![big[0]];
-        primes.extend(level_primes);
-        primes.push(big[1]);
+        primes.extend(primes_near(1 << 40, step, levels));
+        // Per-prime digits keep the chain's one special prime (q₀ and P
+        // are both ≈ 2^59, either side of it).
+        let bits = |q: &u64| 64 - q.leading_zeros();
+        let widest: u32 = primes
+            .chunks(alpha)
+            .map(|g| g.iter().map(bits).sum())
+            .max()
+            .expect("at least the base prime");
+        let mut k = 1;
+        while alpha > 1 && big[1..=k].iter().map(bits).sum::<u32>() < widest {
+            k += 1;
+        }
+        let special = primes.len();
+        primes.extend_from_slice(&big[1..=k]);
         let tables = primes.iter().map(|&p| NttTable::shared(n, p)).collect();
         let moduli = primes.iter().map(|&p| Modulus::new(p)).collect();
+        let mod_up = (0..special)
+            .map(|e| BaseConv::new(&primes, e / alpha * alpha..e + 1))
+            .collect();
+        let mod_down = BaseConv::new(&primes, special..primes.len());
+        let single = (0..special)
+            .map(|j| BaseConv::new(&primes, j..j + 1))
+            .collect();
         RnsContext {
             n,
             primes,
-            special: levels + 1,
+            special,
+            alpha,
             tables,
             moduli,
+            mod_up,
+            mod_down,
+            single,
         }
     }
 
@@ -184,6 +368,33 @@ impl RnsContext {
     #[must_use]
     pub fn rows_at_level(&self, level: u32) -> usize {
         level as usize + 1
+    }
+
+    /// Context indices of the `k` special primes.
+    #[must_use]
+    pub fn special_primes(&self) -> Range<usize> {
+        self.special..self.primes.len()
+    }
+
+    /// Number of key-switching digits over `rows` level primes:
+    /// `⌈rows/α⌉`.
+    #[must_use]
+    pub fn digits_at(&self, rows: usize) -> usize {
+        rows.div_ceil(self.alpha)
+    }
+
+    /// The level primes of digit `g` of a key switch over `rows` level
+    /// primes: `q_{gα}…q_{min((g+1)α, rows)−1}`.
+    #[must_use]
+    pub fn digit_primes(&self, rows: usize, g: usize) -> Range<usize> {
+        let start = g * self.alpha;
+        start..rows.min(start + self.alpha)
+    }
+
+    /// `P mod q_j`, where `P` is the product of the special primes.
+    #[must_use]
+    pub fn special_product_mod(&self, j: usize) -> u64 {
+        self.mod_down.q_mod[j]
     }
 }
 
@@ -285,7 +496,7 @@ fn ranges_overlap(a: &Range<*const u64>, b: &Range<*const u64>) -> bool {
 /// a single contiguous limb-major buffer (see the [module docs](self)).
 ///
 /// The basis is a *prefix* of the context's level chain, optionally
-/// extended by the special prime.
+/// extended by the special primes.
 #[derive(Debug, PartialEq)]
 pub struct RnsPoly {
     /// Flat limb-major storage (`basis.len() · n` elements).
@@ -321,12 +532,13 @@ impl Drop for RnsPoly {
 }
 
 impl RnsPoly {
-    /// The all-zero polynomial over `rows` level primes (+ special).
+    /// The all-zero polynomial over `rows` level primes (+ the special
+    /// primes).
     #[must_use]
     pub fn zero(ctx: &RnsContext, rows: usize, with_special: bool, ntt: bool) -> RnsPoly {
         let mut basis: Vec<usize> = (0..rows).collect();
         if with_special {
-            basis.push(ctx.special);
+            basis.extend(ctx.special_primes());
         }
         RnsPoly::with_basis(ctx.n, basis, ntt)
     }
@@ -715,55 +927,84 @@ impl RnsPoly {
         self.basis.truncate(keep);
     }
 
-    /// Exact RNS division by the top prime with centered rounding — the
-    /// `rescale` kernel and (when the top limb is the special prime) the
-    /// key-switch mod-down. Drops the top limb and folds its centered
-    /// correction into the surviving limbs without leaving the evaluation
-    /// domain: only the dropped limb is inverse-transformed, and each
-    /// survivor gets one forward NTT of its lifted correction instead of a
-    /// full inverse/forward round trip (`1 + (limbs−1)` rows instead of
-    /// `limbs + (limbs−1)`).
+    /// Exact RNS division by the product `P` of the top `k` primes, with
+    /// rounding — the `rescale` kernel (`k = 1`, a level prime on top) and
+    /// the key-switch ModDown (the `k` special primes on top). Drops the
+    /// top `k` limbs and folds a lift `c ≡ x (mod P)` of them into the
+    /// surviving limbs without leaving the evaluation domain: only the
+    /// dropped limbs are inverse-transformed, and each survivor gets one
+    /// forward NTT of its lifted correction instead of a full
+    /// inverse/forward round trip (`k + (limbs−k)` rows instead of
+    /// `limbs + (limbs−k)`).
     ///
-    /// Bit-identical to the coefficient-domain division (the unit tests'
-    /// oracle): the NTT is `Z_q`-linear and commutes with scalar
-    /// multiplication, so `NTT((x − t̄)·q_top⁻¹) = (NTT(x) − NTT(t̄))·q_top⁻¹`
-    /// holds exactly over canonical residues.
+    /// The lift is a fast basis conversion with centred terms:
+    /// `c = Σ_t ȳ_t·(P/p_t)`, where `ȳ_t` is `[x_t·(P/p_t)⁻¹]_{p_t}` lifted
+    /// into `(−p_t/2, p_t/2]`. So `|c| < k·P/2`, and the result
+    /// `(x − c)/P` lies within `k` of `k` successive one-prime divisions
+    /// (the unit tests' bound). At `k = 1` the lift is the centred residue
+    /// itself: the centred-rounding division, bit for bit.
+    ///
+    /// Exact in the evaluation domain: the NTT is `Z_q`-linear and
+    /// commutes with scalar multiplication, so
+    /// `NTT((x − c)·P⁻¹) = (NTT(x) − NTT(c))·P⁻¹` holds exactly over
+    /// canonical residues (the unit tests' oracle is the
+    /// coefficient-domain division).
     ///
     /// # Panics
     ///
-    /// Panics in coefficient form or with fewer than two limbs.
-    pub fn mod_down_top_ntt(&mut self, ctx: &RnsContext) {
+    /// Panics in coefficient form, with no limb left after the division,
+    /// or when `k > 1` and the top `k` limbs are not the context's special
+    /// primes.
+    pub fn mod_down_top_ntt(&mut self, ctx: &RnsContext, k: usize) {
         assert!(self.ntt, "mod_down_top_ntt requires NTT form");
-        assert!(self.limbs() >= 2);
+        assert!(k >= 1 && self.limbs() > k, "cannot divide away every limb");
         let n = self.n;
-        let top_bi = self.basis.pop().expect("non-empty");
-        let q_top = ctx.primes[top_bi];
-        let half = q_top / 2;
-        let split = self.data.len() - n;
-        let mut top = acquire_buf_raw(n);
+        let keep = self.limbs() - k;
+        let dropped = self.basis.split_off(keep);
+        let split = keep * n;
+        let mut top = acquire_buf_raw(k * n);
         top.copy_from_slice(&self.data[split..]);
-        ctx.tables[top_bi].inverse(&mut top);
-        metrics::count_ntt_inverse_rows(1);
-        metrics::count_ntt_forward_rows((split / n) as u64);
+        for (row, &bi) in top.chunks_exact_mut(n).zip(&dropped) {
+            ctx.tables[bi].inverse(row);
+        }
+        metrics::count_ntt_inverse_rows(k as u64);
+        metrics::count_ntt_forward_rows(keep as u64);
         self.data.truncate(split);
+        let conv = if dropped.iter().copied().eq(ctx.special_primes()) {
+            &ctx.mod_down
+        } else {
+            assert_eq!(k, 1, "a {k}-prime mod-down divides by the special primes");
+            &ctx.single[dropped[0]]
+        };
+        // Scale each dropped row to y_t in place (one prime: y = x).
+        if k > 1 {
+            for ((row, &bi), &(w, ws)) in top.chunks_exact_mut(n).zip(&dropped).zip(&conv.inv_hat) {
+                let p = ctx.primes[bi];
+                for y in row.iter_mut() {
+                    *y = mul_shoup(*y, w, ws, p);
+                }
+            }
+        }
+        let halves: Vec<u64> = dropped.iter().map(|&bi| ctx.primes[bi] / 2).collect();
         let top_ref: &[u64] = &top;
         let RnsPoly { data, basis, .. } = self;
         let basis: &[usize] = basis;
         parallel::par_for_each_limb(data, n, split, |i, limb| {
-            let q = ctx.primes[basis[i]];
-            let q_top_inv = invmod(q_top % q, q);
+            let bi = basis[i];
+            let m = ctx.moduli[bi];
+            let q = m.p;
+            let (p_inv, p_inv_shoup) = conv.q_inv[bi];
+            let terms = top_ref
+                .chunks_exact(n)
+                .zip(conv.hat_row(bi))
+                .zip(&halves)
+                .map(|((ys, &w), &half)| (ys, w, half));
             let mut corr = acquire_buf_raw(n);
-            for (c, &t) in corr.iter_mut().zip(top_ref) {
-                // Centered lift of the dropped residue into this prime.
-                *c = if t > half {
-                    submod(t % q, q_top % q, q)
-                } else {
-                    t % q
-                };
-            }
-            ctx.tables[basis[i]].forward(&mut corr);
+            // Centring ȳ_t = y_t − p_t adds −P to that term's product.
+            conv_sum::<true>(&mut corr, m, q - conv.q_mod[bi], terms);
+            ctx.tables[bi].forward(&mut corr);
             for (x, &u) in limb.iter_mut().zip(corr.iter()) {
-                *x = mulmod(submod(*x, u, q), q_top_inv, q);
+                *x = mul_shoup(submod(*x, u, q), p_inv, p_inv_shoup, q);
             }
             release_buf(corr);
         });
@@ -865,11 +1106,13 @@ impl ShoupPoly {
     }
 }
 
-/// The GHS gadget decomposition of one polynomial, all digits in a single
-/// flat buffer (digit-major, each digit limb-major over the extended basis
-/// `{q_0…q_l, P}`): digit `j` is residue row `j` of the input lifted
-/// across the extended basis and transformed to NTT form. This is the
-/// Halevi–Shoup hoisting layout — every digit is lifted and transformed
+/// The hybrid (Han–Ki) gadget decomposition of one polynomial, all digits
+/// in a single flat buffer (digit-major, each digit limb-major over the
+/// extended basis `{q_0…q_l, p_0…p_{k−1}}`). Digit `g` is the input's
+/// residue at `Q_g`, the product of the digit's `α` level primes (see
+/// [`RnsContext::digit_primes`]), raised to the extended basis by fast
+/// basis conversion (ModUp) and transformed to NTT form. This is the
+/// Halevi–Shoup hoisting layout — every digit is raised and transformed
 /// exactly once, then shared read-only by every key switch of the input
 /// (one for relinearization, one per offset of a rotation batch). Views
 /// are borrowed; the buffer recycles into the pool on drop.
@@ -882,45 +1125,82 @@ pub struct HoistedDigits {
 }
 
 impl HoistedDigits {
-    /// Decomposes `d` (level basis, either form).
+    /// Decomposes `d` (level basis, either form) into `⌈rows/α⌉` digits.
     ///
-    /// The shared work — the inverse NTT of the input — runs once. Digit
-    /// rows stay in the `[0, 4p)` redundant form of
+    /// On the primes of digit `g` itself the raised digit is `d`'s own
+    /// residue, so for NTT-form input its rows are the input's NTT rows,
+    /// copied instead of recomputed. Every other limb gets the fast
+    /// conversion `Σ_t [x_t·(Q_g/q_t)⁻¹]_{q_t}·(Q_g/q_t) mod p`, which is
+    /// `[d]_{Q_g} + u·Q_g` with `0 ≤ u < α`. The extra multiple of `Q_g` is
+    /// harmless: digit `g`'s key payload carries `Ê_g`, and
+    /// `Q_g·Ê_g ≡ 0 (mod Q_l)`. With one prime per digit the conversion
+    /// is the plain lift `x_j mod p`.
+    ///
+    /// The shared work — the inverse NTT of the input and the `y_t` rows —
+    /// runs once. Digit rows stay in the `[0, 4p)` redundant form of
     /// [`NttTable::forward_redundant`]: their only consumers are the
     /// `mul_shoup_lazy` key products of [`keyswitch_fused`], whose single
-    /// Barrett reduction canonicalizes any representative. For NTT-form
-    /// input, digit `j` at its own prime `q_j` is the identity lift of a
-    /// row already `< q_j`, so its transform is the input's own NTT row,
-    /// copied instead of recomputed.
+    /// Barrett reduction canonicalizes any representative.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `d`'s basis is a prefix of the level primes.
     #[must_use]
     pub fn new(ctx: &RnsContext, d: &RnsPoly) -> HoistedDigits {
         metrics::count_digit_decompose();
+        let rows = d.limbs();
+        assert!(
+            d.basis.iter().copied().eq(0..rows),
+            "digits decompose a level-basis polynomial"
+        );
         let d_ntt = d.ntt.then_some(d);
         let mut d_coeff = d.clone();
         if d_coeff.ntt {
             d_coeff.to_coeff(ctx);
         }
-        let digits = d.limbs();
         let n = d.n;
-        let ext_basis: Vec<usize> = (0..digits).chain([ctx.special]).collect();
+        let digits = ctx.digits_at(rows);
+        let convs: Vec<&BaseConv> = (0..digits)
+            .map(|g| &ctx.mod_up[ctx.digit_primes(rows, g).end - 1])
+            .collect();
+        // y_t = [x_t·(Q_g/q_t)⁻¹]_{q_t}, the half of every conversion that
+        // does not depend on the target prime: one row per level prime.
+        let mut y_rows = acquire_buf_raw(rows * n);
+        parallel::par_for_each_limb(&mut y_rows, n, rows * n, |t, row| {
+            let conv = convs[t / ctx.alpha];
+            let (w, ws) = conv.inv_hat[t - conv.from.start];
+            let q = ctx.primes[t];
+            for (y, &x) in row.iter_mut().zip(d_coeff.limb(t)) {
+                *y = mul_shoup(x, w, ws, q);
+            }
+        });
+        let ext_basis: Vec<usize> = (0..rows).chain(ctx.special_primes()).collect();
         let ext = ext_basis.len();
         let mut data = acquire_buf_raw(digits * ext * n);
         let basis: &[usize] = &ext_basis;
+        let ys: &[u64] = &y_rows;
         parallel::par_for_each_limb(&mut data, n, digits * ext * n, |idx, limb| {
-            let (j, i) = (idx / ext, idx % ext);
-            if let Some(dn) = d_ntt {
-                if basis[i] == dn.basis[j] {
-                    limb.copy_from_slice(dn.limb(j));
+            let conv = convs[idx / ext];
+            let bi = basis[idx % ext];
+            if conv.from.contains(&bi) {
+                // An own prime: [d]_{Q_g} ≡ d (mod q_i), already reduced.
+                if let Some(dn) = d_ntt {
+                    limb.copy_from_slice(dn.limb(bi));
                     return;
                 }
+                limb.copy_from_slice(d_coeff.limb(bi));
+            } else {
+                let terms = conv
+                    .from
+                    .clone()
+                    .zip(conv.hat_row(bi))
+                    .map(|(t, &w)| (&ys[t * n..(t + 1) * n], w, 0));
+                conv_sum::<false>(limb, ctx.moduli[bi], 0, terms);
             }
-            let m = ctx.moduli[basis[i]];
-            for (x, &v) in limb.iter_mut().zip(d_coeff.limb(j)) {
-                *x = m.reduce_u64(v);
-            }
-            ctx.tables[basis[i]].forward_redundant(limb);
+            ctx.tables[bi].forward_redundant(limb);
         });
-        let transformed = (digits * ext - if d_ntt.is_some() { digits } else { 0 }) as u64;
+        release_buf(y_rows);
+        let transformed = (digits * ext - if d_ntt.is_some() { rows } else { 0 }) as u64;
         metrics::count_ntt_forward_rows(transformed);
         metrics::count_digit_ntt_rows(transformed);
         HoistedDigits {
@@ -981,9 +1261,10 @@ impl Drop for HoistedDigits {
 /// permuted digit.
 ///
 /// Key rows are read by prime, not by position: the digits' level primes
-/// must be a prefix of the keys' basis and the special prime the last
-/// limb of both. A key generated over a longer level chain therefore
-/// serves a lower level in place, with no restricted copy.
+/// must be a prefix of the keys' basis and the `k` special primes the last
+/// limbs of both. Level limb `i` reads key row `i`, and special limb `t`
+/// reads the key's special row `t`. A key generated over a longer level
+/// chain therefore serves a lower level in place, with no restricted copy.
 ///
 /// # Panics
 ///
@@ -1004,7 +1285,8 @@ pub fn keyswitch_fused(
     let ext = digits.ext_basis.len();
     let basis: &[usize] = &digits.ext_basis;
     let key_basis: &[usize] = &keys[0].0.poly.basis;
-    let (level_primes, special) = basis.split_at(ext - 1);
+    let rows = ext - ctx.special_primes().len();
+    let (level_primes, special) = basis.split_at(rows);
     assert!(
         key_basis.starts_with(level_primes) && key_basis.ends_with(special),
         "key basis {key_basis:?} does not cover the digit basis {basis:?}"
@@ -1013,10 +1295,10 @@ pub fn keyswitch_fused(
         assert_eq!(kb.poly.basis, key_basis, "key basis mismatch");
         assert_eq!(ka.poly.basis, key_basis, "key basis mismatch");
     }
-    // Output limb `i` reads key row `i`, except the special limb, which
-    // reads the key's last row.
-    let key_top = key_basis.len() - 1;
-    let key_row = |i: usize| if i + 1 == ext { key_top } else { i };
+    // Level limbs read their own key row; the special limbs read the
+    // key's special suffix.
+    let key_skip = key_basis.len() - ext;
+    let key_row = |i: usize| if i < rows { i } else { i + key_skip };
     if let Some(p) = perm {
         assert_eq!(p.len(), n, "permutation length mismatch");
     }
@@ -1106,6 +1388,33 @@ pub fn keyswitch_fused(
         ntt: true,
     };
     (mk(d0), mk(d1))
+}
+
+/// Asserts that every limb of a coefficient-form polynomial holds the
+/// same integer in `[-bound, bound]` at each position. Exact: such an
+/// integer is fixed by any one of its residues, so agreement on every
+/// limb pins the CRT value.
+#[cfg(test)]
+pub(crate) fn assert_small_coeffs(p: &RnsPoly, ctx: &RnsContext, bound: i64) {
+    assert!(!p.ntt);
+    let centered = |x: u64, q: u64| {
+        if x > q / 2 {
+            -i64::try_from(q - x).unwrap()
+        } else {
+            i64::try_from(x).unwrap()
+        }
+    };
+    let q0 = ctx.primes[p.basis[0]];
+    let first: Vec<i64> = p.limb(0).iter().map(|&x| centered(x, q0)).collect();
+    for (k, &v) in first.iter().enumerate() {
+        assert!((-bound..=bound).contains(&v), "coefficient {k} = {v}");
+    }
+    for i in 1..p.limbs() {
+        let q = ctx.primes[p.basis[i]];
+        for (k, (&x, &v)) in p.limb(i).iter().zip(&first).enumerate() {
+            assert_eq!(centered(x, q), v, "coefficient {k}, limb {i}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1238,8 +1547,111 @@ mod tests {
             rescale_by_top(&mut want, &c);
             want.to_ntt(&c);
             let mut got = x;
-            got.mod_down_top_ntt(&c);
+            got.mod_down_top_ntt(&c, 1);
             assert_eq!(got, want, "{rows} rows, special on top: {with_special}");
+        }
+    }
+
+    #[test]
+    fn special_primes_are_the_fewest_that_cover_the_widest_digit() {
+        let bits = |q: u64| 64 - q.leading_zeros();
+        let per_prime = RnsContext::new(64, 16);
+        for alpha in 1..=5 {
+            let c = RnsContext::with_alpha(64, 16, alpha);
+            assert_eq!(c.alpha, alpha);
+            // q₀, the level primes and the first special prime never move.
+            assert_eq!(c.primes[..=c.special], per_prime.primes[..]);
+            let k = c.special_primes().len();
+            let widest = c.primes[..c.special]
+                .chunks(alpha)
+                .map(|g| g.iter().map(|&q| bits(q)).sum::<u32>())
+                .max()
+                .unwrap();
+            let covered = |k: usize| {
+                c.primes[c.special..c.special + k]
+                    .iter()
+                    .map(|&q| bits(q))
+                    .sum::<u32>()
+            };
+            if alpha == 1 {
+                assert_eq!(k, 1, "per-prime digits keep one special prime");
+            } else {
+                assert!(
+                    covered(k) >= widest && covered(k - 1) < widest,
+                    "α = {alpha}"
+                );
+            }
+            assert_eq!(c.digits_at(17), 17usize.div_ceil(alpha));
+            assert_eq!(c.digit_primes(17, 17 / alpha), 17 / alpha * alpha..17);
+        }
+    }
+
+    #[test]
+    fn mod_down_over_k_special_primes_stays_within_k_of_k_one_prime_divisions() {
+        let mut rng = StdRng::seed_from_u64(43);
+        for alpha in [2, 3] {
+            let c = RnsContext::with_alpha(32, 4, alpha);
+            let k = c.special_primes().len();
+            assert_eq!(k, alpha, "32-degree chain, α = {alpha}");
+            for rows in [1, 3, 5] {
+                let x = RnsPoly::uniform(&c, rows, true, true, &mut rng);
+                let mut want = x.clone();
+                want.to_coeff(&c);
+                for _ in 0..k {
+                    rescale_by_top(&mut want, &c);
+                }
+                want.to_ntt(&c);
+                let mut got = x;
+                got.mod_down_top_ntt(&c, k);
+                assert_eq!(got.basis, want.basis);
+                let mut diff = got.sub(&want, &c);
+                diff.to_coeff(&c);
+                assert_small_coeffs(&diff, &c, k as i64);
+            }
+        }
+    }
+
+    #[test]
+    fn conv_sum_matches_modular_sums_past_the_flush_point() {
+        // Forty terms into the chain's largest (≈ 2^59) prime: more than
+        // the ⌊2^64/2p⌋ plain or ⌊2^64/3p⌋ centred terms a `u64` holds,
+        // so the result is only exact if the Barrett flush fires.
+        let c = RnsContext::with_alpha(32, 4, 3);
+        let j = (0..c.primes.len()).max_by_key(|&j| c.primes[j]).unwrap();
+        let (m, p) = (c.moduli[j], c.primes[j]);
+        assert!(40 > u64::MAX / m.twice_p);
+        let mut rng = StdRng::seed_from_u64(5);
+        let terms: Vec<(Vec<u64>, u64, u64)> = (0..40)
+            .map(|t| {
+                let q = c.primes[t % c.primes.len()];
+                let ys = (0..c.n).map(|_| rng.gen_range(0..q)).collect();
+                (ys, rng.gen_range(0..p), q / 2)
+            })
+            .collect();
+        let neg_q = rng.gen_range(0..p);
+        let feed = || {
+            terms
+                .iter()
+                .map(|(ys, w, half)| (&ys[..], (*w, shoup_precompute(*w, p)), *half))
+        };
+        let mut plain = vec![0; c.n];
+        conv_sum::<false>(&mut plain, m, neg_q, feed());
+        let mut centred = vec![0; c.n];
+        conv_sum::<true>(&mut centred, m, neg_q, feed());
+        for k in 0..c.n {
+            let (mut want_plain, mut want_centred) = (0, 0);
+            for (ys, w, half) in &terms {
+                let prod = mulmod(ys[k] % p, *w, p);
+                want_plain = addmod(want_plain, prod, p);
+                let lift = if ys[k] > *half { neg_q } else { 0 };
+                want_centred = addmod(want_centred, addmod(prod, lift, p), p);
+            }
+            assert_eq!(m.reduce_u64(plain[k]), want_plain, "plain, coefficient {k}");
+            assert_eq!(
+                m.reduce_u64(centred[k]),
+                want_centred,
+                "centred, coefficient {k}"
+            );
         }
     }
 
@@ -1393,6 +1805,147 @@ mod tests {
         // Keys over {q_0, q_1, P} cannot serve digits over {q_0…q_2, P}.
         let key = ShoupPoly::new(RnsPoly::uniform(&c, 2, true, true, &mut rng), &c);
         let _ = keyswitch_fused(&digits, &[(&key, &key); 3], None, &c);
+    }
+
+    /// `[x]_Q mod p` for `Q = Π primes`, from the residues of `x` at those
+    /// primes, by Garner's mixed-radix CRT: `[x]_Q = Σ_i a_i·Π_{l<i} q_l`
+    /// with `a_i < q_i`, every step modular, so no big integers.
+    fn exact_residue_mod(residues: &[u64], primes: &[u64], p: u64) -> u64 {
+        let mut mixed: Vec<u64> = Vec::with_capacity(primes.len());
+        for (&x, &q) in residues.iter().zip(primes) {
+            let (mut prefix, mut radix) = (0, 1 % q);
+            for (&a, &ql) in mixed.iter().zip(primes) {
+                prefix = addmod(prefix, mulmod(a % q, radix, q), q);
+                radix = mulmod(radix, ql % q, q);
+            }
+            mixed.push(mulmod(submod(x, prefix, q), invmod(radix, q), q));
+        }
+        let (mut v, mut radix) = (0, 1 % p);
+        for (&a, &q) in mixed.iter().zip(primes) {
+            v = addmod(v, mulmod(a % p, radix, p), p);
+            radix = mulmod(radix, q % p, p);
+        }
+        v
+    }
+
+    /// `[d]_{Q_g} + u·Q_g` over `basis`, coefficient form, for the level
+    /// primes `group` of one digit and one `u` per coefficient.
+    fn raise_exactly(
+        c: &RnsContext,
+        d_coeff: &RnsPoly,
+        group: Range<usize>,
+        basis: &[usize],
+        u: &[u64],
+    ) -> RnsPoly {
+        let primes: Vec<u64> = group.clone().map(|t| c.primes[t]).collect();
+        let mut out = RnsPoly::with_basis(c.n, basis.to_vec(), false);
+        for (i, &bi) in basis.iter().enumerate() {
+            let p = c.primes[bi];
+            let q_g = primes.iter().fold(1 % p, |a, &q| mulmod(a, q % p, p));
+            for (k, x) in out.limb_slice_mut(i).iter_mut().enumerate() {
+                let residues: Vec<u64> = group.clone().map(|t| d_coeff.limb(t)[k]).collect();
+                let exact = exact_residue_mod(&residues, &primes, p);
+                *x = addmod(exact, mulmod(u[k], q_g, p), p);
+            }
+        }
+        out
+    }
+
+    /// Digit `g` of the slab as a canonical coefficient-form polynomial.
+    fn digit_coeffs(c: &RnsContext, digits: &HoistedDigits, g: usize) -> RnsPoly {
+        let view = digits.digit(g);
+        let mut out = RnsPoly::with_basis(c.n, view.basis().to_vec(), true);
+        for i in 0..view.limbs() {
+            let q = c.primes[view.basis()[i]];
+            for (x, &v) in out.limb_slice_mut(i).iter_mut().zip(view.limb(i)) {
+                *x = v % q;
+            }
+        }
+        out.to_coeff(c);
+        out
+    }
+
+    #[test]
+    fn hybrid_keyswitch_matches_a_textbook_inner_product_over_exact_digits() {
+        let mut rng = StdRng::seed_from_u64(77);
+        for alpha in [2, 3] {
+            let c = RnsContext::with_alpha(32, 4, alpha);
+            let specials: Vec<usize> = c.special_primes().collect();
+            // A top-level key chain over {q_0…q_4, p_0…p_{k−1}}.
+            let keys: Vec<(ShoupPoly, ShoupPoly)> = (0..c.digits_at(5))
+                .map(|_| {
+                    let mut key =
+                        || ShoupPoly::new(RnsPoly::uniform(&c, 5, true, true, &mut rng), &c);
+                    (key(), key())
+                })
+                .collect();
+            let mut nonzero_u = false;
+            // Five rows end in a partial digit at α = 2 and α = 3; four
+            // rows end in a partial one at α = 3.
+            for rows in [5, 4] {
+                let d = RnsPoly::uniform(&c, rows, false, true, &mut rng);
+                let mut d_coeff = d.clone();
+                d_coeff.to_coeff(&c);
+                let basis: Vec<usize> = (0..rows).chain(specials.iter().copied()).collect();
+                let digits = HoistedDigits::new(&c, &d);
+                let nd = rows.div_ceil(alpha);
+                assert_eq!(digits.digits(), nd);
+                let mut raised = Vec::with_capacity(nd);
+                for g in 0..nd {
+                    let group = g * alpha..rows.min((g + 1) * alpha);
+                    let fast = digit_coeffs(&c, &digits, g);
+                    // Read u off the first special limb (outside every
+                    // digit), where fast − exact must be u·Q_g, 0 ≤ u < α.
+                    let first =
+                        raise_exactly(&c, &d_coeff, group.clone(), &specials[..1], &vec![0; c.n]);
+                    let p = c.primes[specials[0]];
+                    let q_g = group
+                        .clone()
+                        .fold(1 % p, |a, t| mulmod(a, c.primes[t] % p, p));
+                    let at = basis.len() - specials.len();
+                    let u: Vec<u64> = (0..c.n)
+                        .map(|k| {
+                            let diff = submod(fast.limb(at)[k], first.limb(0)[k], p);
+                            (0..alpha as u64)
+                                .find(|&u| mulmod(u, q_g, p) == diff)
+                                .unwrap_or_else(|| {
+                                    panic!(
+                                        "α = {alpha}, digit {g}, coefficient {k}: not [d]_Q + u·Q"
+                                    )
+                                })
+                        })
+                        .collect();
+                    nonzero_u |= u.iter().any(|&u| u > 0);
+                    // The same u on every limb, own primes included.
+                    let exact = raise_exactly(&c, &d_coeff, group, &basis, &u);
+                    assert_eq!(fast, exact, "α = {alpha}, {rows} rows, digit {g}");
+                    raised.push(exact);
+                }
+                // Textbook inner product over the exact digits, key rows
+                // read by prime: level limb i ↦ row i, special t ↦ row 5+t.
+                let pairs: Vec<(&ShoupPoly, &ShoupPoly)> =
+                    keys[..nd].iter().map(|(b, a)| (b, a)).collect();
+                let (acc0, acc1) = keyswitch_fused(&digits, &pairs, None, &c);
+                for (half, acc) in [(0, acc0), (1, acc1)] {
+                    let mut want = RnsPoly::with_basis(c.n, basis.clone(), true);
+                    for (digit, (kb, ka)) in raised.iter().zip(&keys) {
+                        let mut digit = digit.clone();
+                        digit.to_ntt(&c);
+                        let key = if half == 0 { kb } else { ka };
+                        for (i, &bi) in basis.iter().enumerate() {
+                            let row = key.poly().basis.iter().position(|&x| x == bi).unwrap();
+                            let q = c.primes[bi];
+                            let kw = key.poly().limb(row);
+                            for (k, o) in want.limb_slice_mut(i).iter_mut().enumerate() {
+                                *o = addmod(*o, mulmod(digit.limb(i)[k], kw[k], q), q);
+                            }
+                        }
+                    }
+                    assert_eq!(acc, want, "α = {alpha}, {rows} rows, half {half}");
+                }
+            }
+            assert!(nonzero_u, "α = {alpha}: some digit must overshoot by u ≥ 1");
+        }
     }
 
     #[test]

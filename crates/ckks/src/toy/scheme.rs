@@ -1,21 +1,29 @@
 //! The toy RNS-CKKS scheme: keys, encryption, and homomorphic evaluation.
 //!
-//! Key switching uses per-prime digit decomposition with one special
-//! prime (GHS-style): for a ciphertext at level `l`, the extended
-//! polynomial `d` is decomposed into its residue rows `[d]_{q_j}`, each
-//! multiplied by a key-switching key encrypting `P·E_j·w` (where `E_j` is
-//! the CRT idempotent of `q_j` in `Q_l`), accumulated over the extended
-//! basis `{q_0…q_l, P}`, and divided by `P` with centered rounding. The
-//! identity `Σ_j [d]_{q_j}·E_j ≡ d (mod Q_l)` makes the accumulated pair
-//! decrypt to `P·d·w + small`, so the mod-down yields `d·w + tiny`.
+//! Key switching is Han–Ki hybrid key switching. The level primes are
+//! grouped into digits of `α = ⌈(L+1)/dnum⌉` consecutive primes (at most
+//! `dnum` digits), and `k` special primes with product `P` extend every
+//! digit (the fewest whose bit lengths cover the widest digit's). For a
+//! ciphertext at level `l`, the polynomial `d` is decomposed into its
+//! residues `[d]_{Q_g}` at each digit's product `Q_g` (the last digit may
+//! be partial), raised to the extended basis `{q_0…q_l, p_0…p_{k−1}}`
+//! (ModUp), multiplied by a key-switching key encrypting `P·Ê_g·w` (where
+//! `Ê_g` is the CRT idempotent of digit `g` in `Q_l`), accumulated, and
+//! divided by `P` (ModDown). The identity `Σ_g [d]_{Q_g}·Ê_g ≡ d (mod Q_l)`
+//! makes the accumulated pair decrypt to `P·d·w + small`, so the ModDown
+//! yields `d·w + tiny`. `dnum` is [`DNUM`]; below `DNUM` levels every
+//! digit holds one prime, the per-prime decomposition (`α = 1`, `k = 1`).
 //!
 //! Keys are generated lazily, one chain per kind (relinearization, or one
-//! Galois exponent), always at the top level `L`: digits `0..=L` over the
-//! limbs `{q_0…q_L, P}`. A level-`l` key switch borrows the slice of
-//! digits `0..=l` and reads only the limbs `{q_0…q_l, P}` of each. The
-//! slice is a valid level-`l` key: digit `j`'s payload `P·E_j·w` is
-//! `δ_ij·(P mod q_j)·w` modulo every level prime `q_i` and 0 modulo `P`,
-//! whatever the chain's length, so cutting the chain changes no payload.
+//! Galois exponent), always at the top level `L`: `⌈(L+1)/α⌉` digits over
+//! the limbs `{q_0…q_L, p_0…p_{k−1}}`. A level-`l` key switch borrows the
+//! digits that cover `q_0…q_l` and reads only the limbs
+//! `{q_0…q_l, p_0…p_{k−1}}` of each. The slice is a valid level-`l` key:
+//! digit `g`'s payload `P·Ê_g·w` is `(P mod q_i)·w` modulo each of the
+//! digit's own primes `q_i` and 0 modulo every other level prime and every
+//! special prime, whatever the chain's length, so cutting the chain
+//! changes no payload, and the top-level digit cut to `q_0…q_l` is exactly
+//! the level's partial last digit.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -55,14 +63,30 @@ struct Ksk {
     a: ShoupPoly,
 }
 
-/// One kind's key-switching chain (`L+1` digits over `L+2` limbs),
-/// shared by reference so concurrent ops never deep-copy key material.
+/// One kind's key-switching chain (`⌈(L+1)/α⌉` digits over `L+1+k`
+/// limbs), shared by reference so concurrent ops never deep-copy key
+/// material.
 type SharedKsk = Arc<Vec<Ksk>>;
 
-/// The `(b, a)` halves of digits `0..rows` — the level slice a key switch
-/// over `rows` level limbs uses — in the shape [`keyswitch_fused`] takes.
-fn key_pairs(key: &[Ksk], rows: usize) -> Vec<(&ShoupPoly, &ShoupPoly)> {
-    key[..rows].iter().map(|k| (&k.b, &k.a)).collect()
+/// The key-switching digit budget: [`ToyBackend::new`] puts
+/// `α = ⌈(L+1)/DNUM⌉` level primes in each digit, so a top-level key
+/// switch has `⌈(L+1)/α⌉ ≤ DNUM` digits. Measured on the `toy-exact`
+/// benchmark (N = 2^9, L = 16), where it gives `α = 4`; see EXPERIMENTS.md
+/// for the sweep.
+pub const DNUM: usize = 5;
+
+/// The `(b, a)` halves of the digits covering `rows` level primes — the
+/// level slice a key switch over `rows` level limbs uses — in the shape
+/// [`keyswitch_fused`] takes.
+fn key_pairs<'k>(
+    key: &'k [Ksk],
+    ctx: &RnsContext,
+    rows: usize,
+) -> Vec<(&'k ShoupPoly, &'k ShoupPoly)> {
+    key[..ctx.digits_at(rows)]
+        .iter()
+        .map(|k| (&k.b, &k.a))
+        .collect()
 }
 
 /// Which secret the key switches *from* (always switching to `s`).
@@ -122,7 +146,10 @@ fn splitmix(x: u64) -> u64 {
 
 impl ToyBackend {
     /// Creates an instance with ring degree `n` and `max_level` usable
-    /// levels, keyed from `seed`.
+    /// levels, keyed from `seed`. Key switching puts
+    /// `α = ⌈(max_level+1)/DNUM⌉` level primes in each digit (see
+    /// [`DNUM`]); below `DNUM` levels that is the per-prime decomposition
+    /// with one special prime.
     ///
     /// # Panics
     ///
@@ -130,7 +157,8 @@ impl ToyBackend {
     #[must_use]
     pub fn new(n: usize, max_level: u32, seed: u64) -> ToyBackend {
         assert!(n.is_power_of_two() && n >= 8);
-        let ctx = RnsContext::new(n, max_level as usize);
+        let levels = max_level as usize;
+        let ctx = RnsContext::with_alpha(n, levels, (levels + 1).div_ceil(DNUM));
         let enc = Encoder::new(n);
         let mut rng = StdRng::seed_from_u64(seed);
         let sk: Vec<i64> = (0..n).map(|_| i64::from(rng.gen_range(-1i8..=1))).collect();
@@ -218,7 +246,7 @@ impl ToyBackend {
     }
 
     /// Generates the key-switching chain for `kind` at the top level —
-    /// one digit per level prime, each over `{q_0…q_L, P}` — from its
+    /// `⌈(L+1)/α⌉` digits, each over `{q_0…q_L, p_0…p_{k−1}}` — from its
     /// dedicated RNG (see [`ToyBackend::key_rng`]). Every lower level
     /// uses a prefix of it (see the [module docs](self)).
     fn generate_ksk(&self, kind: KeyKind) -> Vec<Ksk> {
@@ -228,23 +256,25 @@ impl ToyBackend {
             KeyKind::Galois(t) => automorphism_i64(&self.sk, t),
         };
         let rows = self.rows(self.params.max_level);
-        let p_special = self.ctx.primes[self.ctx.special];
         let s = self.sk_poly(rows, true);
         let mut w_poly = RnsPoly::from_i64(&self.ctx, &w, rows, true);
         w_poly.to_ntt(&self.ctx);
-        let mut digits = Vec::with_capacity(rows);
-        for j in 0..rows {
+        let count = self.ctx.digits_at(rows);
+        let mut digits = Vec::with_capacity(count);
+        for g in 0..count {
             let a = RnsPoly::uniform(&self.ctx, rows, true, true, &mut rng);
             let e_coeffs = error_coeffs_with(self.ctx.n, &mut rng);
             let mut e = RnsPoly::from_i64(&self.ctx, &e_coeffs, rows, true);
             e.to_ntt(&self.ctx);
-            // P·E_j ≡ δ_ij·(P mod q_j) over the level primes, 0 mod P.
+            // P·Ê_g ≡ P mod q_i on the digit's own primes, 0 on every
+            // other level prime and on every special prime.
+            let own = self.ctx.digit_primes(rows, g);
             let factors: Vec<u64> = w_poly
                 .basis
                 .iter()
                 .map(|&bi| {
-                    if bi == j {
-                        p_special % self.ctx.primes[j]
+                    if own.contains(&bi) {
+                        self.ctx.special_product_mod(bi)
                     } else {
                         0
                     }
@@ -263,7 +293,7 @@ impl ToyBackend {
     }
 
     /// Lazily generates (and caches) the key-switching chain for `kind`;
-    /// callers at level `l` use its first `l+1` digits
+    /// callers at level `l` use its first `⌈(l+1)/α⌉` digits
     /// ([`key_pairs`]). The cache holds `Arc`s so hot ops share keys
     /// without deep clones. Generation happens *outside* the cache lock —
     /// holding the mutex across a multi-NTT key generation would
@@ -284,24 +314,23 @@ impl ToyBackend {
     /// the additive pair `(k0, k1)` with `k0 + k1·s ≈ d·w`: decompose once
     /// ([`HoistedDigits`]), take both key products in one fused pass
     /// ([`keyswitch_fused`]: raw-`u64` sums, one reduction per output
-    /// element), then divide by the special prime.
+    /// element), then divide by the special primes.
     fn keyswitch(&self, d: &RnsPoly, kind: KeyKind, level: u32) -> (RnsPoly, RnsPoly) {
         metrics::count_keyswitch();
         debug_assert_eq!(d.limbs(), self.rows(level));
         let key = self.ksk(kind);
         let digits = HoistedDigits::new(&self.ctx, d);
-        let pairs = key_pairs(&key, self.rows(level));
+        let pairs = key_pairs(&key, &self.ctx, self.rows(level));
         let (acc0, acc1) = keyswitch_fused(&digits, &pairs, None, &self.ctx);
         (self.mod_down_special(acc0), self.mod_down_special(acc1))
     }
 
-    /// Divides by the special prime with centered rounding, dropping its
-    /// limb (the tail of GHS key switching) without leaving the evaluation
-    /// domain. The centered division is the same kernel as rescaling —
-    /// only the dropped prime differs.
+    /// Divides by the product `P` of the special primes, dropping their
+    /// limbs (ModDown, the tail of hybrid key switching) without leaving
+    /// the evaluation domain. It is the rescale kernel with the `k`
+    /// special primes on top instead of one level prime.
     fn mod_down_special(&self, mut p: RnsPoly) -> RnsPoly {
-        debug_assert_eq!(p.basis.last().copied(), Some(self.ctx.special));
-        p.mod_down_top_ntt(&self.ctx);
+        p.mod_down_top_ntt(&self.ctx, self.ctx.special_primes().len());
         p
     }
 
@@ -586,7 +615,7 @@ impl Backend for ToyBackend {
             let key = self.ksk(KeyKind::Galois(t));
             let perm = automorphism_indices(self.ctx.n, t);
             metrics::count_keyswitch();
-            let pairs = key_pairs(&key, self.rows(a.level));
+            let pairs = key_pairs(&key, &self.ctx, self.rows(a.level));
             let (acc0, acc1) = keyswitch_fused(&digits, &pairs, Some(&perm), &self.ctx);
             let k0 = self.mod_down_special(acc0);
             let k1 = self.mod_down_special(acc1);
@@ -621,8 +650,8 @@ impl Backend for ToyBackend {
         let mut c0 = a.c0.clone();
         let mut c1 = a.c1.clone();
         let q_top = self.ctx.primes[a.c0.limbs() - 1];
-        c0.mod_down_top_ntt(&self.ctx);
-        c1.mod_down_top_ntt(&self.ctx);
+        c0.mod_down_top_ntt(&self.ctx, 1);
+        c1.mod_down_top_ntt(&self.ctx, 1);
         Ok(ToyCt {
             c0,
             c1,
@@ -825,7 +854,8 @@ impl SnapshotBackend for ToyBackend {
         let mut events = Vec::with_capacity(count);
         for _ in 0..count {
             let rows = r.u32()?;
-            if rows == 0 || rows as usize > self.ctx.primes.len() {
+            // `rlwe_encrypt` runs at a level basis: 1..=L+1 rows.
+            if rows == 0 || rows as usize > self.rows(self.params.max_level) {
                 return Err(SnapError::Malformed(format!(
                     "event row count {rows} out of range"
                 )));
@@ -850,6 +880,8 @@ impl SnapshotBackend for ToyBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::toy::poly::assert_small_coeffs;
+    use std::ops::Range;
 
     fn backend() -> ToyBackend {
         ToyBackend::new(32, 6, 0xBEEF)
@@ -1079,52 +1111,35 @@ mod tests {
         out
     }
 
-    /// The extended basis `{q_0…q_l, P}` of a level-`l` key switch.
+    /// The extended basis `{q_0…q_l, p_0…p_{k−1}}` of a level-`l` key
+    /// switch.
     fn ext_basis(be: &ToyBackend, level: u32) -> Vec<usize> {
-        (0..be.rows(level)).chain([be.ctx.special]).collect()
+        (0..be.rows(level)).chain(be.ctx.special_primes()).collect()
     }
 
-    /// Asserts that every limb of a coefficient-form polynomial holds the
-    /// same integer in `[-bound, bound]` at each position. Exact: such an
-    /// integer is fixed by any one of its residues, so agreement on every
-    /// limb pins the CRT value.
-    fn assert_small_coeffs(p: &RnsPoly, ctx: &RnsContext, bound: i64) {
-        assert!(!p.ntt);
-        let centered = |x: u64, q: u64| {
-            if x > q / 2 {
-                -i64::try_from(q - x).unwrap()
-            } else {
-                i64::try_from(x).unwrap()
-            }
-        };
-        let q0 = ctx.primes[p.basis[0]];
-        let first: Vec<i64> = p.limb(0).iter().map(|&x| centered(x, q0)).collect();
-        for (k, &v) in first.iter().enumerate() {
-            assert!((-bound..=bound).contains(&v), "coefficient {k} = {v}");
-        }
-        for i in 1..p.limbs() {
-            let q = ctx.primes[p.basis[i]];
-            for (k, (&x, &v)) in p.limb(i).iter().zip(&first).enumerate() {
-                assert_eq!(centered(x, q), v, "coefficient {k}, limb {i}");
-            }
-        }
-    }
-
-    /// `P·E_j mod q` for the level-`l` CRT idempotent `E_j` of `q_j`,
-    /// from its definition `E_j = (Q_l/q_j)·[(Q_l/q_j)^{-1} mod q_j]`.
-    fn payload_factor(ctx: &RnsContext, level: u32, j: usize, q: u64) -> u64 {
-        use crate::toy::modular::{invmod, mulmod};
+    /// `P·Ê mod q` for the level-`l` idempotent `Ê = Σ_{j∈group} E_j` of a
+    /// digit's primes, from the per-prime definition
+    /// `E_j = (Q_l/q_j)·[(Q_l/q_j)^{-1} mod q_j]`, with `P` the product of
+    /// the special primes.
+    fn payload_factor(ctx: &RnsContext, level: u32, group: Range<usize>, q: u64) -> u64 {
+        use crate::toy::modular::{addmod, invmod, mulmod};
         let level_primes = &ctx.primes[..=level as usize];
-        let q_j = level_primes[j];
-        let cofactor = |m: u64| {
-            level_primes
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| k != j)
-                .fold(1, |acc, (_, &qk)| mulmod(acc, qk % m, m))
+        let idempotent = |j: usize| {
+            let cofactor = |m: u64| {
+                level_primes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| k != j)
+                    .fold(1, |acc, (_, &qk)| mulmod(acc, qk % m, m))
+            };
+            let q_j = level_primes[j];
+            mulmod(cofactor(q), invmod(cofactor(q_j), q_j) % q, q)
         };
-        let e_j = mulmod(cofactor(q), invmod(cofactor(q_j), q_j) % q, q);
-        mulmod(ctx.primes[ctx.special] % q, e_j, q)
+        let e_g = group.fold(0, |acc, j| addmod(acc, idempotent(j), q));
+        let p = ctx
+            .special_primes()
+            .fold(1 % q, |acc, t| mulmod(acc, ctx.primes[t] % q, q));
+        mulmod(p, e_g, q)
     }
 
     /// Relinearization and one Galois kind, each with its secret `w`.
@@ -1138,29 +1153,37 @@ mod tests {
 
     #[test]
     fn every_digit_of_a_sliced_chain_decrypts_to_its_payload() {
-        let be = backend();
-        let top = be.params.max_level;
-        for (kind, w) in kinds_under_test(&be) {
-            let chain = be.ksk(kind);
-            for level in [1, top / 2, top] {
-                let basis = ext_basis(&be, level);
-                let rows = be.rows(level);
-                let slice = &chain[..rows];
-                let s = be.sk_poly(rows, true);
-                let mut w_poly = RnsPoly::from_i64(&be.ctx, &w, rows, true);
-                w_poly.to_ntt(&be.ctx);
-                for (j, digit) in slice.iter().enumerate() {
-                    let b = restrict(digit.b.poly(), &basis, &be.ctx);
-                    let a = restrict(digit.a.poly(), &basis, &be.ctx);
-                    let factors: Vec<u64> = basis
-                        .iter()
-                        .map(|&bi| payload_factor(&be.ctx, level, j, be.ctx.primes[bi]))
-                        .collect();
-                    let payload = w_poly.mul_scalar_rows(&factors, &be.ctx);
-                    // b_j + a_j·s − P·E_j·w = e_j, with |e_j| ≤ 4 exactly.
-                    let mut e = b.add(&a.mul(&s, &be.ctx), &be.ctx).sub(&payload, &be.ctx);
-                    e.to_coeff(&be.ctx);
-                    assert_small_coeffs(&e, &be.ctx, 4);
+        // α = ⌈(L+1)/DNUM⌉ over L+1 = 5, 7 and 11 level primes: α = 1, 2
+        // and 3. The top-level chain ends in a partial digit at α = 2 and
+        // 3, and the level-1 slice cuts a digit at α = 3.
+        for (top, alpha) in [(4, 1), (6, 2), (10, 3)] {
+            let be = ToyBackend::new(32, top, 0xBEEF);
+            assert_eq!(be.ctx.alpha, alpha);
+            for (kind, w) in kinds_under_test(&be) {
+                let chain = be.ksk(kind);
+                for level in [1, top / 2, top] {
+                    let basis = ext_basis(&be, level);
+                    let rows = be.rows(level);
+                    let slice = &chain[..rows.div_ceil(alpha)];
+                    let s = be.sk_poly(rows, true);
+                    let mut w_poly = RnsPoly::from_i64(&be.ctx, &w, rows, true);
+                    w_poly.to_ntt(&be.ctx);
+                    for (g, digit) in slice.iter().enumerate() {
+                        let group = g * alpha..rows.min((g + 1) * alpha);
+                        let b = restrict(digit.b.poly(), &basis, &be.ctx);
+                        let a = restrict(digit.a.poly(), &basis, &be.ctx);
+                        let factors: Vec<u64> = basis
+                            .iter()
+                            .map(|&bi| {
+                                payload_factor(&be.ctx, level, group.clone(), be.ctx.primes[bi])
+                            })
+                            .collect();
+                        let payload = w_poly.mul_scalar_rows(&factors, &be.ctx);
+                        // b_g + a_g·s − P·Ê_g·w = e_g, with |e_g| ≤ 4 exactly.
+                        let mut e = b.add(&a.mul(&s, &be.ctx), &be.ctx).sub(&payload, &be.ctx);
+                        e.to_coeff(&be.ctx);
+                        assert_small_coeffs(&e, &be.ctx, 4);
+                    }
                 }
             }
         }
@@ -1176,7 +1199,7 @@ mod tests {
             for level in [1, top / 2, top] {
                 let rows = be.rows(level);
                 let basis = ext_basis(&be, level);
-                let owned: Vec<(ShoupPoly, ShoupPoly)> = chain[..rows]
+                let owned: Vec<(ShoupPoly, ShoupPoly)> = chain[..be.ctx.digits_at(rows)]
                     .iter()
                     .map(|k| {
                         let cut = |p: &ShoupPoly| {
@@ -1194,7 +1217,8 @@ mod tests {
                     KeyKind::Galois(t) => Some(automorphism_indices(be.ctx.n, t)),
                 };
                 for perm in [None, perm.as_ref().map(|p| p.as_slice())] {
-                    let sliced = keyswitch_fused(&digits, &key_pairs(&chain, rows), perm, &be.ctx);
+                    let sliced =
+                        keyswitch_fused(&digits, &key_pairs(&chain, &be.ctx, rows), perm, &be.ctx);
                     let want = keyswitch_fused(&digits, &owned, perm, &be.ctx);
                     assert_eq!(sliced, want, "{kind:?} at level {level}");
                 }
@@ -1233,20 +1257,27 @@ mod tests {
             .collect();
         let kinds = 1 + exponents.len();
         let full = ext_basis(&be, top);
+        // α = ⌈7/DNUM⌉ = 2 over L+1 = 7 level primes, so 4 digits, and
+        // k = 2 special primes.
+        let (l, alpha, k) = (top as usize, 2, 2);
+        assert_eq!((be.ctx.alpha, be.ctx.special_primes().len()), (alpha, k));
+        let digits = (l + 1).div_ceil(alpha);
         {
             let keys = be.keys.lock().unwrap();
             assert_eq!(keys.len(), kinds, "one chain per kind");
             for (kind, chain) in keys.iter() {
-                assert_eq!(chain.len(), top as usize + 1, "{kind:?}: L+1 digits");
-                for k in chain.iter() {
-                    assert_eq!(k.b.poly().basis, full, "{kind:?}: L+2 limbs");
-                    assert_eq!(k.a.poly().basis, full, "{kind:?}: L+2 limbs");
+                assert_eq!(chain.len(), digits, "{kind:?}: ⌈(L+1)/α⌉ digits");
+                for key in chain.iter() {
+                    assert_eq!(key.b.poly().basis, full, "{kind:?}: L+1+k limbs");
+                    assert_eq!(key.a.poly().basis, full, "{kind:?}: L+1+k limbs");
                 }
             }
         }
-        // kinds × (L+1) digits × (L+2) limbs × 4 arrays × N words × 8 B.
-        let l = top as usize;
-        assert_eq!(key_bytes(&be), kinds * (l + 1) * (l + 2) * 4 * be.ctx.n * 8);
+        // kinds × ⌈(L+1)/α⌉ digits × (L+1+k) limbs × 4 arrays × N words × 8 B.
+        assert_eq!(
+            key_bytes(&be),
+            kinds * digits * (l + 1 + k) * 4 * be.ctx.n * 8
+        );
     }
 
     #[test]
@@ -1356,5 +1387,32 @@ mod tests {
         // Seed mismatch is rejected.
         let other = ToyBackend::new(16, 6, 0xBEEF);
         assert!(other.rng_load(&mut SnapReader::new(&blob)).is_err());
+    }
+
+    #[test]
+    fn rng_load_rejects_an_event_above_the_level_basis() {
+        let be = ToyBackend::new(16, 6, 0xFEED);
+        let blob = |rows: u32| {
+            let mut out = Vec::new();
+            put_u64(&mut out, 0xFEED);
+            put_u32(&mut out, 1);
+            put_u32(&mut out, rows);
+            out
+        };
+        // `rlwe_encrypt` draws over at most L+1 = 7 rows.
+        assert!(be.rng_load(&mut SnapReader::new(&blob(7))).is_ok());
+        let got = be.rng_load(&mut SnapReader::new(&blob(8)));
+        assert!(matches!(got, Err(SnapError::Malformed(_))), "{got:?}");
+    }
+
+    #[test]
+    fn rng_load_rejects_an_event_count_the_blob_cannot_hold() {
+        let be = ToyBackend::new(16, 6, 0xFEED);
+        // 12 bytes claiming 2^28 events: refused before any reservation.
+        let mut out = Vec::new();
+        put_u64(&mut out, 0xFEED);
+        put_u32(&mut out, 1 << 28);
+        let got = be.rng_load(&mut SnapReader::new(&out));
+        assert!(matches!(got, Err(SnapError::Malformed(_))), "{got:?}");
     }
 }

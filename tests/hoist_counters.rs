@@ -65,13 +65,24 @@ fn hoisted_batch_decomposes_once_and_reuses_pooled_buffers() {
         "the batch must run one per-digit forward-NTT set, same as one rotation"
     );
 
-    // The transform budget, pinned exactly. At level 6 (7 limbs) one key
-    // switch runs 7 inverse rows to decompose, 7 × 8 − 7 = 49 digit rows
-    // (each digit's own-prime row is reused, not transformed), and a
-    // mod-down of 1 inverse + 7 forward rows per half; a rescale drops one
-    // limb from each component (1 inverse + 6 forward rows). Every
-    // deferred canonicalization is counted, so a change that adds back a
-    // transform or a per-element reduction fails here on any machine.
+    // The transform budget, pinned exactly, from the closed form of hybrid
+    // key switching. With dnum = 5, `ToyBackend::new` puts α = ⌈7/5⌉ = 2
+    // of the L+1 = 7 level primes in each digit, with k = 2 special
+    // primes. At level 6 (m = 7 limbs) one key switch has D = ⌈7/2⌉ = 4
+    // digits over m+k = 9 limbs and runs:
+    // - 7 inverse rows to decompose;
+    // - D(m+k) − m = 36 − 7 = 29 digit rows (each digit's own-prime rows
+    //   are the input's, copied rather than transformed);
+    // - a mod-down of k = 2 inverse + m = 7 forward rows per half.
+    // So forward = 29 + 2·7 = 43 and inverse = 7 + 2·2 = 11. A rescale
+    // drops one limb from each component (1 inverse + 6 forward rows).
+    // Deferred canonicalizations at N = 64: each transform defers
+    // N/2·log₂N + N = 256, a redundant digit row N more (320), and the
+    // fused inner product 2N per digit and output limb:
+    // 7·256 + 29·320 + 2·64·4·9 + 2·(2 + 7)·256 = 20,288; a rescale defers
+    // 2·7·256 = 3,584. Every deferred canonicalization is counted, so a
+    // change that adds back a transform or a per-element reduction fails
+    // here on any machine.
     std::hint::black_box(be.mult(&ct, &ct).expect("relin key warm-up"));
     metrics::reset();
     let prod = be.mult(&ct, &ct).expect("mult");
@@ -87,9 +98,13 @@ fn hoisted_batch_decomposes_once_and_reuses_pooled_buffers() {
             m.lazy_reductions_skipped,
         )
     };
-    assert_eq!(budget(&mult), (63, 9, 49, 28_736), "warm ct-ct multiply");
+    assert_eq!(budget(&mult), (43, 11, 29, 20_288), "warm ct-ct multiply");
     assert_eq!(budget(&rescale), (12, 2, 0, 3_584), "rescale");
-    assert_eq!(budget(&single), (63, 9, 49, 28_736), "single-offset rotate");
+    assert_eq!(
+        budget(&single),
+        (43, 11, 29, 20_288),
+        "single-offset rotate"
+    );
 
     // The sequential path decomposes (and NTTs digits) once per rotation.
     metrics::reset();

@@ -84,15 +84,27 @@ fn parallel_execution_is_bit_identical_to_serial() {
     }
 }
 
-/// The pinned digest of [`chain_digest`]. It moved from
-/// `0x7409_c28b_33e1_e447` when the toy backend went from one
-/// key-switching chain per (kind, level) to one chain per kind, generated
-/// at the top level from a per-kind RNG and sliced per level: the key
-/// bytes behind every `mult` and rotation changed. The new value was
-/// derived from that change at 1, 2 and 4 threads, which all produced it.
-/// A change that alters toy ciphertexts on purpose derives it again and
-/// says so.
+/// The pinned digest of [`chain_digest`] at `L = 4`, where `dnum = 5`
+/// puts one prime in each digit (`α = 1`, one special prime): per-prime
+/// key switching. It moved from `0x7409_c28b_33e1_e447` when the toy
+/// backend went from one key-switching chain per (kind, level) to one
+/// chain per kind, generated at the top level from a per-kind RNG and
+/// sliced per level: the key bytes behind every `mult` and rotation
+/// changed. The value was derived from that change at 1, 2 and 4 threads,
+/// which all produced it, and hybrid key switching reproduces it at this
+/// setting. A change that alters toy ciphertexts on purpose derives it
+/// again and says so.
 const PINNED_DIGEST: u64 = 0xd22e_4b36_8020_3f20;
+
+/// The level count of [`HYBRID_DIGEST`]: with `dnum = 5`, its 11 level
+/// primes go `α = ⌈11/5⌉ = 3` to a digit (3 + 3 + 3 + 2, the last partial)
+/// with `k = 3` special primes.
+const HYBRID_LEVELS: u32 = 10;
+
+/// The digest of [`chain_digest`] at [`HYBRID_LEVELS`], under hybrid key
+/// switching. Derived when hybrid key switching landed, at 1, 2 and 4
+/// threads, which all produced it.
+const HYBRID_DIGEST: u64 = 0xf01f_d346_4ce7_6edc;
 
 /// FNV-1a over `bytes`, continuing from `hash`.
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
@@ -109,11 +121,11 @@ const DYADIC: [f64; 3] = [1.0, 0.5, -0.25];
 /// a fixed op chain, then of the RNG replay state. Nothing is decrypted or
 /// bootstrapped, so the digest depends only on integer arithmetic and the
 /// seeded RNG, not on the platform's floating-point library.
-fn chain_digest() -> u64 {
-    let be = ToyBackend::new(N, LEVELS, 0xD16E57);
+fn chain_digest(levels: u32) -> u64 {
+    let be = ToyBackend::new(N, levels, 0xD16E57);
     let [one, half, minus_quarter] = DYADIC;
-    let a = be.encrypt(&[one], LEVELS).expect("encrypt a");
-    let b = be.encrypt(&[half], LEVELS).expect("encrypt b");
+    let a = be.encrypt(&[one], levels).expect("encrypt a");
+    let b = be.encrypt(&[half], levels).expect("encrypt b");
     let m = be.mult(&a, &b).expect("mult");
     let r = be.rescale(&m).expect("rescale");
     let rot = be.rotate(&r, 3).expect("rotate");
@@ -139,7 +151,8 @@ fn chain_digest() -> u64 {
 }
 
 /// Toy ciphertext bytes are pinned: the fixed chain hashes to the same
-/// digest at 1, 2 and 4 threads, and that digest is [`PINNED_DIGEST`].
+/// digest at 1, 2 and 4 threads, and that digest is [`PINNED_DIGEST`]
+/// under per-prime digits and [`HYBRID_DIGEST`] under hybrid ones.
 #[test]
 fn ciphertext_bytes_match_the_pinned_digest_at_every_thread_count() {
     let _g = GLOBAL_KNOBS
@@ -154,11 +167,13 @@ fn ciphertext_bytes_match_the_pinned_digest_at_every_thread_count() {
     }
     for threads in [1usize, 2, 4] {
         parallel::set_threads(Some(threads));
-        let digest = chain_digest();
-        assert_eq!(
-            digest, PINNED_DIGEST,
-            "{threads} thread(s): digest {digest:#018x} differs from the pinned one"
-        );
+        for (levels, pinned) in [(LEVELS, PINNED_DIGEST), (HYBRID_LEVELS, HYBRID_DIGEST)] {
+            let digest = chain_digest(levels);
+            assert_eq!(
+                digest, pinned,
+                "{threads} thread(s), L = {levels}: digest {digest:#018x} differs from the pinned one"
+            );
+        }
     }
     parallel::set_threads(None);
 }
