@@ -55,20 +55,13 @@ impl SnapshotStore for DelayStore {
     }
 }
 
-fn policy(dir: &Path) -> ExecPolicy {
-    ExecPolicy {
-        snapshot_keep: KEEP,
-        ..ExecPolicy::durable(dir)
-    }
-}
-
 /// Child mode: run the workload durably into `dir`, one delayed snapshot
 /// per loop iteration, until killed (or done).
 fn run_child(dir: &Path, seed: u64) -> ! {
     let (f, inputs) = campaign::workload(SALT, seed, ITERS);
     let store = DelayStore(DiskStore::open(dir, KEEP).expect("open store"));
-    Executor::with_policy(&campaign::backend(), policy(dir))
-        .run_durable_with_store(&f, &inputs, &store)
+    Executor::with_policy(&campaign::backend(), ExecPolicy::resilient())
+        .run_durable(&f, &inputs, &store)
         .expect("child run");
     std::process::exit(0);
 }
@@ -76,10 +69,10 @@ fn run_child(dir: &Path, seed: u64) -> ! {
 /// Resume in-process from `dir` and compare against the baseline bits.
 fn resume(kind: &str, dir: &Path, seed: u64, kill_point: u64, baseline: &[Vec<u64>]) -> Trial {
     let (f, inputs) = campaign::workload(SALT, seed, ITERS);
-    let generations_at_resume = DiskStore::open(dir, KEEP)
-        .and_then(|s| s.generations())
-        .map_or(0, |g| g.len());
-    let out = Executor::with_policy(&campaign::backend(), policy(dir)).resume(&f, &inputs);
+    let store = DiskStore::open(dir, KEEP).expect("open store");
+    let generations_at_resume = store.generations().map_or(0, |g| g.len());
+    let out = Executor::with_policy(&campaign::backend(), ExecPolicy::resilient())
+        .resume(&f, &inputs, &store);
     let none = RunStats::default();
     let stats = out.as_ref().map_or(&none, |o| &o.stats);
     let fields = vec![
@@ -147,11 +140,11 @@ fn kill_trial(base: &Path, kill_point: u64, seed: u64, baseline: &[Vec<u64>]) ->
 fn corrupt_trial(base: &Path, seed: u64, baseline: &[Vec<u64>]) -> Trial {
     let dir = trial_dir(base, &format!("corrupt-s{seed}"));
     let (f, inputs) = campaign::workload(SALT, seed, ITERS);
-    Executor::with_policy(&campaign::backend(), policy(&dir))
-        .run_durable(&f, &inputs)
+    let store = DiskStore::open(&dir, KEEP).expect("open store");
+    Executor::with_policy(&campaign::backend(), ExecPolicy::resilient())
+        .run_durable(&f, &inputs, &store)
         .expect("uninterrupted durable run");
 
-    let store = DiskStore::open(&dir, KEEP).expect("open store");
     let newest = *store
         .generations()
         .expect("generations")

@@ -12,6 +12,10 @@
 //! op/alloc counter snapshots proving the hoisting contract: exactly one
 //! digit decomposition per batch.
 //!
+//! The two arms alternate within each rep (sequential first on even reps,
+//! hoisted first on odd ones), so a host speed shift during the run lands
+//! on both arms alike instead of skewing their ratio.
+//!
 //! The acceptance bar is ≥1.5× for a batch of 8; like `par_speedup` the
 //! gate only arms on machines with ≥4 CPUs (a loaded single-core runner
 //! times too noisily), and `HALO_HOIST_MIN` forces a bar anywhere.
@@ -27,13 +31,19 @@ const LEVELS: u32 = 8;
 const REPS: u32 = 10;
 const OFFSETS: [i64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
-/// Mean microseconds per *batch* over `REPS` runs of `f`.
-fn time_batch(mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..REPS {
-        f();
+/// Mean microseconds per *batch* of each arm over `REPS` paired reps: the
+/// first arm runs first on even reps, the second on odd ones.
+fn time_paired(arms: [&mut dyn FnMut(); 2]) -> [f64; 2] {
+    let mut secs = [0.0; 2];
+    for rep in 0..REPS {
+        let order = if rep % 2 == 0 { [0, 1] } else { [1, 0] };
+        for arm in order {
+            let start = Instant::now();
+            arms[arm]();
+            secs[arm] += start.elapsed().as_secs_f64();
+        }
     }
-    start.elapsed().as_secs_f64() * 1e6 / f64::from(REPS)
+    secs.map(|s| s * 1e6 / f64::from(REPS))
 }
 
 fn counters_json(s: metrics::MetricsSnapshot) -> Json {
@@ -76,14 +86,16 @@ fn main() {
         "sequential path must decompose per rotation"
     );
 
-    let sequential_us = time_batch(|| {
-        for &o in &OFFSETS {
-            std::hint::black_box(be.rotate(&ct, o).expect("rotate"));
-        }
-    });
-    let hoisted_us = time_batch(|| {
-        std::hint::black_box(be.rotate_batch(&ct, &OFFSETS).expect("rotate_batch"));
-    });
+    let [sequential_us, hoisted_us] = time_paired([
+        &mut || {
+            for &o in &OFFSETS {
+                std::hint::black_box(be.rotate(&ct, o).expect("rotate"));
+            }
+        },
+        &mut || {
+            std::hint::black_box(be.rotate_batch(&ct, &OFFSETS).expect("rotate_batch"));
+        },
+    ]);
     let speedup = sequential_us / hoisted_us;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let k = OFFSETS.len();

@@ -101,12 +101,11 @@ fn run_profile(
     let mut leg = |kind: &str, store: &RemoteStore<SimObjectStore>| {
         let before = store.remote().report().total();
         let be = campaign::backend();
-        // The store is always passed explicitly; the directory is unused.
-        let exec = Executor::with_policy(&be, ExecPolicy::durable("/unused"));
+        let exec = Executor::with_policy(&be, ExecPolicy::resilient());
         let out = if kind == "run" {
-            exec.run_durable_with_store(&f, &inputs, store)
+            exec.run_durable(&f, &inputs, store)
         } else {
-            exec.resume_with_store(&f, &inputs, store)
+            exec.resume(&f, &inputs, store)
         };
         let injected = store.remote().report().total() - before;
         faults += injected;

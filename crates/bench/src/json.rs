@@ -703,7 +703,11 @@ const FLEET_TRIALS: Rows = Rows {
         ("coordinator_resumes", NUM),
         ("bit_identical", Bool),
     ],
-    each: &[],
+    // The fleet has no spill store, so every snapshot write is a remote
+    // put.
+    each: &[("snapshot_writes differs from remote_puts", |t| {
+        n(t, "snapshot_writes") == n(t, "remote_puts")
+    })],
     all: &[
         ("no trial fenced a zombie write", |trials| {
             sum(trials, &["zombie_writes_fenced"]) >= 1.0
@@ -1294,7 +1298,7 @@ mod tests {
                 ("coordinator_resumes", num(engaged)),
                 ("executor_crashes", num(engaged)),
                 ("executor_stalls", num(0.0)),
-                ("snapshot_writes", num(0.0)),
+                ("snapshot_writes", num(15.0)),
                 ("remote_puts", num(15.0)),
                 ("store_faults", num(0.0)),
                 ("bit_identical", Json::Bool(true)),
@@ -1506,6 +1510,8 @@ mod tests {
         reject(FLEET, "a trial with fewer than 2 legs", &legs);
         let claimed = set(&fleet_green(), "trials.0.legs_claimed", num(0.0));
         reject(FLEET, "a trial with no leg claimed", &claimed);
+        let lost = set(&fleet_green(), "trials.0.snapshot_writes", num(0.0));
+        reject(FLEET, "snapshot writes that miss remote puts", &lost);
         for sum in [
             "zombie_writes_fenced",
             "leases_expired",

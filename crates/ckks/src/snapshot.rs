@@ -238,8 +238,9 @@ impl<'a> SnapReader<'a> {
 // ----------------------------------------------------------------------
 
 /// A [`Backend`] whose ciphertexts and RNG stream can be persisted and
-/// restored byte-exactly — the capability the runtime's durable executor
-/// requires (`Executor::run_durable` / `Executor::resume`).
+/// restored byte-exactly — the capability the runtime's durable entry
+/// points require (`Executor::run_durable` / `Executor::resume`, which
+/// persist to and restore from the snapshot store they are given).
 ///
 /// Contract: for a backend `b` and any ciphertext `ct` it produced,
 /// `b.ct_load(&mut SnapReader::new(&saved))` where `saved` came from

@@ -10,15 +10,17 @@
 //! K-means, §7.1). The autotuner (`autotune`) uses the same estimate as
 //! its search oracle.
 //!
-//! Rotation fan-outs — same-source `rotate` ops within one block — are
-//! priced at the amortized hoisted-batch cost, mirroring the executor's
-//! rotation-hoisting peephole, so plans that concentrate rotations (e.g.
-//! unrolled bodies) are not over-charged relative to how they execute.
+//! Rotation fan-outs — same-source `rotate` ops within one block, the
+//! groups `halo_ir::analysis::rotation_fanouts` finds and the executor
+//! hoists — are priced at the amortized hoisted-batch cost, so plans that
+//! concentrate rotations (e.g. unrolled bodies) are not over-charged
+//! relative to how they execute.
 
 use std::collections::HashMap;
 
 use halo_ckks::{CostModel, CostedOp};
-use halo_ir::func::{BlockId, Function, OpId, ValueId};
+use halo_ir::analysis::rotation_fanouts;
+use halo_ir::func::{BlockId, Function, OpId};
 use halo_ir::op::{Opcode, TripCount};
 use halo_ir::types::Status;
 
@@ -104,30 +106,15 @@ fn trip_estimate(trip: &TripCount, assumed: u64) -> u64 {
     }
 }
 
-/// Rotation fan-out group sizes for one block, mirroring the executor's
-/// hoisting peephole (`rotation_fanouts` in `halo-runtime`): `rotate` ops
-/// sharing a source value hoist one digit decomposition, so the whole
-/// group prices at the amortized [`CostModel::rotate_batch_us`] cost. The
-/// map carries the group size on the group's *first* op (which pays the
-/// whole batch); later members are free. Lone rotations are absent.
+/// Rotation fan-out group sizes for one block ([`rotation_fanouts`]):
+/// the whole group prices at the amortized [`CostModel::rotate_batch_us`]
+/// cost, carried on the group's *first* op (which pays the whole batch);
+/// later members map to 0 (free). Lone rotations are absent.
 fn rotation_fanout_sizes(f: &Function, block: BlockId) -> HashMap<OpId, u32> {
-    let mut by_src: HashMap<ValueId, Vec<OpId>> = HashMap::new();
-    for &id in &f.block(block).ops {
-        let op = f.op(id);
-        if matches!(op.opcode, Opcode::Rotate { .. }) {
-            if let Some(&src) = op.operands.first() {
-                if f.ty(src).status == Status::Cipher {
-                    by_src.entry(src).or_default().push(id);
-                }
-            }
-        }
-    }
     let mut sizes = HashMap::new();
-    for g in by_src.into_values().filter(|g| g.len() >= 2) {
+    for g in rotation_fanouts(f, block) {
+        sizes.extend(g.iter().map(|&id| (id, 0)));
         sizes.insert(g[0], g.len() as u32);
-        for &rest in &g[1..] {
-            sizes.insert(rest, 0);
-        }
     }
     sizes
 }

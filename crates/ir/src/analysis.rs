@@ -1,5 +1,5 @@
-//! Dataflow analyses: def-use, live-ins, liveness, status propagation, and
-//! multiplicative depth.
+//! Dataflow analyses: def-use, live-ins, liveness, status propagation,
+//! multiplicative depth, and rotation fan-outs.
 
 use std::collections::{HashMap, HashSet};
 
@@ -250,6 +250,40 @@ pub fn max_mult_depth(f: &Function, block: BlockId) -> u32 {
     mult_depth(f, block).values().copied().max().unwrap_or(0)
 }
 
+/// Rotation fan-outs of `block`: `rotate` ops that share a cipher-typed
+/// source value, in block order, one group per source (ordered by the
+/// group's first op). Only groups of two or more are kept — a lone
+/// rotation gains nothing from hoisting. The executor runs each group as
+/// one hoisted `rotate_batch`, and the cost estimate prices it at the
+/// amortized batch cost, so both read the groups from here.
+///
+/// Uses only the checked accessors: the executor calls it before it has
+/// validated the block's ops, so a dangling id is skipped, never a panic.
+#[must_use]
+pub fn rotation_fanouts(f: &Function, block: BlockId) -> Vec<Vec<OpId>> {
+    let mut groups: Vec<Vec<OpId>> = Vec::new();
+    let mut by_src: HashMap<ValueId, usize> = HashMap::new();
+    let ops = f.try_block(block).map_or(&[][..], |b| &b.ops[..]);
+    for &id in ops {
+        let Some(op) = f.try_op(id) else { continue };
+        if !matches!(op.opcode, Opcode::Rotate { .. }) {
+            continue;
+        }
+        let Some(&src) = op.operands.first() else {
+            continue;
+        };
+        if f.try_ty(src).is_some_and(|t| t.status == Status::Cipher) {
+            let g = *by_src.entry(src).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(id);
+        }
+    }
+    groups.retain(|g| g.len() >= 2);
+    groups
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,6 +390,35 @@ mod tests {
         assert_eq!(d[&bs], 0);
         assert_eq!(d[&m2], 1);
         assert_eq!(max_mult_depth(&f, e), 1);
+    }
+
+    #[test]
+    fn rotation_fanouts_group_cipher_sources_in_block_order() {
+        let mut b = FunctionBuilder::new("t", 8);
+        let x = b.input_cipher("x");
+        let y = b.input_cipher("y");
+        let p = b.input_plain("p");
+        let ry1 = b.rotate(y, 1);
+        let rx1 = b.rotate(x, 1);
+        let lone = b.rotate(ry1, 2); // the only rotation of its source
+        let rx2 = b.rotate(x, 2);
+        let rp1 = b.rotate(p, 1); // plaintext sources fold at run time
+        let rp2 = b.rotate(p, 2);
+        let ry2 = b.rotate(y, 3);
+        let s = b.add(rx1, rx2);
+        let s = b.add(s, lone);
+        let s = b.add(s, ry2);
+        let s = b.mul(s, rp1);
+        let s = b.mul(s, rp2);
+        b.ret(&[s]);
+        let f = b.finish();
+        let def = |v| def_op(&f, v).unwrap();
+        assert_eq!(
+            rotation_fanouts(&f, f.entry),
+            vec![vec![def(ry1), def(ry2)], vec![def(rx1), def(rx2)]]
+        );
+        // A dangling block has no fan-outs.
+        assert!(rotation_fanouts(&f, BlockId(99)).is_empty());
     }
 
     #[test]

@@ -5,46 +5,41 @@
 //! transient backend faults, an emergency-bootstrap guard that absorbs
 //! imminent level exhaustion (a compile-time placement bug or an injected
 //! fault surfaces as telemetry in [`RunStats`] instead of a crash), and
-//! periodic checkpointing of the loop-carried value environment so a
+//! checkpointing of the loop-carried values at every loop header so a
 //! non-retryable fault resumes from the last completed iteration instead
 //! of restarting the program. With [`ExecPolicy::default`] every recovery
 //! mechanism is off and execution is bit-identical to the plain
 //! interpreter.
+//!
+//! Every priced backend call goes through one choke point, which records
+//! the op in [`RunStats`] at its modeled latency and issues the call under
+//! the retry policy.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::path::PathBuf;
 use std::time::Instant;
 
 use halo_ckks::backend::{expand_to_slots, Backend, BackendError};
 use halo_ckks::snapshot::SnapshotBackend;
 use halo_ckks::{CostModel, CostedOp};
+use halo_ir::analysis::rotation_fanouts;
 use halo_ir::func::{BlockId, Function, OpId, ValueId};
-use halo_ir::op::{ConstValue, Op, Opcode};
-use halo_ir::types::{Status, LEVEL_UNSET};
+use halo_ir::op::{ConstValue, Op, Opcode, TripCount};
+use halo_ir::types::{CtType, Status, LEVEL_UNSET};
 
 use crate::snapshot::{decode_snapshot, encode_snapshot, DecodedSnapshot};
 use crate::stats::RunStats;
-use crate::store::{DiskStore, SnapshotStore};
+use crate::store::SnapshotStore;
 
 /// A runtime value: a backend ciphertext or a plaintext slot vector.
 /// Public so the `halo-snap/1` codec ([`crate::snapshot`]) can serialize
 /// the executor's value environment.
+#[derive(Clone)]
 pub enum RtValue<C> {
     /// A backend ciphertext.
     Ct(C),
     /// A plaintext slot vector.
     Pt(Vec<f64>),
-}
-
-impl<C: Clone> Clone for RtValue<C> {
-    fn clone(&self) -> Self {
-        match self {
-            RtValue::Ct(c) => RtValue::Ct(c.clone()),
-            RtValue::Pt(v) => RtValue::Pt(v.clone()),
-        }
-    }
 }
 
 /// Program inputs: named cipher/plain vectors plus the trip-count symbol
@@ -124,11 +119,6 @@ pub enum RunError {
     Backend(BackendError),
     /// The program is malformed (should have been caught by the verifier).
     Malformed(String),
-    /// The durable snapshot layer failed outside the tolerated paths
-    /// (e.g. the snapshot store directory cannot be opened). Individual
-    /// snapshot write failures and corrupt generations are *not* errors —
-    /// they degrade to skipped snapshots and generation fallback.
-    Snapshot(String),
 }
 
 impl fmt::Display for RunError {
@@ -137,7 +127,6 @@ impl fmt::Display for RunError {
             RunError::MissingInput(n) => write!(f, "missing input or symbol: {n}"),
             RunError::Backend(m) => write!(f, "backend rejected op: {m}"),
             RunError::Malformed(m) => write!(f, "malformed program: {m}"),
-            RunError::Snapshot(m) => write!(f, "snapshot store failure: {m}"),
         }
     }
 }
@@ -228,122 +217,62 @@ impl PartialEq<ExecError> for RunError {
 /// Recovery policy for the executor. Every mechanism defaults to *off*:
 /// a default-policy run performs exactly the same backend calls as the
 /// plain interpreter (bit-identical outputs and stats).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecPolicy {
     /// Retry budget per backend call for [`BackendError::Transient`]
-    /// faults. `0` fails fast on the first fault.
+    /// faults. `0` fails fast on the first fault. Retry *k* charges a
+    /// modeled `50 µs · 2^(k−1)` backoff to [`RunStats::retry_backoff_us`]:
+    /// the delay is accounted, not slept, so runs stay deterministic and
+    /// fast.
     pub max_retries: u32,
-    /// Base of the modeled exponential retry backoff in microseconds:
-    /// retry *k* charges `backoff_us · 2^(k−1)` to
-    /// [`RunStats::retry_backoff_us`]. The delay is accounted, not slept,
-    /// so runs stay deterministic and fast.
-    pub backoff_us: f64,
     /// Noise-budget guard: when a multiply (or a modswitch) is about to
     /// exhaust the operand's remaining levels, or binary operands arrive
     /// at mismatched levels, repair the operands with an emergency
     /// bootstrap / level-aligning modswitch instead of failing. Each
     /// repair is a *degradation event* in [`RunStats`].
     pub emergency_bootstrap: bool,
-    /// Checkpoint the loop-carried values every `N` loop-header
-    /// crossings (`0` disables checkpointing). On a non-retryable backend
-    /// fault inside the loop body, execution resumes from the last
-    /// checkpoint instead of aborting the program.
-    pub checkpoint_every: u64,
-    /// Upper bound on checkpoint resumes per loop, so a deterministic
-    /// failure cannot spin forever.
+    /// Checkpoint resumes allowed per loop. A nonzero budget checkpoints
+    /// the loop-carried values at every loop header; a non-retryable
+    /// backend fault inside the loop body then resumes from the last
+    /// checkpoint instead of aborting the program. `0` takes no
+    /// checkpoints.
     pub max_resumes: u32,
-    /// Directory of the on-disk [`SnapshotStore`] for durable execution
-    /// (`None` disables disk snapshots). Used by
-    /// [`Executor::run_durable`] / [`Executor::resume`]; the plain
-    /// [`Executor::run`] ignores it.
-    pub durable_path: Option<PathBuf>,
-    /// Snapshot generations the durable store retains (clamped to ≥ 2 so
-    /// corruption fallback always has an older generation to fall to).
-    pub snapshot_keep: usize,
-}
-
-impl Default for ExecPolicy {
-    fn default() -> ExecPolicy {
-        ExecPolicy {
-            max_retries: 0,
-            backoff_us: 50.0,
-            emergency_bootstrap: false,
-            checkpoint_every: 0,
-            max_resumes: 0,
-            durable_path: None,
-            snapshot_keep: 3,
-        }
-    }
 }
 
 impl ExecPolicy {
     /// A production-style policy with every recovery mechanism enabled:
-    /// 4 retries with 50 µs base backoff, the emergency-bootstrap guard,
-    /// and a checkpoint at every loop header with up to 32 resumes.
+    /// 4 retries, the emergency-bootstrap guard, and a checkpoint at every
+    /// loop header with up to 32 resumes.
     #[must_use]
     pub fn resilient() -> ExecPolicy {
         ExecPolicy {
             max_retries: 4,
-            backoff_us: 50.0,
             emergency_bootstrap: true,
-            checkpoint_every: 1,
             max_resumes: 32,
-            durable_path: None,
-            snapshot_keep: 3,
         }
-    }
-
-    /// [`ExecPolicy::resilient`] plus durable on-disk snapshots in `dir`:
-    /// every top-level loop-header crossing persists a `halo-snap/1`
-    /// checkpoint via the atomic-rename [`DiskStore`], and
-    /// [`Executor::resume`] can continue a killed run from `dir`.
-    #[must_use]
-    pub fn durable(dir: impl Into<PathBuf>) -> ExecPolicy {
-        ExecPolicy {
-            durable_path: Some(dir.into()),
-            ..ExecPolicy::resilient()
-        }
-    }
-
-    /// Whether any recovery mechanism is active.
-    #[must_use]
-    pub fn recovery_enabled(&self) -> bool {
-        self.max_retries > 0 || self.emergency_bootstrap || self.checkpoint_every > 0
     }
 }
+
+/// Base of the modeled exponential retry backoff, in microseconds.
+const BACKOFF_US: f64 = 50.0;
 
 /// Upper bound on repair rounds per guard site: under fault injection an
 /// emergency bootstrap's own result can be corrupted again, so the guards
 /// re-check and re-repair — but never unboundedly.
 const MAX_HEAL_ATTEMPTS: u32 = 4;
 
-/// A validated resume target extracted from an on-disk snapshot: the
-/// entry-block `for` op to fast-forward to and the loop state to re-enter
-/// it with. (The full value environment travels separately — it seeds the
-/// run's value map directly.)
-struct ResumePoint<C> {
-    loop_op: OpId,
-    iter: u64,
-    carried: Vec<RtValue<C>>,
-}
+/// Serializes one `halo-snap/1` blob for the current program state: the
+/// loop op, the iteration about to run, the value environment and the
+/// carried values.
+type Encode<'a, C> = &'a dyn Fn(OpId, u64, &HashMap<ValueId, RtValue<C>>, &[RtValue<C>]) -> Vec<u8>;
 
-/// Durable-execution context threaded through one `run_durable`/`resume`
-/// call. Built only in [`SnapshotBackend`]-bounded entry points — the
-/// `encode` closure captures the concrete backend there, so the generic
-/// `Backend` interior of the executor never needs the stronger bound.
-///
-/// Only *top-level* loops (ops of the entry block) write disk snapshots:
-/// a nested loop's state is reconstructed by re-running its enclosing
-/// iteration, which the enclosing loop's snapshot already covers.
-struct DurableCtx<'a, C> {
+/// Where a durable run persists its loop-header snapshots. Built only by
+/// the [`SnapshotBackend`]-bounded entry points — the `encode` closure
+/// captures the concrete backend there, so the generic `Backend` interior
+/// of the executor never needs the stronger bound.
+struct Durable<'a, C> {
     store: &'a dyn SnapshotStore,
-    /// Persist a snapshot every `every` loop-header crossings (≥ 1).
-    every: u64,
-    /// Serializes one `halo-snap/1` blob for the current program state.
-    #[allow(clippy::type_complexity)]
-    encode: &'a dyn Fn(OpId, u64, &HashMap<ValueId, RtValue<C>>, &[RtValue<C>]) -> Vec<u8>,
-    /// Pending resume target, consumed by the first matching loop header.
-    resume: RefCell<Option<ResumePoint<C>>>,
+    encode: Encode<'a, C>,
 }
 
 /// Whether a snapshot's loop op is a structurally valid resume target for
@@ -386,12 +315,6 @@ impl<'b, B: Backend> Executor<'b, B> {
         }
     }
 
-    /// The active recovery policy.
-    #[must_use]
-    pub fn policy(&self) -> &ExecPolicy {
-        &self.policy
-    }
-
     /// Runs `f` with the given inputs.
     ///
     /// # Errors
@@ -400,803 +323,35 @@ impl<'b, B: Backend> Executor<'b, B> {
     /// backend faults are retried and loop failures resume from the last
     /// checkpoint before an error is surfaced.
     pub fn run(&self, f: &Function, inputs: &Inputs) -> Result<RunOutput, ExecError> {
-        self.run_core(f, inputs, None, HashMap::new(), RunStats::default())
-    }
-
-    /// The shared run loop behind [`Executor::run`] and the durable entry
-    /// points: `values` and `stats` arrive pre-seeded when resuming from a
-    /// snapshot, and `dur` (when present) makes loop headers persist
-    /// snapshots and honors a pending resume point.
-    fn run_core(
-        &self,
-        f: &Function,
-        inputs: &Inputs,
-        dur: Option<&DurableCtx<'_, B::Ct>>,
-        mut values: HashMap<ValueId, RtValue<B::Ct>>,
-        mut stats: RunStats,
-    ) -> Result<RunOutput, ExecError> {
-        self.run_block(f, f.entry, inputs, &mut values, &mut stats, dur)?;
-
-        let term = f
-            .terminator(f.entry)
-            .ok_or_else(|| ExecError::from(RunError::Malformed("missing return".into())))?;
-        let ret = f
-            .try_op(term)
-            .ok_or_else(|| ExecError::from(dangling_op(term)))?;
-        let mut outputs = Vec::new();
-        for &v in &ret.operands {
-            match values.get(&v) {
-                Some(RtValue::Ct(c)) => {
-                    outputs.push(self.call(&mut stats, || self.backend.decrypt(c))?);
-                }
-                Some(RtValue::Pt(p)) => outputs.push(p.clone()),
-                None => {
-                    return Err(ExecError::from(RunError::Malformed(format!(
-                        "output {v} never computed"
-                    ))))
-                }
-            }
-        }
-        Ok(RunOutput { outputs, stats })
-    }
-
-    // ------------------------------------------------------------------
-    // Recovery machinery
-    // ------------------------------------------------------------------
-
-    /// Issues one backend call under the retry policy: transient faults
-    /// are counted, charged deterministic exponential backoff, and
-    /// re-issued up to [`ExecPolicy::max_retries`] times.
-    fn call<T>(
-        &self,
-        stats: &mut RunStats,
-        op: impl Fn() -> Result<T, BackendError>,
-    ) -> Result<T, ExecError> {
-        let mut attempt = 0u32;
-        loop {
-            match op() {
-                Err(e) if e.is_transient() => {
-                    stats.transient_faults += 1;
-                    if attempt >= self.policy.max_retries {
-                        return Err(ExecError::from(e));
-                    }
-                    attempt += 1;
-                    stats.retries += 1;
-                    // 2^(attempt-1), capped to keep the modeled delay sane.
-                    let backoff = self.policy.backoff_us * f64::from(1u32 << (attempt - 1).min(16));
-                    stats.retry_backoff_us += backoff;
-                    stats.total_us += backoff;
-                }
-                Err(e) => return Err(ExecError::from(e)),
-                Ok(v) => return Ok(v),
-            }
-        }
-    }
-
-    /// Emergency rescale: normalize a pending-rescale (degree-2) value so
-    /// it can be bootstrapped or degree-matched, recording a degradation
-    /// event. The plan's own later rescale of the value then passes
-    /// through as a no-op (see the `Rescale` arm).
-    fn emergency_rescale(&self, x: &B::Ct, stats: &mut RunStats) -> Result<B::Ct, ExecError> {
-        let level = self.backend.level(x);
-        let r = self.call(stats, || self.backend.rescale(x))?;
-        stats.emergency_rescales += 1;
-        stats.record(
-            "rescale",
-            self.cost.latency_us(CostedOp::Rescale { level }),
-            false,
-        );
-        Ok(r)
-    }
-
-    /// Emergency bootstrap: restore a ciphertext to the parameter
-    /// maximum level, recording a degradation event.
-    fn emergency_bootstrap(&self, x: &B::Ct, stats: &mut RunStats) -> Result<B::Ct, ExecError> {
-        let target = self.backend.params().max_level;
-        let r = self.call(stats, || self.backend.bootstrap(x, target))?;
-        stats.emergency_bootstraps += 1;
-        stats.record(
-            "bootstrap",
-            self.cost.latency_us(CostedOp::Bootstrap { target }),
-            true,
-        );
-        Ok(r)
-    }
-
-    /// Noise-budget guard for unary consumers: if `x` sits below `need`
-    /// levels (imminent `LevelExhausted`), bootstrap it back up. A
-    /// pending-rescale (degree-2) value cannot be bootstrapped directly,
-    /// so it is first normalized with an emergency rescale — the plan's
-    /// own later rescale of that value then passes through as a no-op
-    /// (see the `Rescale` arm). The repair is re-checked and re-issued up
-    /// to [`MAX_HEAL_ATTEMPTS`] times, because under fault injection the
-    /// repair's own result can be corrupted again.
-    fn guard_level(
-        &self,
-        mut x: B::Ct,
-        need: u32,
-        stats: &mut RunStats,
-    ) -> Result<B::Ct, ExecError> {
-        if !self.policy.emergency_bootstrap {
-            return Ok(x);
-        }
-        let mut tries = 0;
-        while self.backend.level(&x) < need && tries < MAX_HEAL_ATTEMPTS {
-            if self.backend.degree(&x) == 2 {
-                if self.backend.level(&x) == 0 {
-                    return Ok(x); // unrescalable: let the op fail naturally
-                }
-                x = self.emergency_rescale(&x, stats)?;
-            }
-            x = self.emergency_bootstrap(&x, stats)?;
-            tries += 1;
-        }
-        Ok(x)
-    }
-
-    /// Noise-budget guard for binary ops: realign mismatched operand
-    /// levels with a modswitch (degradation event), and — for
-    /// level-consuming ops — bootstrap both operands if the shared level
-    /// is exhausted. Bounded like [`Executor::guard_level`]: each repair
-    /// can itself be corrupted, so re-check until healthy or the attempt
-    /// budget runs out (the op then fails with its natural error).
-    fn guard_pair(
-        &self,
-        mut x: B::Ct,
-        mut y: B::Ct,
-        consumes_level: bool,
-        stats: &mut RunStats,
-    ) -> Result<(B::Ct, B::Ct), ExecError> {
-        if !self.policy.emergency_bootstrap {
-            return Ok((x, y));
-        }
-        let healthy = |lx: u32, ly: u32| lx == ly && (!consumes_level || lx >= 1);
-        let mut tries = 0;
-        loop {
-            // Degree harmonization first: an emergency repair upstream may
-            // have normalized one side of a pending-rescale pair early.
-            // Rescale the still-pending side to match (its own planned
-            // rescale then passes through as a no-op).
-            let (dx, dy) = (self.backend.degree(&x), self.backend.degree(&y));
-            if dx != dy && tries < MAX_HEAL_ATTEMPTS {
-                let pending = if dx == 2 { &x } else { &y };
-                if self.backend.level(pending) == 0 {
-                    return Ok((x, y)); // unrescalable: let the op fail naturally
-                }
-                tries += 1;
-                if dx == 2 {
-                    x = self.emergency_rescale(&x, stats)?;
-                } else {
-                    y = self.emergency_rescale(&y, stats)?;
-                }
-                continue;
-            }
-            let (lx, ly) = (self.backend.level(&x), self.backend.level(&y));
-            if healthy(lx, ly) || tries >= MAX_HEAL_ATTEMPTS {
-                return Ok((x, y));
-            }
-            tries += 1;
-            if lx != ly {
-                let down = lx.abs_diff(ly);
-                if lx > ly {
-                    x = self.call(stats, || self.backend.modswitch(&x, down))?;
-                } else {
-                    y = self.call(stats, || self.backend.modswitch(&y, down))?;
-                }
-                stats.level_aligns += 1;
-                stats.record(
-                    "modswitch",
-                    self.cost.modswitch_chain_us(lx.max(ly), down),
-                    false,
-                );
-            } else if self.backend.degree(&x) == 1 {
-                x = self.emergency_bootstrap(&x, stats)?;
-                y = self.emergency_bootstrap(&y, stats)?;
-            } else {
-                return Ok((x, y));
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Program execution
-    // ------------------------------------------------------------------
-
-    fn run_block(
-        &self,
-        f: &Function,
-        block: BlockId,
-        inputs: &Inputs,
-        values: &mut HashMap<ValueId, RtValue<B::Ct>>,
-        stats: &mut RunStats,
-        dur: Option<&DurableCtx<'_, B::Ct>>,
-    ) -> Result<(), ExecError> {
-        let blk = f
-            .try_block(block)
-            .ok_or_else(|| ExecError::from(dangling_block(block)))?;
-        // Rotation-hoisting peephole: rotations fanning out from one SSA
-        // value execute as a single `rotate_batch`, sharing the digit
-        // decomposition. Groups are recomputed per call so loop bodies
-        // re-batch on every iteration.
-        let hoist = rotation_fanouts(f, &blk.ops);
-        let mut done: HashSet<OpId> = HashSet::new();
-        for &op_id in &blk.ops {
-            if done.remove(&op_id) {
-                continue; // already served by an earlier batch this pass
-            }
-            // Resuming from a snapshot: the restored value environment
-            // already holds every result computed before the snapshot's
-            // loop header, so fast-forward to the target loop op.
-            if let Some(d) = dur {
-                let target = d.resume.borrow().as_ref().map(|rp| rp.loop_op);
-                if target.is_some_and(|t| t != op_id) {
-                    continue;
-                }
-            }
-            let op = f
-                .try_op(op_id)
-                .ok_or_else(|| ExecError::from(dangling_op(op_id)))?;
-            if let Some(group) = hoist.get(&op_id) {
-                let handled = self
-                    .exec_rotate_group(f, group, values, stats)
-                    .map_err(|e| e.contextualize(op_id, op.opcode.mnemonic(), block))?;
-                if handled {
-                    done.extend(group.iter().skip(1).copied());
-                    continue;
-                }
-            }
-            self.exec_op(f, op_id, op, inputs, values, stats, dur)
-                .map_err(|e| e.contextualize(op_id, op.opcode.mnemonic(), block))?;
-        }
-        Ok(())
-    }
-
-    /// Executes one rotation fan-out group through
-    /// [`Backend::rotate_batch`], amortizing the hoisted decomposition
-    /// across the whole group in both the backend and the cost model.
-    ///
-    /// Returns `Ok(false)` (caller falls back to per-op execution) when
-    /// the group turns out not to be batchable: the source is a plaintext
-    /// or not yet computed, or an op is not a ciphertext rotation.
-    fn exec_rotate_group(
-        &self,
-        f: &Function,
-        group: &[OpId],
-        values: &mut HashMap<ValueId, RtValue<B::Ct>>,
-        stats: &mut RunStats,
-    ) -> Result<bool, ExecError> {
-        let mut offsets = Vec::with_capacity(group.len());
-        let mut results = Vec::with_capacity(group.len());
-        let mut src = None;
-        for &id in group {
-            let op = f
-                .try_op(id)
-                .ok_or_else(|| ExecError::from(dangling_op(id)))?;
-            let Opcode::Rotate { offset } = op.opcode else {
-                return Ok(false);
-            };
-            src = Some(operand(op, 0)?);
-            offsets.push(offset);
-            results.push(result(op, 0)?);
-        }
-        let Some(src) = src else { return Ok(false) };
-        let Some(RtValue::Ct(x)) = values.get(&src) else {
-            return Ok(false); // plaintext (or missing) source: no key switch to hoist
-        };
-        let x = x.clone();
-        let level = self.backend.level(&x);
-        let k = offsets.len() as u32;
-        let batch_us = self.cost.rotate_batch_us(level, k);
-        let single_us = self.cost.latency_us(CostedOp::Rotate { level });
-        // Each rotation stays visible in op_counts; the amortized price is
-        // spread evenly across the group.
-        for _ in 0..k {
-            stats.record("rotate", batch_us / f64::from(k), false);
-        }
-        let outs = self.call(stats, || self.backend.rotate_batch(&x, &offsets))?;
-        if outs.len() != results.len() {
-            return Err(ExecError::from(RunError::Malformed(format!(
-                "rotate_batch returned {} results for {} offsets",
-                outs.len(),
-                results.len()
-            ))));
-        }
-        stats.hoisted_batches += 1;
-        stats.hoisted_rotations += u64::from(k);
-        stats.hoist_saved_us += (single_us * f64::from(k) - batch_us).max(0.0);
-        for (r, ct) in results.into_iter().zip(outs) {
-            values.insert(r, RtValue::Ct(ct));
-        }
-        Ok(true)
-    }
-
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn exec_op(
-        &self,
-        f: &Function,
-        op_id: OpId,
-        op: &Op,
-        inputs: &Inputs,
-        values: &mut HashMap<ValueId, RtValue<B::Ct>>,
-        stats: &mut RunStats,
-        dur: Option<&DurableCtx<'_, B::Ct>>,
-    ) -> Result<(), ExecError> {
-        let slots = self.backend.params().slots();
-        let mnemonic = op.opcode.mnemonic();
-        match &op.opcode {
-            Opcode::Input { name } => {
-                let r = result(op, 0)?;
-                let ty = f
-                    .try_ty(r)
-                    .ok_or_else(|| ExecError::from(dangling_value(r)))?;
-                let rt = if ty.status == Status::Cipher {
-                    let data = inputs
-                        .cipher
-                        .get(name)
-                        .ok_or_else(|| ExecError::from(RunError::MissingInput(name.clone())))?;
-                    let level = match ty.level {
-                        LEVEL_UNSET => self.backend.params().max_level,
-                        l => l,
-                    };
-                    RtValue::Ct(self.call(stats, || self.backend.encrypt(data, level))?)
-                } else {
-                    let data = inputs
-                        .plain
-                        .get(name)
-                        .ok_or_else(|| ExecError::from(RunError::MissingInput(name.clone())))?;
-                    RtValue::Pt(expand_to_slots(data, slots)?.into_owned())
-                };
-                values.insert(r, rt);
-            }
-            Opcode::Const(c) => {
-                let data = match c {
-                    ConstValue::Splat(x) => vec![*x; slots],
-                    ConstValue::Vector(v) => expand_to_slots(v, slots)?.into_owned(),
-                    ConstValue::Mask { lo, hi } => (0..slots)
-                        .map(|i| if i >= *lo && i < *hi { 1.0 } else { 0.0 })
-                        .collect(),
-                };
-                stats.record(mnemonic, self.cost.latency_us(CostedOp::Encode), false);
-                values.insert(result(op, 0)?, RtValue::Pt(data));
-            }
-            Opcode::AddCC | Opcode::SubCC | Opcode::MultCC => {
-                let sub = matches!(op.opcode, Opcode::SubCC);
-                let mult = matches!(op.opcode, Opcode::MultCC);
-                let a = lookup(values, operand(op, 0)?)?;
-                let b = lookup(values, operand(op, 1)?)?;
-                let rt = match (a, b) {
-                    (RtValue::Ct(x), RtValue::Ct(y)) => {
-                        let (x, y) = self.guard_pair(x, y, mult, stats)?;
-                        let level = self.backend.level(&x);
-                        let r = if mult {
-                            stats.record(
-                                mnemonic,
-                                self.cost.latency_us(CostedOp::MultCC { level }),
-                                false,
-                            );
-                            self.call(stats, || self.backend.mult(&x, &y))?
-                        } else {
-                            stats.record(
-                                mnemonic,
-                                self.cost.latency_us(CostedOp::AddCC { level }),
-                                false,
-                            );
-                            if sub {
-                                self.call(stats, || self.backend.sub(&x, &y))?
-                            } else {
-                                self.call(stats, || self.backend.add(&x, &y))?
-                            }
-                        };
-                        RtValue::Ct(r)
-                    }
-                    (RtValue::Pt(x), RtValue::Pt(y)) => {
-                        // Plain–plain arithmetic folds at runtime.
-                        let r: Vec<f64> = x
-                            .iter()
-                            .zip(&y)
-                            .map(|(a, b)| {
-                                if mult {
-                                    a * b
-                                } else if sub {
-                                    a - b
-                                } else {
-                                    a + b
-                                }
-                            })
-                            .collect();
-                        RtValue::Pt(r)
-                    }
-                    _ => {
-                        return Err(ExecError::from(RunError::Malformed(format!(
-                            "{mnemonic} with mixed plain/cipher operands"
-                        ))))
-                    }
-                };
-                values.insert(result(op, 0)?, rt);
-            }
-            Opcode::AddCP | Opcode::SubCP | Opcode::MultCP => {
-                let RtValue::Ct(x) = lookup(values, operand(op, 0)?)? else {
-                    return Err(ExecError::from(RunError::Malformed(format!(
-                        "{mnemonic} cipher operand is plain"
-                    ))));
-                };
-                let RtValue::Pt(p) = lookup(values, operand(op, 1)?)? else {
-                    return Err(ExecError::from(RunError::Malformed(format!(
-                        "{mnemonic} plain operand is cipher"
-                    ))));
-                };
-                let x = if matches!(op.opcode, Opcode::MultCP) {
-                    self.guard_level(x, 1, stats)?
-                } else {
-                    x
-                };
-                let level = self.backend.level(&x);
-                let (r, us) = match op.opcode {
-                    Opcode::AddCP => (
-                        self.call(stats, || self.backend.add_plain(&x, &p))?,
-                        self.cost.latency_us(CostedOp::AddCP { level }),
-                    ),
-                    Opcode::SubCP => (
-                        self.call(stats, || self.backend.sub_plain(&x, &p))?,
-                        self.cost.latency_us(CostedOp::AddCP { level }),
-                    ),
-                    _ => (
-                        self.call(stats, || self.backend.mult_plain(&x, &p))?,
-                        self.cost.latency_us(CostedOp::MultCP { level }),
-                    ),
-                };
-                stats.record(mnemonic, us, false);
-                values.insert(result(op, 0)?, RtValue::Ct(r));
-            }
-            Opcode::Negate => {
-                let rt = match lookup(values, operand(op, 0)?)? {
-                    RtValue::Ct(x) => {
-                        let level = self.backend.level(&x);
-                        stats.record(
-                            mnemonic,
-                            self.cost.latency_us(CostedOp::Negate { level }),
-                            false,
-                        );
-                        RtValue::Ct(self.call(stats, || self.backend.negate(&x))?)
-                    }
-                    RtValue::Pt(v) => RtValue::Pt(v.iter().map(|x| -x).collect()),
-                };
-                values.insert(result(op, 0)?, rt);
-            }
-            Opcode::Rotate { offset } => {
-                let rt = match lookup(values, operand(op, 0)?)? {
-                    RtValue::Ct(x) => {
-                        let level = self.backend.level(&x);
-                        stats.record(
-                            mnemonic,
-                            self.cost.latency_us(CostedOp::Rotate { level }),
-                            false,
-                        );
-                        RtValue::Ct(self.call(stats, || self.backend.rotate(&x, *offset))?)
-                    }
-                    RtValue::Pt(v) => {
-                        if v.is_empty() {
-                            RtValue::Pt(v)
-                        } else {
-                            let n = v.len() as i64;
-                            let s = offset.rem_euclid(n) as usize;
-                            RtValue::Pt((0..v.len()).map(|i| v[(i + s) % v.len()]).collect())
-                        }
-                    }
-                };
-                values.insert(result(op, 0)?, rt);
-            }
-            Opcode::Rescale => {
-                let RtValue::Ct(x) = lookup(values, operand(op, 0)?)? else {
-                    return Err(ExecError::from(RunError::Malformed(
-                        "rescale of plaintext".into(),
-                    )));
-                };
-                // An emergency repair (`guard_level`) may have rescaled
-                // this value already; the planned rescale is then a no-op.
-                if self.policy.emergency_bootstrap && self.backend.degree(&x) == 1 {
-                    values.insert(result(op, 0)?, RtValue::Ct(x));
-                    return Ok(());
-                }
-                let level = self.backend.level(&x);
-                stats.record(
-                    mnemonic,
-                    self.cost.latency_us(CostedOp::Rescale { level }),
-                    false,
-                );
-                values.insert(
-                    result(op, 0)?,
-                    RtValue::Ct(self.call(stats, || self.backend.rescale(&x))?),
-                );
-            }
-            Opcode::ModSwitch { down } => {
-                let RtValue::Ct(x) = lookup(values, operand(op, 0)?)? else {
-                    return Err(ExecError::from(RunError::Malformed(
-                        "modswitch of plaintext".into(),
-                    )));
-                };
-                // A pending-rescale (degree-2) operand needs one level
-                // beyond the switch itself, or its rescale can never fire.
-                let need = *down + u32::from(self.backend.degree(&x) == 2);
-                let x = self.guard_level(x, need, stats)?;
-                let level = self.backend.level(&x);
-                stats.record(mnemonic, self.cost.modswitch_chain_us(level, *down), false);
-                values.insert(
-                    result(op, 0)?,
-                    RtValue::Ct(self.call(stats, || self.backend.modswitch(&x, *down))?),
-                );
-            }
-            Opcode::Bootstrap { target } => {
-                let RtValue::Ct(x) = lookup(values, operand(op, 0)?)? else {
-                    return Err(ExecError::from(RunError::Malformed(
-                        "bootstrap of plaintext".into(),
-                    )));
-                };
-                stats.record(
-                    mnemonic,
-                    self.cost
-                        .latency_us(CostedOp::Bootstrap { target: *target }),
-                    true,
-                );
-                values.insert(
-                    result(op, 0)?,
-                    RtValue::Ct(self.call(stats, || self.backend.bootstrap(&x, *target))?),
-                );
-            }
-            Opcode::For { .. } => self.run_loop(f, op_id, op, inputs, values, stats, dur)?,
-            Opcode::Encrypt => {
-                let RtValue::Pt(v) = lookup(values, operand(op, 0)?)? else {
-                    return Err(ExecError::from(RunError::Malformed(
-                        "encrypt of a ciphertext".into(),
-                    )));
-                };
-                let r = result(op, 0)?;
-                let ty = f
-                    .try_ty(r)
-                    .ok_or_else(|| ExecError::from(dangling_value(r)))?;
-                let level = match ty.level {
-                    LEVEL_UNSET => self.backend.params().max_level,
-                    l => l,
-                };
-                stats.record(mnemonic, self.cost.latency_us(CostedOp::Encode), false);
-                values.insert(
-                    r,
-                    RtValue::Ct(self.call(stats, || self.backend.encrypt(&v, level))?),
-                );
-            }
-            Opcode::Yield | Opcode::Return => {}
-        }
-        Ok(())
-    }
-
-    /// Executes a `for` loop, checkpointing the carried environment at
-    /// loop-header boundaries per the policy and resuming from the last
-    /// checkpoint when an iteration dies to a non-retryable backend
-    /// fault. Under a [`DurableCtx`], loop headers additionally persist
-    /// `halo-snap/1` snapshots to the snapshot store, and a pending
-    /// on-disk resume point re-enters the loop at its saved iteration.
-    #[allow(clippy::too_many_arguments)]
-    fn run_loop(
-        &self,
-        f: &Function,
-        op_id: OpId,
-        op: &Op,
-        inputs: &Inputs,
-        values: &mut HashMap<ValueId, RtValue<B::Ct>>,
-        stats: &mut RunStats,
-        dur: Option<&DurableCtx<'_, B::Ct>>,
-    ) -> Result<(), ExecError> {
-        let Opcode::For { trip, body, .. } = &op.opcode else {
-            return Err(ExecError::from(RunError::Malformed(
-                "run_loop on a non-loop op".into(),
-            )));
-        };
-        let n = trip
-            .eval(&inputs.env)
-            .map_err(|s| ExecError::from(RunError::MissingInput(s)))?;
-        let body = *body;
-        let args = f
-            .try_block(body)
-            .ok_or_else(|| ExecError::from(dangling_block(body)))?
-            .args
-            .clone();
-        let mut carried: Vec<RtValue<B::Ct>> = op
-            .operands
-            .iter()
-            .map(|&v| lookup(values, v))
-            .collect::<Result<_, _>>()?;
-        if args.len() != carried.len() {
-            return Err(ExecError::from(RunError::Malformed(format!(
-                "loop binds {} init values to {} block args",
-                carried.len(),
-                args.len()
-            ))));
-        }
-
-        let every = self.policy.checkpoint_every;
-        let mut checkpoint: Option<(u64, Vec<RtValue<B::Ct>>)> = None;
-        let mut resumes_left = self.policy.max_resumes;
-        let mut i = 0u64;
-        // A pending on-disk resume point for *this* loop re-enters at the
-        // saved iteration with the saved carried values. The header it
-        // resumes at is not re-persisted — the store already holds it.
-        let mut last_persisted: Option<u64> = None;
-        if let Some(d) = dur {
-            let matches_self = d
-                .resume
-                .borrow()
-                .as_ref()
-                .is_some_and(|rp| rp.loop_op == op_id);
-            if matches_self {
-                let rp = d.resume.borrow_mut().take().expect("checked above");
-                i = rp.iter.min(n);
-                carried = rp.carried;
-                last_persisted = Some(rp.iter);
-            }
-        }
-        while i < n {
-            if every > 0
-                && i.is_multiple_of(every)
-                && checkpoint.as_ref().is_none_or(|(at, _)| *at != i)
-            {
-                // Snapshot the carried environment at the loop header.
-                // Cost model: one encode-equivalent per carried ciphertext
-                // (serializing a ciphertext is an encode-sized memcpy).
-                let cts = carried
-                    .iter()
-                    .filter(|c| matches!(c, RtValue::Ct(_)))
-                    .count();
-                let us = cts as f64 * self.cost.latency_us(CostedOp::Encode);
-                stats.checkpoints += 1;
-                stats.checkpoint_us += us;
-                stats.total_us += us;
-                checkpoint = Some((i, carried.clone()));
-            }
-            if let Some(d) = dur {
-                if i.is_multiple_of(d.every) && last_persisted != Some(i) {
-                    // Persist a durable snapshot at this header. A failed
-                    // write (full disk, injected fault) skips this
-                    // generation and the run continues — durability
-                    // degrades to the previous generation.
-                    let t0 = Instant::now();
-                    let bytes = (d.encode)(op_id, i, values, &carried);
-                    let written = d.store.put(&bytes).is_ok();
-                    let us = t0.elapsed().as_secs_f64() * 1e6;
-                    if written {
-                        stats.snapshot_writes += 1;
-                        stats.snapshot_bytes += bytes.len() as u64;
-                    }
-                    stats.disk_snapshot_us += us;
-                    stats.total_us += us;
-                    last_persisted = Some(i);
-                }
-            }
-            match self.run_iteration(f, body, &args, &carried, inputs, values, stats) {
-                Ok(next) => {
-                    carried = next;
-                    i += 1;
-                }
-                Err(e) => {
-                    let recoverable = resumes_left > 0 && matches!(e.kind, RunError::Backend(_));
-                    match (&checkpoint, recoverable) {
-                        (Some((at, snapshot)), true) => {
-                            resumes_left -= 1;
-                            stats.resumes += 1;
-                            carried = snapshot.clone();
-                            i = *at;
-                        }
-                        _ => return Err(e),
-                    }
-                }
-            }
-        }
-        for (&r, c) in op.results.iter().zip(carried) {
-            values.insert(r, c);
-        }
-        Ok(())
-    }
-
-    /// One loop iteration: bind block args, run the body, read the yields.
-    #[allow(clippy::too_many_arguments)]
-    fn run_iteration(
-        &self,
-        f: &Function,
-        body: BlockId,
-        args: &[ValueId],
-        carried: &[RtValue<B::Ct>],
-        inputs: &Inputs,
-        values: &mut HashMap<ValueId, RtValue<B::Ct>>,
-        stats: &mut RunStats,
-    ) -> Result<Vec<RtValue<B::Ct>>, ExecError> {
-        for (&a, c) in args.iter().zip(carried) {
-            values.insert(a, c.clone());
-        }
-        // Nested loops run without the durable context: only top-level
-        // headers persist snapshots (re-running the enclosing iteration
-        // reconstructs inner-loop state), and a resume fast-forward must
-        // never skip body ops.
-        self.run_block(f, body, inputs, values, stats, None)?;
-        let term = f.terminator(body).ok_or_else(|| {
-            ExecError::from(RunError::Malformed("loop body missing yield".into()))
-        })?;
-        let yield_op = f
-            .try_op(term)
-            .ok_or_else(|| ExecError::from(dangling_op(term)))?;
-        yield_op
-            .operands
-            .iter()
-            .map(|&v| lookup(values, v))
-            .collect()
+        Run::new(self, f, inputs, None).finish()
     }
 }
 
 /// Durable execution: available when the backend supports ciphertext and
 /// RNG-state serialization ([`SnapshotBackend`] — both shipped backends
 /// and the fault decorator do).
-impl<'b, B: SnapshotBackend> Executor<'b, B> {
-    /// Opens the policy's on-disk snapshot store.
-    fn open_store(&self) -> Result<DiskStore, ExecError> {
-        let path = self.policy.durable_path.as_ref().ok_or_else(|| {
-            ExecError::from(RunError::Snapshot(
-                "policy has no durable_path (construct it with ExecPolicy::durable)".into(),
-            ))
-        })?;
-        DiskStore::open(path, self.policy.snapshot_keep).map_err(|e| {
-            ExecError::from(RunError::Snapshot(format!(
-                "cannot open snapshot store {}: {e}",
-                path.display()
-            )))
-        })
-    }
-
+impl<B: SnapshotBackend> Executor<'_, B> {
     /// Runs `f` with durable snapshots: every top-level loop-header
-    /// crossing (per [`ExecPolicy::checkpoint_every`]) persists a
-    /// `halo-snap/1` checkpoint to the policy's [`DiskStore`]. Outputs
-    /// are identical to [`Executor::run`] under the same policy — the
-    /// snapshots are pure observers; only the durable telemetry in
-    /// [`RunStats`] differs.
+    /// crossing persists a `halo-snap/1` checkpoint to `store` (a
+    /// [`crate::store::DiskStore`], a [`crate::store::MemStore`], a
+    /// remote…). Outputs are identical to [`Executor::run`] under the same
+    /// policy — the snapshots are pure observers; only the durable
+    /// telemetry in [`RunStats`] differs.
     ///
     /// # Errors
     ///
-    /// As [`Executor::run`], plus [`RunError::Snapshot`] if the store
-    /// directory cannot be opened. Individual snapshot-write failures are
+    /// As [`Executor::run`]. Individual snapshot-write failures are
     /// tolerated (the generation is skipped).
-    pub fn run_durable(&self, f: &Function, inputs: &Inputs) -> Result<RunOutput, ExecError> {
-        let store = self.open_store()?;
-        self.run_durable_with_store(f, inputs, &store)
-    }
-
-    /// [`Executor::run_durable`] against an explicit store (tests inject
-    /// [`crate::store::MemStore`] or [`crate::store::FaultyStore`] here).
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::run`].
-    pub fn run_durable_with_store(
+    pub fn run_durable(
         &self,
         f: &Function,
         inputs: &Inputs,
         store: &dyn SnapshotStore,
     ) -> Result<RunOutput, ExecError> {
-        let encode = |loop_op: OpId,
-                      iter: u64,
-                      values: &HashMap<ValueId, RtValue<B::Ct>>,
-                      carried: &[RtValue<B::Ct>]| {
-            encode_snapshot(self.backend, &f.name, loop_op, iter, values, carried)
-        };
-        let ctx = DurableCtx {
-            store,
-            every: self.policy.checkpoint_every.max(1),
-            encode: &encode,
-            resume: RefCell::new(None),
-        };
-        let remote_before = store.remote_telemetry();
-        let mut out = self.run_core(f, inputs, Some(&ctx), HashMap::new(), RunStats::default())?;
-        absorb_remote_delta(store, remote_before, &mut out.stats);
-        Ok(out)
+        self.run_with_store(f, inputs, store, false)
     }
 
-    /// Resumes a killed durable run from the policy's snapshot store.
+    /// Resumes a killed durable run from `store`.
     ///
     /// Generations are scanned newest-first; the first one that passes
     /// checksum verification, structural validation against `f`, and RNG
@@ -1209,96 +364,739 @@ impl<'b, B: SnapshotBackend> Executor<'b, B> {
     ///
     /// # Errors
     ///
-    /// As [`Executor::run_durable`].
-    pub fn resume(&self, f: &Function, inputs: &Inputs) -> Result<RunOutput, ExecError> {
-        let store = self.open_store()?;
-        self.resume_with_store(f, inputs, &store)
-    }
-
-    /// [`Executor::resume`] against an explicit store.
-    ///
-    /// # Errors
-    ///
-    /// As [`Executor::run_durable`].
-    pub fn resume_with_store(
+    /// As [`Executor::run`].
+    pub fn resume(
         &self,
         f: &Function,
         inputs: &Inputs,
         store: &dyn SnapshotStore,
     ) -> Result<RunOutput, ExecError> {
-        let mut stats = RunStats::default();
+        self.run_with_store(f, inputs, store, true)
+    }
+
+    /// The one durable run behind both entry points: restores the newest
+    /// usable generation when `resume` is set, runs with `store` as the
+    /// snapshot sink, and folds the store's remote-telemetry delta into
+    /// the stats (a no-op for stores without a remote).
+    fn run_with_store(
+        &self,
+        f: &Function,
+        inputs: &Inputs,
+        store: &dyn SnapshotStore,
+        resume: bool,
+    ) -> Result<RunOutput, ExecError> {
         let remote_before = store.remote_telemetry();
-        // A store we cannot even list is the resume-time analogue of a
-        // failed snapshot write: durability degrades (fresh start, counted
-        // in `resume_list_failures`), the run never aborts.
-        let gens = match store.generations() {
-            Ok(gens) => gens,
-            Err(_) => {
-                stats.resume_list_failures += 1;
-                Vec::new()
-            }
-        };
-        let mut restored: Option<DecodedSnapshot<B::Ct>> = None;
-        for &g in gens.iter().rev() {
-            let usable = store
-                .get(g)
-                .ok()
-                .and_then(|bytes| decode_snapshot(self.backend, &f.name, &bytes).ok())
-                .filter(|snap| loop_op_resumable(f, snap))
-                // RNG restoration is all-or-nothing: a failed load leaves
-                // the backend untouched, so the generation can be skipped.
-                .filter(|snap| snap.apply_rng(self.backend).is_ok());
-            match usable {
-                Some(snap) => {
-                    restored = Some(snap);
-                    break;
-                }
-                None => stats.corrupt_snapshots_skipped += 1,
-            }
-        }
-        let (values, resume) = match restored {
-            Some(snap) => {
-                stats.resumes_from_disk += 1;
-                (
-                    snap.values,
-                    Some(ResumePoint {
-                        loop_op: snap.loop_op,
-                        iter: snap.iter,
-                        carried: snap.carried,
-                    }),
-                )
-            }
-            // Nothing usable (e.g. killed before the first snapshot, or
-            // every generation corrupt): start over from scratch.
-            None => (HashMap::new(), None),
-        };
         let encode = |loop_op: OpId,
                       iter: u64,
                       values: &HashMap<ValueId, RtValue<B::Ct>>,
                       carried: &[RtValue<B::Ct>]| {
             encode_snapshot(self.backend, &f.name, loop_op, iter, values, carried)
         };
-        let ctx = DurableCtx {
-            store,
-            every: self.policy.checkpoint_every.max(1),
-            encode: &encode,
-            resume: RefCell::new(resume),
-        };
-        let mut out = self.run_core(f, inputs, Some(&ctx), values, stats)?;
-        absorb_remote_delta(store, remote_before, &mut out.stats);
+        let mut run = Run::new(
+            self,
+            f,
+            inputs,
+            Some(Durable {
+                store,
+                encode: &encode,
+            }),
+        );
+        if resume {
+            // A store we cannot even list is the resume-time analogue of a
+            // failed snapshot write: durability degrades (fresh start,
+            // counted in `resume_list_failures`), the run never aborts.
+            let gens = store.generations().unwrap_or_else(|_| {
+                run.stats.resume_list_failures += 1;
+                Vec::new()
+            });
+            let restored = gens.iter().rev().find_map(|&g| {
+                let usable = store
+                    .get(g)
+                    .ok()
+                    .and_then(|bytes| decode_snapshot(self.backend, &f.name, &bytes).ok())
+                    .filter(|snap| loop_op_resumable(f, snap))
+                    // RNG restoration is all-or-nothing: a failed load
+                    // leaves the backend untouched, so the generation can
+                    // be skipped.
+                    .filter(|snap| snap.apply_rng(self.backend).is_ok());
+                if usable.is_none() {
+                    run.stats.corrupt_snapshots_skipped += 1;
+                }
+                usable
+            });
+            // Nothing usable (e.g. killed before the first snapshot, or
+            // every generation corrupt) starts over from scratch.
+            if let Some(mut snap) = restored {
+                run.stats.resumes_from_disk += 1;
+                run.values = std::mem::take(&mut snap.values);
+                run.resume = Some(snap);
+            }
+        }
+        let mut out = run.finish()?;
+        if let Some(after) = store.remote_telemetry() {
+            out.stats
+                .absorb_remote(&after.delta(&remote_before.unwrap_or_default()));
+        }
         Ok(out)
     }
 }
 
-/// Folds the remote-telemetry delta accumulated across a durable run into
-/// its stats (no-op for stores without a remote).
-fn absorb_remote_delta(
-    store: &dyn SnapshotStore,
-    before: Option<crate::remote::RemoteTelemetry>,
-    stats: &mut RunStats,
-) {
-    if let Some(after) = store.remote_telemetry() {
-        stats.absorb_remote(&after.delta(&before.unwrap_or_default()));
+/// The level an `input`/`encrypt` result is encrypted at: its typed
+/// level, or the parameter maximum for an untyped program.
+fn encrypt_level<B: Backend>(be: &B, ty: CtType) -> u32 {
+    match ty.level {
+        LEVEL_UNSET => be.params().max_level,
+        l => l,
+    }
+}
+
+/// One run of one function: everything the run mutates, with the
+/// interpreter, the recovery guards and the durable hooks as methods.
+struct Run<'r, B: Backend> {
+    exec: &'r Executor<'r, B>,
+    f: &'r Function,
+    inputs: &'r Inputs,
+    values: HashMap<ValueId, RtValue<B::Ct>>,
+    stats: RunStats,
+    /// A restored snapshot whose loop the run re-enters: the entry block
+    /// fast-forwards to its loop op, and that loop's header takes it.
+    resume: Option<DecodedSnapshot<B::Ct>>,
+    /// The snapshot sink of a durable run. Only *top-level* loops (ops of
+    /// the entry block) write to it: a nested loop's state is
+    /// reconstructed by re-running its enclosing iteration, which the
+    /// enclosing loop's snapshot already covers.
+    durable: Option<Durable<'r, B::Ct>>,
+    /// Loop nesting depth of the block being run (0 = the entry block).
+    depth: u32,
+}
+
+impl<'r, B: Backend> Run<'r, B> {
+    fn new(
+        exec: &'r Executor<'r, B>,
+        f: &'r Function,
+        inputs: &'r Inputs,
+        durable: Option<Durable<'r, B::Ct>>,
+    ) -> Run<'r, B> {
+        Run {
+            exec,
+            f,
+            inputs,
+            values: HashMap::new(),
+            stats: RunStats::default(),
+            resume: None,
+            durable,
+            depth: 0,
+        }
+    }
+
+    /// Runs the entry block and decrypts the returned values.
+    fn finish(mut self) -> Result<RunOutput, ExecError> {
+        let f = self.f;
+        self.run_block(f.entry)?;
+        let term = f
+            .terminator(f.entry)
+            .ok_or_else(|| ExecError::from(RunError::Malformed("missing return".into())))?;
+        let ret = f
+            .try_op(term)
+            .ok_or_else(|| ExecError::from(dangling_op(term)))?;
+        let values = std::mem::take(&mut self.values);
+        let mut outputs = Vec::new();
+        for &v in &ret.operands {
+            match values.get(&v) {
+                Some(RtValue::Ct(c)) => {
+                    outputs.push(self.call("decrypt", 0, 0.0, |be| be.decrypt(c))?)
+                }
+                Some(RtValue::Pt(p)) => outputs.push(p.clone()),
+                None => {
+                    return Err(ExecError::from(RunError::Malformed(format!(
+                        "output {v} never computed"
+                    ))))
+                }
+            }
+        }
+        Ok(RunOutput {
+            outputs,
+            stats: self.stats,
+        })
+    }
+
+    fn be(&self) -> &'r B {
+        self.exec.backend
+    }
+
+    fn price(&self, op: CostedOp) -> f64 {
+        self.exec.cost.latency_us(op)
+    }
+
+    /// The choke point of every backend call: records `count` ops named
+    /// `mnemonic` at `us` modeled µs each (0 for the unpriced input
+    /// encryptions and output decryptions), then issues the call under the
+    /// retry policy: transient faults are counted, charged deterministic
+    /// exponential backoff, and re-issued up to
+    /// [`ExecPolicy::max_retries`] times.
+    fn call<T>(
+        &mut self,
+        mnemonic: &'static str,
+        count: u32,
+        us: f64,
+        op: impl Fn(&B) -> Result<T, BackendError>,
+    ) -> Result<T, ExecError> {
+        for _ in 0..count {
+            self.stats.record(mnemonic, us, mnemonic == "bootstrap");
+        }
+        let be = self.be();
+        let mut attempt = 0u32;
+        loop {
+            match op(be) {
+                Err(e) if e.is_transient() => {
+                    self.stats.transient_faults += 1;
+                    if attempt >= self.exec.policy.max_retries {
+                        return Err(ExecError::from(e));
+                    }
+                    attempt += 1;
+                    self.stats.retries += 1;
+                    // 2^(attempt-1), capped to keep the modeled delay sane.
+                    let backoff = BACKOFF_US * f64::from(1u32 << (attempt - 1).min(16));
+                    self.stats.retry_backoff_us += backoff;
+                    self.stats.total_us += backoff;
+                }
+                r => return r.map_err(ExecError::from),
+            }
+        }
+    }
+
+    fn lookup(&self, v: ValueId) -> Result<RtValue<B::Ct>, ExecError> {
+        self.values.get(&v).cloned().ok_or_else(|| {
+            ExecError::from(RunError::Malformed(format!(
+                "value {v} used before computed"
+            )))
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Recovery guards
+    // ------------------------------------------------------------------
+
+    /// Emergency rescale: normalize a pending-rescale (degree-2) value so
+    /// it can be bootstrapped or degree-matched, recording a degradation
+    /// event. The plan's own later rescale of the value then passes
+    /// through as a no-op (see the `Rescale` arm).
+    fn emergency_rescale(&mut self, x: &B::Ct) -> Result<B::Ct, ExecError> {
+        let us = self.price(CostedOp::Rescale {
+            level: self.be().level(x),
+        });
+        let r = self.call("rescale", 1, us, |be| be.rescale(x))?;
+        self.stats.emergency_rescales += 1;
+        Ok(r)
+    }
+
+    /// Emergency bootstrap: restore a ciphertext to the parameter
+    /// maximum level, recording a degradation event.
+    fn emergency_bootstrap(&mut self, x: &B::Ct) -> Result<B::Ct, ExecError> {
+        let target = self.be().params().max_level;
+        let us = self.price(CostedOp::Bootstrap { target });
+        let r = self.call("bootstrap", 1, us, |be| be.bootstrap(x, target))?;
+        self.stats.emergency_bootstraps += 1;
+        Ok(r)
+    }
+
+    /// Noise-budget guard for unary consumers: if `x` sits below `need`
+    /// levels (imminent `LevelExhausted`), bootstrap it back up. A
+    /// pending-rescale (degree-2) value cannot be bootstrapped directly,
+    /// so it is first normalized with an emergency rescale — the plan's
+    /// own later rescale of that value then passes through as a no-op
+    /// (see the `Rescale` arm). The repair is re-checked and re-issued up
+    /// to [`MAX_HEAL_ATTEMPTS`] times, because under fault injection the
+    /// repair's own result can be corrupted again.
+    fn guard_level(&mut self, mut x: B::Ct, need: u32) -> Result<B::Ct, ExecError> {
+        if !self.exec.policy.emergency_bootstrap {
+            return Ok(x);
+        }
+        let be = self.be();
+        let mut tries = 0;
+        while be.level(&x) < need && tries < MAX_HEAL_ATTEMPTS {
+            if be.degree(&x) == 2 {
+                if be.level(&x) == 0 {
+                    return Ok(x); // unrescalable: let the op fail naturally
+                }
+                x = self.emergency_rescale(&x)?;
+            }
+            x = self.emergency_bootstrap(&x)?;
+            tries += 1;
+        }
+        Ok(x)
+    }
+
+    /// Noise-budget guard for binary ops: realign mismatched operand
+    /// levels with a modswitch (degradation event), and — for
+    /// level-consuming ops — bootstrap both operands if the shared level
+    /// is exhausted. Bounded like [`Run::guard_level`]: each repair can
+    /// itself be corrupted, so re-check until healthy or the attempt
+    /// budget runs out (the op then fails with its natural error).
+    fn guard_pair(
+        &mut self,
+        mut x: B::Ct,
+        mut y: B::Ct,
+        consumes_level: bool,
+    ) -> Result<(B::Ct, B::Ct), ExecError> {
+        if !self.exec.policy.emergency_bootstrap {
+            return Ok((x, y));
+        }
+        let be = self.be();
+        let healthy = |lx: u32, ly: u32| lx == ly && (!consumes_level || lx >= 1);
+        let mut tries = 0;
+        loop {
+            // Degree harmonization first: an emergency repair upstream may
+            // have normalized one side of a pending-rescale pair early.
+            // Rescale the still-pending side to match (its own planned
+            // rescale then passes through as a no-op).
+            let (dx, dy) = (be.degree(&x), be.degree(&y));
+            if dx != dy && tries < MAX_HEAL_ATTEMPTS {
+                let pending = if dx == 2 { &x } else { &y };
+                if be.level(pending) == 0 {
+                    return Ok((x, y)); // unrescalable: let the op fail naturally
+                }
+                tries += 1;
+                if dx == 2 {
+                    x = self.emergency_rescale(&x)?;
+                } else {
+                    y = self.emergency_rescale(&y)?;
+                }
+                continue;
+            }
+            let (lx, ly) = (be.level(&x), be.level(&y));
+            if healthy(lx, ly) || tries >= MAX_HEAL_ATTEMPTS {
+                return Ok((x, y));
+            }
+            tries += 1;
+            if lx != ly {
+                let down = lx.abs_diff(ly);
+                let us = self.exec.cost.modswitch_chain_us(lx.max(ly), down);
+                if lx > ly {
+                    x = self.call("modswitch", 1, us, |be| be.modswitch(&x, down))?;
+                } else {
+                    y = self.call("modswitch", 1, us, |be| be.modswitch(&y, down))?;
+                }
+                self.stats.level_aligns += 1;
+            } else if be.degree(&x) == 1 {
+                x = self.emergency_bootstrap(&x)?;
+                y = self.emergency_bootstrap(&y)?;
+            } else {
+                return Ok((x, y));
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Program execution
+    // ------------------------------------------------------------------
+
+    fn run_block(&mut self, block: BlockId) -> Result<(), ExecError> {
+        let f = self.f;
+        let blk = f
+            .try_block(block)
+            .ok_or_else(|| ExecError::from(dangling_block(block)))?;
+        // Rotation-hoisting peephole: rotations fanning out from one SSA
+        // value execute as a single `rotate_batch`, sharing the digit
+        // decomposition. Groups are recomputed per call so loop bodies
+        // re-batch on every iteration.
+        let hoist: HashMap<OpId, Vec<OpId>> = rotation_fanouts(f, block)
+            .into_iter()
+            .map(|g| (g[0], g))
+            .collect();
+        let mut done: HashSet<OpId> = HashSet::new();
+        for &op_id in &blk.ops {
+            if done.remove(&op_id) {
+                continue; // already served by an earlier batch this pass
+            }
+            // Resuming from a snapshot: the restored value environment
+            // already holds every result computed before the snapshot's
+            // loop header, so fast-forward to the target loop op.
+            if self.resume.as_ref().is_some_and(|s| s.loop_op != op_id) {
+                continue;
+            }
+            let op = f
+                .try_op(op_id)
+                .ok_or_else(|| ExecError::from(dangling_op(op_id)))?;
+            let context = |e: ExecError| e.contextualize(op_id, op.opcode.mnemonic(), block);
+            if let Some(group) = hoist.get(&op_id) {
+                if self.exec_rotate_group(group).map_err(context)? {
+                    done.extend(group.iter().skip(1).copied());
+                    continue;
+                }
+            }
+            self.exec_op(op_id, op).map_err(context)?;
+        }
+        Ok(())
+    }
+
+    /// Executes one rotation fan-out group through
+    /// [`Backend::rotate_batch`], amortizing the hoisted decomposition
+    /// across the whole group in both the backend and the cost model.
+    ///
+    /// Returns `Ok(false)` (caller falls back to per-op execution) when
+    /// the group turns out not to be batchable: the source is a plaintext
+    /// or not yet computed, or an op is not a ciphertext rotation.
+    fn exec_rotate_group(&mut self, group: &[OpId]) -> Result<bool, ExecError> {
+        let mut offsets = Vec::with_capacity(group.len());
+        let mut results = Vec::with_capacity(group.len());
+        let mut src = None;
+        for &id in group {
+            let op = self
+                .f
+                .try_op(id)
+                .ok_or_else(|| ExecError::from(dangling_op(id)))?;
+            let Opcode::Rotate { offset } = op.opcode else {
+                return Ok(false);
+            };
+            src = Some(operand(op, 0)?);
+            offsets.push(offset);
+            results.push(result(op, 0)?);
+        }
+        let Some(src) = src else { return Ok(false) };
+        let Some(RtValue::Ct(x)) = self.values.get(&src) else {
+            return Ok(false); // plaintext (or missing) source: no key switch to hoist
+        };
+        let x = x.clone();
+        let level = self.be().level(&x);
+        let k = offsets.len() as u32;
+        let batch_us = self.exec.cost.rotate_batch_us(level, k);
+        let single_us = self.price(CostedOp::Rotate { level });
+        // Each rotation stays visible in op_counts; the amortized price is
+        // spread evenly across the group.
+        let outs = self.call("rotate", k, batch_us / f64::from(k), |be| {
+            be.rotate_batch(&x, &offsets)
+        })?;
+        if outs.len() != results.len() {
+            return Err(ExecError::from(RunError::Malformed(format!(
+                "rotate_batch returned {} results for {} offsets",
+                outs.len(),
+                results.len()
+            ))));
+        }
+        self.stats.hoisted_batches += 1;
+        self.stats.hoisted_rotations += u64::from(k);
+        self.stats.hoist_saved_us += (single_us * f64::from(k) - batch_us).max(0.0);
+        for (r, ct) in results.into_iter().zip(outs) {
+            self.values.insert(r, RtValue::Ct(ct));
+        }
+        Ok(true)
+    }
+
+    /// A ciphertext operand, or a [`RunError::Malformed`] naming `what`.
+    fn cipher(&self, op: &Op, i: usize, what: &str) -> Result<B::Ct, ExecError> {
+        match self.lookup(operand(op, i)?)? {
+            RtValue::Ct(x) => Ok(x),
+            RtValue::Pt(_) => Err(ExecError::from(RunError::Malformed(format!(
+                "{} {what}",
+                op.opcode.mnemonic()
+            )))),
+        }
+    }
+
+    #[allow(clippy::too_many_lines)]
+    fn exec_op(&mut self, op_id: OpId, op: &Op) -> Result<(), ExecError> {
+        let be = self.be();
+        let f = self.f;
+        let slots = be.params().slots();
+        let mnemonic = op.opcode.mnemonic();
+        let rt = match &op.opcode {
+            Opcode::Input { name } => {
+                let r = result(op, 0)?;
+                let ty = f
+                    .try_ty(r)
+                    .ok_or_else(|| ExecError::from(dangling_value(r)))?;
+                let bound = if ty.status == Status::Cipher {
+                    &self.inputs.cipher
+                } else {
+                    &self.inputs.plain
+                };
+                let data = bound
+                    .get(name)
+                    .ok_or_else(|| ExecError::from(RunError::MissingInput(name.clone())))?;
+                if ty.status == Status::Cipher {
+                    let level = encrypt_level(be, ty);
+                    RtValue::Ct(self.call(mnemonic, 0, 0.0, |be| be.encrypt(data, level))?)
+                } else {
+                    RtValue::Pt(expand_to_slots(data, slots)?.into_owned())
+                }
+            }
+            Opcode::Const(c) => {
+                let data = match c {
+                    ConstValue::Splat(x) => vec![*x; slots],
+                    ConstValue::Vector(v) => expand_to_slots(v, slots)?.into_owned(),
+                    ConstValue::Mask { lo, hi } => (0..slots)
+                        .map(|i| if i >= *lo && i < *hi { 1.0 } else { 0.0 })
+                        .collect(),
+                };
+                self.stats
+                    .record(mnemonic, self.price(CostedOp::Encode), false);
+                RtValue::Pt(data)
+            }
+            Opcode::AddCC | Opcode::SubCC | Opcode::MultCC => {
+                let a = self.lookup(operand(op, 0)?)?;
+                let b = self.lookup(operand(op, 1)?)?;
+                match (a, b) {
+                    (RtValue::Ct(x), RtValue::Ct(y)) => {
+                        let mult = matches!(op.opcode, Opcode::MultCC);
+                        let (x, y) = self.guard_pair(x, y, mult)?;
+                        let level = be.level(&x);
+                        RtValue::Ct(match op.opcode {
+                            Opcode::MultCC => {
+                                let us = self.price(CostedOp::MultCC { level });
+                                self.call(mnemonic, 1, us, |be| be.mult(&x, &y))?
+                            }
+                            Opcode::SubCC => {
+                                let us = self.price(CostedOp::AddCC { level });
+                                self.call(mnemonic, 1, us, |be| be.sub(&x, &y))?
+                            }
+                            _ => {
+                                let us = self.price(CostedOp::AddCC { level });
+                                self.call(mnemonic, 1, us, |be| be.add(&x, &y))?
+                            }
+                        })
+                    }
+                    // Plain–plain arithmetic folds at runtime.
+                    (RtValue::Pt(x), RtValue::Pt(y)) => RtValue::Pt(
+                        x.iter()
+                            .zip(&y)
+                            .map(|(a, b)| match op.opcode {
+                                Opcode::MultCC => a * b,
+                                Opcode::SubCC => a - b,
+                                _ => a + b,
+                            })
+                            .collect(),
+                    ),
+                    _ => {
+                        return Err(ExecError::from(RunError::Malformed(format!(
+                            "{mnemonic} with mixed plain/cipher operands"
+                        ))))
+                    }
+                }
+            }
+            Opcode::AddCP | Opcode::SubCP | Opcode::MultCP => {
+                let x = self.cipher(op, 0, "cipher operand is plain")?;
+                let RtValue::Pt(p) = self.lookup(operand(op, 1)?)? else {
+                    return Err(ExecError::from(RunError::Malformed(format!(
+                        "{mnemonic} plain operand is cipher"
+                    ))));
+                };
+                RtValue::Ct(if matches!(op.opcode, Opcode::MultCP) {
+                    let x = self.guard_level(x, 1)?;
+                    let us = self.price(CostedOp::MultCP {
+                        level: be.level(&x),
+                    });
+                    self.call(mnemonic, 1, us, |be| be.mult_plain(&x, &p))?
+                } else {
+                    let us = self.price(CostedOp::AddCP {
+                        level: be.level(&x),
+                    });
+                    if matches!(op.opcode, Opcode::SubCP) {
+                        self.call(mnemonic, 1, us, |be| be.sub_plain(&x, &p))?
+                    } else {
+                        self.call(mnemonic, 1, us, |be| be.add_plain(&x, &p))?
+                    }
+                })
+            }
+            Opcode::Negate => match self.lookup(operand(op, 0)?)? {
+                RtValue::Ct(x) => {
+                    let us = self.price(CostedOp::Negate {
+                        level: be.level(&x),
+                    });
+                    RtValue::Ct(self.call(mnemonic, 1, us, |be| be.negate(&x))?)
+                }
+                RtValue::Pt(v) => RtValue::Pt(v.iter().map(|x| -x).collect()),
+            },
+            Opcode::Rotate { offset } => match self.lookup(operand(op, 0)?)? {
+                RtValue::Ct(x) => {
+                    let us = self.price(CostedOp::Rotate {
+                        level: be.level(&x),
+                    });
+                    RtValue::Ct(self.call(mnemonic, 1, us, |be| be.rotate(&x, *offset))?)
+                }
+                RtValue::Pt(v) if v.is_empty() => RtValue::Pt(v),
+                RtValue::Pt(v) => {
+                    let s = offset.rem_euclid(v.len() as i64) as usize;
+                    RtValue::Pt((0..v.len()).map(|i| v[(i + s) % v.len()]).collect())
+                }
+            },
+            Opcode::Rescale => {
+                let x = self.cipher(op, 0, "of plaintext")?;
+                // An emergency repair (`guard_level`) may have rescaled
+                // this value already; the planned rescale is then a no-op.
+                if self.exec.policy.emergency_bootstrap && be.degree(&x) == 1 {
+                    RtValue::Ct(x)
+                } else {
+                    let us = self.price(CostedOp::Rescale {
+                        level: be.level(&x),
+                    });
+                    RtValue::Ct(self.call(mnemonic, 1, us, |be| be.rescale(&x))?)
+                }
+            }
+            Opcode::ModSwitch { down } => {
+                let x = self.cipher(op, 0, "of plaintext")?;
+                // A pending-rescale (degree-2) operand needs one level
+                // beyond the switch itself, or its rescale can never fire.
+                let need = *down + u32::from(be.degree(&x) == 2);
+                let x = self.guard_level(x, need)?;
+                let us = self.exec.cost.modswitch_chain_us(be.level(&x), *down);
+                RtValue::Ct(self.call(mnemonic, 1, us, |be| be.modswitch(&x, *down))?)
+            }
+            Opcode::Bootstrap { target } => {
+                let x = self.cipher(op, 0, "of plaintext")?;
+                let us = self.price(CostedOp::Bootstrap { target: *target });
+                RtValue::Ct(self.call(mnemonic, 1, us, |be| be.bootstrap(&x, *target))?)
+            }
+            Opcode::For { trip, body, .. } => return self.run_loop(op_id, op, trip, *body),
+            Opcode::Encrypt => {
+                let RtValue::Pt(v) = self.lookup(operand(op, 0)?)? else {
+                    return Err(ExecError::from(RunError::Malformed(
+                        "encrypt of a ciphertext".into(),
+                    )));
+                };
+                let r = result(op, 0)?;
+                let ty = f
+                    .try_ty(r)
+                    .ok_or_else(|| ExecError::from(dangling_value(r)))?;
+                let level = encrypt_level(be, ty);
+                let us = self.price(CostedOp::Encode);
+                RtValue::Ct(self.call(mnemonic, 1, us, |be| be.encrypt(&v, level))?)
+            }
+            Opcode::Yield | Opcode::Return => return Ok(()),
+        };
+        self.values.insert(result(op, 0)?, rt);
+        Ok(())
+    }
+
+    /// Executes a `for` loop, checkpointing the carried values at every
+    /// loop header when the policy allows resumes, and resuming from the
+    /// last checkpoint when an iteration dies to a non-retryable backend
+    /// fault. In a durable run, top-level loop headers additionally
+    /// persist `halo-snap/1` snapshots to the store, and a pending resume
+    /// point re-enters the loop at its saved iteration.
+    fn run_loop(
+        &mut self,
+        op_id: OpId,
+        op: &Op,
+        trip: &TripCount,
+        body: BlockId,
+    ) -> Result<(), ExecError> {
+        let n = trip
+            .eval(&self.inputs.env)
+            .map_err(|s| ExecError::from(RunError::MissingInput(s)))?;
+        let f = self.f;
+        let args = &f
+            .try_block(body)
+            .ok_or_else(|| ExecError::from(dangling_block(body)))?
+            .args;
+        let mut carried: Vec<RtValue<B::Ct>> = op
+            .operands
+            .iter()
+            .map(|&v| self.lookup(v))
+            .collect::<Result<_, _>>()?;
+        if args.len() != carried.len() {
+            return Err(ExecError::from(RunError::Malformed(format!(
+                "loop binds {} init values to {} block args",
+                carried.len(),
+                args.len()
+            ))));
+        }
+
+        let mut checkpoint: Option<(u64, Vec<RtValue<B::Ct>>)> = None;
+        let mut resumes_left = self.exec.policy.max_resumes;
+        let mut i = 0u64;
+        // A pending resume point for *this* loop re-enters at the saved
+        // iteration with the saved carried values. The header it resumes
+        // at is not re-persisted — the store already holds it.
+        let mut last_persisted: Option<u64> = None;
+        if let Some(snap) = self.resume.take_if(|s| s.loop_op == op_id) {
+            i = snap.iter.min(n);
+            carried = snap.carried;
+            last_persisted = Some(snap.iter);
+        }
+        while i < n {
+            if self.exec.policy.max_resumes > 0
+                && checkpoint.as_ref().is_none_or(|(at, _)| *at != i)
+            {
+                // Snapshot the carried environment at the loop header.
+                // Cost model: one encode-equivalent per carried ciphertext
+                // (serializing a ciphertext is an encode-sized memcpy).
+                let cts = carried
+                    .iter()
+                    .filter(|c| matches!(c, RtValue::Ct(_)))
+                    .count();
+                let us = cts as f64 * self.price(CostedOp::Encode);
+                self.stats.checkpoints += 1;
+                self.stats.checkpoint_us += us;
+                self.stats.total_us += us;
+                checkpoint = Some((i, carried.clone()));
+            }
+            match &self.durable {
+                Some(d) if self.depth == 0 && last_persisted != Some(i) => {
+                    // Persist a durable snapshot at this header. A failed
+                    // write (full disk, injected fault) skips this
+                    // generation and the run continues — durability
+                    // degrades to the previous generation.
+                    let t0 = Instant::now();
+                    let bytes = (d.encode)(op_id, i, &self.values, &carried);
+                    let written = d.store.put(&bytes).is_ok();
+                    let us = t0.elapsed().as_secs_f64() * 1e6;
+                    if written {
+                        self.stats.snapshot_writes += 1;
+                        self.stats.snapshot_bytes += bytes.len() as u64;
+                    }
+                    self.stats.disk_snapshot_us += us;
+                    self.stats.total_us += us;
+                    last_persisted = Some(i);
+                }
+                _ => {}
+            }
+            match self.run_iteration(body, args, &carried) {
+                Ok(next) => {
+                    carried = next;
+                    i += 1;
+                }
+                Err(e) => match &checkpoint {
+                    Some((at, saved))
+                        if resumes_left > 0 && matches!(e.kind, RunError::Backend(_)) =>
+                    {
+                        resumes_left -= 1;
+                        self.stats.resumes += 1;
+                        carried = saved.clone();
+                        i = *at;
+                    }
+                    _ => return Err(e),
+                },
+            }
+        }
+        for (&r, c) in op.results.iter().zip(carried) {
+            self.values.insert(r, c);
+        }
+        Ok(())
+    }
+
+    /// One loop iteration: bind block args, run the body, read the yields.
+    fn run_iteration(
+        &mut self,
+        body: BlockId,
+        args: &[ValueId],
+        carried: &[RtValue<B::Ct>],
+    ) -> Result<Vec<RtValue<B::Ct>>, ExecError> {
+        for (&a, c) in args.iter().zip(carried) {
+            self.values.insert(a, c.clone());
+        }
+        self.depth += 1;
+        let ran = self.run_block(body);
+        self.depth -= 1;
+        ran?;
+        let term = self.f.terminator(body).ok_or_else(|| {
+            ExecError::from(RunError::Malformed("loop body missing yield".into()))
+        })?;
+        let yield_op = self
+            .f
+            .try_op(term)
+            .ok_or_else(|| ExecError::from(dangling_op(term)))?;
+        yield_op.operands.iter().map(|&v| self.lookup(v)).collect()
     }
 }
 
@@ -1307,27 +1105,6 @@ fn absorb_remote_delta(
 // programs — every structural assumption is validated and reported as a
 // structured error instead).
 // ----------------------------------------------------------------------
-
-/// Finds rotation fan-outs in one block: `rotate` ops sharing a source
-/// value, in block order, keyed by the group's first op. Only groups of
-/// two or more are kept — a lone rotation gains nothing from hoisting.
-fn rotation_fanouts(f: &Function, ops: &[OpId]) -> HashMap<OpId, Vec<OpId>> {
-    let mut by_src: HashMap<ValueId, Vec<OpId>> = HashMap::new();
-    for &id in ops {
-        if let Some(op) = f.try_op(id) {
-            if matches!(op.opcode, Opcode::Rotate { .. }) {
-                if let Some(&src) = op.operands.first() {
-                    by_src.entry(src).or_default().push(id);
-                }
-            }
-        }
-    }
-    by_src
-        .into_values()
-        .filter(|g| g.len() >= 2)
-        .map(|g| (g[0], g))
-        .collect()
-}
 
 fn operand(op: &Op, i: usize) -> Result<ValueId, ExecError> {
     op.operands.get(i).copied().ok_or_else(|| {
@@ -1343,17 +1120,6 @@ fn result(op: &Op, i: usize) -> Result<ValueId, ExecError> {
         ExecError::from(RunError::Malformed(format!(
             "{} is missing result #{i}",
             op.opcode.mnemonic()
-        )))
-    })
-}
-
-fn lookup<C: Clone>(
-    values: &HashMap<ValueId, RtValue<C>>,
-    v: ValueId,
-) -> Result<RtValue<C>, ExecError> {
-    values.get(&v).cloned().ok_or_else(|| {
-        ExecError::from(RunError::Malformed(format!(
-            "value {v} used before computed"
         )))
     })
 }
@@ -1634,8 +1400,38 @@ mod tests {
     #[test]
     fn default_policy_disables_all_recovery() {
         let p = ExecPolicy::default();
-        assert!(!p.recovery_enabled());
-        assert!(ExecPolicy::resilient().recovery_enabled());
+        assert_eq!(p.max_retries, 0);
+        assert!(!p.emergency_bootstrap);
+        assert_eq!(p.max_resumes, 0);
+        let r = ExecPolicy::resilient();
+        assert!(r.max_retries > 0 && r.emergency_bootstrap && r.max_resumes > 0);
+    }
+
+    #[test]
+    fn checkpoints_follow_the_resume_budget_and_snapshots_every_top_level_header() {
+        let f = loop_program();
+        let inputs = loop_inputs(5);
+        let run = |policy: ExecPolicy| {
+            let be = exact_backend();
+            Executor::with_policy(&be, policy).run(&f, &inputs).unwrap()
+        };
+        // No resume budget: no in-memory checkpoints.
+        assert_eq!(run(ExecPolicy::default()).stats.checkpoints, 0);
+        // A budget checkpoints every loop header.
+        let budget = ExecPolicy {
+            max_resumes: 1,
+            ..Default::default()
+        };
+        assert_eq!(run(budget).stats.checkpoints, 5);
+        // A durable run persists every top-level header and takes no
+        // in-memory checkpoint under the default policy.
+        let be = exact_backend();
+        let store = crate::store::MemStore::new(0);
+        let out = Executor::new(&be).run_durable(&f, &inputs, &store).unwrap();
+        assert_eq!(out.outputs[0][0], 11.0);
+        assert_eq!(out.stats.snapshot_writes, 5);
+        assert_eq!(store.generations().unwrap().len(), 5);
+        assert_eq!(out.stats.checkpoints, 0);
     }
 
     #[test]
@@ -1679,7 +1475,6 @@ mod tests {
         // both finishes and actually exercised resume.
         let policy = ExecPolicy {
             max_retries: 0,
-            checkpoint_every: 1,
             max_resumes: 64,
             ..ExecPolicy::resilient()
         };

@@ -82,13 +82,13 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use halo_ckks::fault::{FaultInjectingBackend, FaultSpec};
-use halo_ckks::snapshot::{fnv1a64, put_u32, put_u64, SnapReader, SnapshotBackend};
+use halo_ckks::snapshot::{put_u32, put_u64, SnapError, SnapshotBackend};
 use halo_ir::func::{Function, OpId};
 use halo_ir::op::Opcode;
 
-use crate::exec::{ExecPolicy, Executor, Inputs};
+use crate::exec::{Executor, Inputs};
 use crate::remote::{ObjectErrorKind, ObjectStore, RemotePolicy, RemoteStore};
-use crate::snapshot::peek_snapshot_cursor;
+use crate::snapshot::{open, peek_snapshot_cursor, seal};
 use crate::stats::RunStats;
 use crate::store::SnapshotStore;
 
@@ -144,21 +144,17 @@ pub struct LeaseRecord {
 }
 
 /// Serializes a lease record (`HALOLEAS`, version, fields, FNV-1a
-/// checksum — same framing discipline as `halo-snap/1`).
+/// checksum — the framing of `halo-snap/1`).
 #[must_use]
 pub fn encode_lease(r: &LeaseRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(LEASE_MAGIC);
-    put_u32(&mut out, LEASE_VERSION);
-    put_u32(&mut out, r.leg);
-    put_u64(&mut out, r.epoch);
-    put_u32(&mut out, r.holder);
-    put_u64(&mut out, r.granted_tick);
-    put_u64(&mut out, r.expires_tick);
-    put_u64(&mut out, r.fence);
-    let sum = fnv1a64(&out);
-    put_u64(&mut out, sum);
-    out
+    seal(LEASE_MAGIC, LEASE_VERSION, |out| {
+        put_u32(out, r.leg);
+        put_u64(out, r.epoch);
+        put_u32(out, r.holder);
+        put_u64(out, r.granted_tick);
+        put_u64(out, r.expires_tick);
+        put_u64(out, r.fence);
+    })
 }
 
 /// Decodes and checksum-verifies a lease record. Any malformed record —
@@ -168,104 +164,71 @@ pub fn encode_lease(r: &LeaseRecord) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// A description of the first framing or checksum violation.
-pub fn decode_lease(bytes: &[u8]) -> Result<LeaseRecord, String> {
-    if bytes.len() < 8 + 8 {
-        return Err("lease record truncated".into());
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    if &body[..8] != LEASE_MAGIC {
-        return Err("bad lease magic".into());
-    }
-    let sum = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if fnv1a64(body) != sum {
-        return Err("lease checksum mismatch".into());
-    }
-    let mut r = SnapReader::new(&body[8..]);
-    let err = |e| format!("lease record malformed: {e:?}");
-    let version = r.u32().map_err(err)?;
-    if version != LEASE_VERSION {
-        return Err(format!("unsupported lease version {version}"));
-    }
-    let leg = r.u32().map_err(err)?;
-    let epoch = r.u64().map_err(err)?;
-    let holder = r.u32().map_err(err)?;
-    let granted_tick = r.u64().map_err(err)?;
-    let expires_tick = r.u64().map_err(err)?;
-    let fence = r.u64().map_err(err)?;
+/// [`SnapError`] naming the first framing, checksum or field violation.
+pub fn decode_lease(bytes: &[u8]) -> Result<LeaseRecord, SnapError> {
+    let mut r = open(bytes, LEASE_MAGIC, LEASE_VERSION)?;
+    let lease = LeaseRecord {
+        leg: r.u32()?,
+        epoch: r.u64()?,
+        holder: r.u32()?,
+        granted_tick: r.u64()?,
+        expires_tick: r.u64()?,
+        fence: r.u64()?,
+    };
     if r.remaining() != 0 {
-        return Err("lease record has trailing bytes".into());
+        return Err(SnapError::Malformed(
+            "lease record has trailing bytes".into(),
+        ));
     }
-    Ok(LeaseRecord {
-        leg,
-        epoch,
-        holder,
-        granted_tick,
-        expires_tick,
-        fence,
-    })
+    Ok(lease)
 }
 
 /// Serializes a job-result record: the decrypted output vectors as raw
-/// `f64` bit patterns under the publishing epoch, checksummed like every
+/// `f64` bit patterns under the publishing epoch, sealed like every
 /// other record in the store.
 #[must_use]
 pub fn encode_result(epoch: u64, outputs: &[Vec<f64>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(RESULT_MAGIC);
-    put_u32(&mut out, LEASE_VERSION);
-    put_u64(&mut out, epoch);
-    put_u32(&mut out, u32::try_from(outputs.len()).unwrap_or(u32::MAX));
-    for v in outputs {
-        put_u64(&mut out, v.len() as u64);
-        for &x in v {
-            put_u64(&mut out, x.to_bits());
+    seal(RESULT_MAGIC, LEASE_VERSION, |out| {
+        put_u64(out, epoch);
+        put_u32(out, u32::try_from(outputs.len()).unwrap_or(u32::MAX));
+        for v in outputs {
+            put_u64(out, v.len() as u64);
+            for &x in v {
+                put_u64(out, x.to_bits());
+            }
         }
-    }
-    let sum = fnv1a64(&out);
-    put_u64(&mut out, sum);
-    out
+    })
 }
 
 /// Decodes and checksum-verifies a job-result record.
 ///
 /// # Errors
 ///
-/// A description of the first framing or checksum violation.
-pub fn decode_result(bytes: &[u8]) -> Result<(u64, Vec<Vec<f64>>), String> {
-    if bytes.len() < 8 + 8 {
-        return Err("result record truncated".into());
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    if &body[..8] != RESULT_MAGIC {
-        return Err("bad result magic".into());
-    }
-    let sum = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if fnv1a64(body) != sum {
-        return Err("result checksum mismatch".into());
-    }
-    let mut r = SnapReader::new(&body[8..]);
-    let err = |e| format!("result record malformed: {e:?}");
-    let version = r.u32().map_err(err)?;
-    if version != LEASE_VERSION {
-        return Err(format!("unsupported result version {version}"));
-    }
-    let epoch = r.u64().map_err(err)?;
-    let count = r.u32().map_err(err)? as usize;
-    let mut outputs = Vec::with_capacity(count.min(1 << 16));
+/// [`SnapError`] naming the first framing, checksum or field violation.
+pub fn decode_result(bytes: &[u8]) -> Result<(u64, Vec<Vec<f64>>), SnapError> {
+    let mut r = open(bytes, RESULT_MAGIC, LEASE_VERSION)?;
+    let epoch = r.u64()?;
+    // Every output takes at least its 8-byte length, so `read_len`'s
+    // bound by the remaining bytes also bounds this allocation.
+    let count = r.read_len()?;
+    let mut outputs = Vec::with_capacity(count);
     for _ in 0..count {
-        let len = r.u64().map_err(err)? as usize;
-        if len > r.remaining() / 8 {
-            return Err("result vector length exceeds record".into());
+        let len = r.u64()?;
+        if len > (r.remaining() / 8) as u64 {
+            return Err(SnapError::Malformed(
+                "result vector length exceeds record".into(),
+            ));
         }
-        let mut v = Vec::with_capacity(len);
+        let mut v = Vec::with_capacity(len as usize);
         for _ in 0..len {
-            v.push(f64::from_bits(r.u64().map_err(err)?));
+            v.push(f64::from_bits(r.u64()?));
         }
         outputs.push(v);
     }
     if r.remaining() != 0 {
-        return Err("result record has trailing bytes".into());
+        return Err(SnapError::Malformed(
+            "result record has trailing bytes".into(),
+        ));
     }
     Ok((epoch, outputs))
 }
@@ -497,6 +460,9 @@ struct FencedStore<'a, O: ObjectStore> {
     clock: &'a AtomicU64,
     cap: Option<u64>,
     fenced: &'a AtomicU64,
+    /// Snapshots the remote put accepted: counted here, where they land,
+    /// so a slice that ends preempted still reports its writes.
+    landed: &'a AtomicU64,
     function: &'a str,
     sched: &'a LoopSchedule,
     /// Global header index whose publication completes the leg.
@@ -511,6 +477,9 @@ impl<O: ObjectStore> SnapshotStore for FencedStore<'_, O> {
         match lease_view(self.rstore, &self.lease_key, self.epoch, self.holder, now) {
             LeaseView::Mine => {
                 let res = self.rstore.put(bytes);
+                if res.is_ok() {
+                    self.landed.fetch_add(1, Ordering::SeqCst);
+                }
                 if let Some(p) = peek_snapshot_cursor(self.function, bytes)
                     .and_then(|(op, iter)| self.sched.header_index(op, iter))
                 {
@@ -992,6 +961,7 @@ impl<'a> ExecutorSim<'a> {
         // deliverable header is published.
         let stale = self.stale_view.take();
         let fenced = AtomicU64::new(0);
+        let landed = AtomicU64::new(0);
         let tripped = AtomicBool::new(false);
         let backend = FaultInjectingBackend::new(
             (ctx.make_backend)(),
@@ -1010,24 +980,30 @@ impl<'a> ExecutorSim<'a> {
                 clock: ctx.clock,
                 cap: stale,
                 fenced: &fenced,
+                landed: &landed,
                 function: &ctx.job.function.name,
                 sched: ctx.sched,
                 target: a.target,
                 tripped: &tripped,
                 on_boundary: &on_boundary,
             };
-            let executor = Executor::with_policy(&backend, micro_policy());
+            // No in-memory checkpoint resumes: an injected kill surfaces
+            // as a machine crash instead of being healed inside the run.
+            let executor = Executor::new(&backend);
             let mut inputs = ctx.job.inputs.clone();
             for sym in ctx.job.trip_symbols {
                 inputs = inputs.env(*sym, ctx.job.iters);
             }
-            executor.resume_with_store(ctx.job.function, &inputs, &store)
+            executor.resume(ctx.job.function, &inputs, &store)
         };
         self.stats.zombie_writes_fenced += fenced.load(Ordering::SeqCst);
+        self.stats.snapshot_writes += landed.load(Ordering::SeqCst);
         let preempted = backend.report().killed_calls > 0;
         match run {
-            Ok(out) => {
+            Ok(mut out) => {
                 // Ran to the end of the job: decrypted outputs in hand.
+                // Its snapshot writes are already counted above.
+                out.stats.snapshot_writes = 0;
                 self.stats.absorb(&out.stats);
                 self.pending_result = Some(out.outputs);
                 self.refresh_last_seen();
@@ -1202,26 +1178,6 @@ impl<'a> CoordinatorSim<'a> {
             }
         }
     }
-}
-
-/// The execution policy of one fleet micro-step: durable snapshot at
-/// every header, and — critically — **no in-memory checkpoint resumes**,
-/// so an injected kill surfaces as a machine crash instead of being
-/// healed inside the run.
-fn micro_policy() -> ExecPolicy {
-    ExecPolicy {
-        checkpoint_every: 1,
-        ..ExecPolicy::default()
-    }
-}
-
-/// The solo-baseline policy the chaos campaign compares against:
-/// identical degradation semantics to [`micro_policy`] (no emergency
-/// repairs, no resumes) so the op stream — and therefore every output
-/// bit — matches.
-#[must_use]
-pub fn baseline_policy() -> ExecPolicy {
-    micro_policy()
 }
 
 fn splitmix(mut x: u64) -> u64 {
@@ -1575,6 +1531,7 @@ mod tests {
         let store = rstore(&sim);
         let clock = AtomicU64::new(0);
         let fenced = AtomicU64::new(0);
+        let landed = AtomicU64::new(0);
         let sched = LoopSchedule {
             entries: vec![],
             total: 0,
@@ -1590,6 +1547,7 @@ mod tests {
             clock: &clock,
             cap: None,
             fenced: &fenced,
+            landed: &landed,
             function: "f",
             sched: &sched,
             target: u64::MAX,
@@ -1608,6 +1566,7 @@ mod tests {
             holder: 0,
             clock: &clock,
             fenced: &fenced,
+            landed: &landed,
             function: "f",
             sched: &sched,
             target: u64::MAX,
@@ -1624,8 +1583,10 @@ mod tests {
         clock.store(10, Ordering::SeqCst);
         assert!(fs.put(b"expired").is_err());
         assert_eq!(fenced.load(Ordering::SeqCst), 2);
-        // The fenced writes never reached the store.
+        // The fenced writes never reached the store, and only the writes
+        // that landed were counted.
         assert_eq!(fs.generations().unwrap(), vec![g1, g2]);
+        assert_eq!(landed.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! - [`exec`] — the interpreter: runs a (typed or traced) function over any
 //!   [`halo_ckks::Backend`], resolving dynamic trip counts from a symbol
-//!   environment and accounting modeled latency per executed op. An
-//!   [`ExecPolicy`] turns on self-healing: bounded retry for transient
-//!   faults, an emergency-bootstrap noise-budget guard, and loop-header
-//!   checkpoint/resume.
+//!   environment and accounting modeled latency per executed op at one
+//!   choke point. An [`ExecPolicy`] (retries, the emergency-bootstrap
+//!   noise-budget guard, the loop-header resume budget) turns on
+//!   self-healing, and the durable entry points
+//!   ([`Executor::run_durable`], [`Executor::resume`]) persist and
+//!   restore loop-header snapshots through the [`SnapshotStore`] they are
+//!   given.
 //! - [`reference`](mod@reference) — an exact plaintext executor for the traced source
 //!   program, used as ground truth for RMSE measurements (Table 4).
 //! - [`stats`] — per-run op counts, bootstrap counts (Tables 5 and 8), and

@@ -25,6 +25,10 @@
 //! truncated file or a single flipped bit is detected before any state is
 //! restored; decoding is side-effect-free until
 //! [`DecodedSnapshot::apply_rng`] is explicitly invoked.
+//!
+//! The framing — magic, version, body, checksum — is shared with the
+//! fleet's lease and result records: `seal` writes it and `open`
+//! checks it.
 
 use std::collections::HashMap;
 
@@ -44,6 +48,58 @@ const VERSION: u32 = 1;
 
 const TAG_PT: u8 = 0;
 const TAG_CT: u8 = 1;
+
+/// Seals a record: `magic | version u32 | body | checksum u64`, where
+/// `body` appends the record's fields and the checksum is FNV-1a-64 over
+/// every byte before it.
+pub(crate) fn seal(magic: &[u8; 8], version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(magic);
+    put_u32(&mut out, version);
+    body(&mut out);
+    let sum = fnv1a64(&out);
+    put_u64(&mut out, sum);
+    out
+}
+
+/// Opens a record [`seal`] wrote: checks its length, checksum, magic and
+/// version, and returns a reader over its body.
+///
+/// # Errors
+///
+/// [`SnapError`] naming the first check that fails.
+pub(crate) fn open<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u32,
+) -> Result<SnapReader<'a>, SnapError> {
+    let need = magic.len() + 4 + 8;
+    if bytes.len() < need {
+        return Err(SnapError::Truncated {
+            need,
+            have: bytes.len(),
+        });
+    }
+    let (sealed, tail) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
+    let computed = fnv1a64(sealed);
+    if stored != computed {
+        return Err(SnapError::Malformed(format!(
+            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+        )));
+    }
+    let mut r = SnapReader::new(sealed);
+    if r.take(magic.len())? != magic {
+        return Err(SnapError::Malformed("bad magic".into()));
+    }
+    let found = r.u32()?;
+    if found != version {
+        return Err(SnapError::Malformed(format!(
+            "record version {found}, this runtime reads {version}"
+        )));
+    }
+    Ok(r)
+}
 
 /// A decoded, checksum-verified snapshot. RNG state is carried as a raw
 /// blob and only applied to a backend via [`DecodedSnapshot::apply_rng`],
@@ -129,42 +185,35 @@ pub fn encode_snapshot<B: SnapshotBackend>(
     values: &HashMap<ValueId, RtValue<B::Ct>>,
     carried: &[RtValue<B::Ct>],
 ) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, VERSION);
-    put_str(&mut out, backend.ct_format());
-    put_str(&mut out, function);
-    put_u64(&mut out, backend.params().poly_degree as u64);
-    put_u32(&mut out, backend.params().max_level);
-    put_u32(&mut out, loop_op.0);
-    put_u64(&mut out, iter);
-    let mut rng = Vec::new();
-    backend.rng_save(&mut rng);
-    put_bytes(&mut out, &rng);
-    let mut ids: Vec<ValueId> = values.keys().copied().collect();
-    ids.sort_by_key(|v| v.0);
-    put_u32(&mut out, u32::try_from(ids.len()).expect("values fit u32"));
-    for id in ids {
-        put_u32(&mut out, id.0);
-        put_rtvalue(backend, &values[&id], &mut out);
-    }
-    put_u32(
-        &mut out,
-        u32::try_from(carried.len()).expect("carried fit u32"),
-    );
-    for v in carried {
-        put_rtvalue(backend, v, &mut out);
-    }
-    let sum = fnv1a64(&out);
-    put_u64(&mut out, sum);
-    out
+    seal(MAGIC, VERSION, |out| {
+        put_str(out, backend.ct_format());
+        put_str(out, function);
+        put_u64(out, backend.params().poly_degree as u64);
+        put_u32(out, backend.params().max_level);
+        put_u32(out, loop_op.0);
+        put_u64(out, iter);
+        let mut rng = Vec::new();
+        backend.rng_save(&mut rng);
+        put_bytes(out, &rng);
+        let mut ids: Vec<ValueId> = values.keys().copied().collect();
+        ids.sort_by_key(|v| v.0);
+        put_u32(out, u32::try_from(ids.len()).expect("values fit u32"));
+        for id in ids {
+            put_u32(out, id.0);
+            put_rtvalue(backend, &values[&id], out);
+        }
+        put_u32(out, u32::try_from(carried.len()).expect("carried fit u32"));
+        for v in carried {
+            put_rtvalue(backend, v, out);
+        }
+    })
 }
 
 /// Verifies and decodes a `halo-snap/1` blob for resuming `function` on
 /// `backend`.
 ///
-/// The trailing checksum is verified over the whole payload first, then
-/// every header field is checked against the resuming backend (ciphertext
+/// The framing is verified first (`open`: length, checksum over the
+/// whole payload, magic, version), then every header field is checked against the resuming backend (ciphertext
 /// format, parameters) and function name — a snapshot from a different
 /// program, backend, or parameter set is rejected, never half-applied.
 ///
@@ -177,30 +226,7 @@ pub fn decode_snapshot<B: SnapshotBackend>(
     function: &str,
     bytes: &[u8],
 ) -> Result<DecodedSnapshot<B::Ct>, SnapError> {
-    if bytes.len() < 8 {
-        return Err(SnapError::Truncated {
-            need: 8,
-            have: bytes.len(),
-        });
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    let computed = fnv1a64(payload);
-    if stored != computed {
-        return Err(SnapError::Malformed(format!(
-            "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-        )));
-    }
-    let mut r = SnapReader::new(payload);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(SnapError::Malformed("bad magic".into()));
-    }
-    let version = r.u32()?;
-    if version != VERSION {
-        return Err(SnapError::Malformed(format!(
-            "snapshot version {version}, this runtime reads {VERSION}"
-        )));
-    }
+    let mut r = open(bytes, MAGIC, VERSION)?;
     let fmt = r.str()?;
     if fmt != backend.ct_format() {
         return Err(SnapError::Malformed(format!(
@@ -266,18 +292,7 @@ pub fn decode_snapshot<B: SnapshotBackend>(
 /// resuming still goes through [`decode_snapshot`]'s full validation.
 #[must_use]
 pub fn peek_snapshot_cursor(function: &str, bytes: &[u8]) -> Option<(OpId, u64)> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if stored != fnv1a64(payload) {
-        return None;
-    }
-    let mut r = SnapReader::new(payload);
-    if r.take(MAGIC.len()).ok()? != MAGIC || r.u32().ok()? != VERSION {
-        return None;
-    }
+    let mut r = open(bytes, MAGIC, VERSION).ok()?;
     let _fmt = r.str().ok()?;
     if r.str().ok()? != function {
         return None;
@@ -287,4 +302,95 @@ pub fn peek_snapshot_cursor(function: &str, bytes: &[u8]) -> Option<(OpId, u64)>
     let loop_op = OpId(r.u32().ok()?);
     let iter = r.u64().ok()?;
     Some((loop_op, iter))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::{decode_lease, decode_result, encode_lease, encode_result, LeaseRecord};
+    use halo_ckks::{Backend, CkksParams, SimBackend};
+    use proptest::prelude::*;
+
+    /// XORs `mask` into body byte `at` of a sealed record and seals it
+    /// again under the record's own magic and version, so the mutation
+    /// passes the checksum and reaches the field decoders.
+    fn reseal(bytes: &[u8], at: usize, mask: u8) -> Vec<u8> {
+        let magic: [u8; 8] = bytes[..8].try_into().expect("magic");
+        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("version"));
+        let mut body = bytes[12..bytes.len() - 8].to_vec();
+        body[at] ^= mask;
+        seal(&magic, version, |out| out.extend_from_slice(&body))
+    }
+
+    fn body_len(bytes: &[u8]) -> usize {
+        bytes.len() - 12 - 8
+    }
+
+    fn sim() -> SimBackend {
+        SimBackend::new(CkksParams {
+            poly_degree: 32,
+            max_level: 8,
+            rf_bits: 40,
+        })
+    }
+
+    fn sim_snapshot(be: &SimBackend) -> Vec<u8> {
+        let mut values = HashMap::new();
+        values.insert(ValueId(0), RtValue::Pt(vec![1.0, -2.0]));
+        let ct = be.encrypt(&[0.5, 0.25], 5).expect("encrypt");
+        values.insert(ValueId(3), RtValue::Ct(ct));
+        let carried = vec![
+            RtValue::Ct(be.encrypt(&[1.5], 8).expect("encrypt")),
+            RtValue::Pt(vec![3.0]),
+        ];
+        encode_snapshot(be, "prog", OpId(7), 3, &values, &carried)
+    }
+
+    #[test]
+    fn open_checks_the_framing_seal_writes() {
+        let sealed = seal(b"TESTTEST", 2, |out| out.extend_from_slice(b"body"));
+        let mut r = open(&sealed, b"TESTTEST", 2).expect("opens");
+        assert_eq!(r.take(4).unwrap(), b"body");
+        assert_eq!(r.remaining(), 0);
+        assert!(open(&sealed, b"OTHEROTH", 2).is_err(), "magic");
+        assert!(open(&sealed, b"TESTTEST", 3).is_err(), "version");
+        assert!(open(&sealed[..sealed.len() - 1], b"TESTTEST", 2).is_err());
+        assert!(matches!(
+            open(&sealed[..19], b"TESTTEST", 2),
+            Err(SnapError::Truncated { need: 20, .. })
+        ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every single-byte body mutation of a lease, a result and a sim
+        /// `halo-snap/1` record, sealed again, decodes to a value or a
+        /// typed error — never a panic.
+        #[test]
+        fn resealed_body_mutations_decode_or_fail_typed(mask in 1u8..=255) {
+            let lease = encode_lease(&LeaseRecord {
+                leg: 2,
+                epoch: 5,
+                holder: 1,
+                granted_tick: 10,
+                expires_tick: 14,
+                fence: 5 << 20,
+            });
+            for at in 0..body_len(&lease) {
+                let _ = decode_lease(&reseal(&lease, at, mask));
+            }
+            let result = encode_result(9, &[vec![1.0, -0.5], vec![], vec![2.25]]);
+            for at in 0..body_len(&result) {
+                let _ = decode_result(&reseal(&result, at, mask));
+            }
+            let be = sim();
+            let snap = sim_snapshot(&be);
+            for at in 0..body_len(&snap) {
+                let mutated = reseal(&snap, at, mask);
+                let _ = decode_snapshot(&be, "prog", &mutated);
+                let _ = peek_snapshot_cursor("prog", &mutated);
+            }
+        }
+    }
 }

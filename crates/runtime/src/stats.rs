@@ -43,7 +43,8 @@ pub struct RunStats {
     /// level budget (also degradation events). The plan's own later rescale
     /// of that value then becomes a no-op.
     pub emergency_rescales: u64,
-    /// Loop-header checkpoints taken.
+    /// Loop-header checkpoints taken (one per header when the policy
+    /// allows resumes).
     pub checkpoints: u64,
     /// Modeled checkpoint serialization time charged to
     /// [`RunStats::total_us`], in µs.
@@ -53,10 +54,13 @@ pub struct RunStats {
 
     // ------------------------------------------------------------------
     // Durable-execution telemetry (all zero unless the run went through
-    // `Executor::run_durable` / `Executor::resume`).
+    // `Executor::run_durable` / `Executor::resume`, which write a snapshot
+    // at every top-level loop header to the store they are given).
     // ------------------------------------------------------------------
     /// Snapshots successfully persisted to the [`SnapshotStore`]
     /// (failed writes — e.g. injected ENOSPC — are skipped, not counted).
+    /// A fleet counts them where they land, in its fenced store, so the
+    /// writes of preempted slices count too.
     ///
     /// [`SnapshotStore`]: crate::store::SnapshotStore
     pub snapshot_writes: u64,

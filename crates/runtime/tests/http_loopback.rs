@@ -265,7 +265,7 @@ fn remote_policy() -> RemotePolicy {
 #[test]
 fn durable_run_and_cross_machine_resume_over_loopback_http() {
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
 
     // Uninterrupted baseline on an exact backend.
     let be = SimBackend::exact(params());
@@ -280,7 +280,7 @@ fn durable_run_and_cross_machine_resume_over_loopback_http() {
     let store = RemoteStore::new(http, remote_policy(), 1);
     let be = SimBackend::exact(params());
     let out = Executor::with_policy(&be, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &store)
+        .run_durable(&f, &inputs(), &store)
         .expect("durable run over loopback HTTP");
     assert_eq!(bits(&out.outputs), base);
     assert_eq!(
@@ -305,7 +305,7 @@ fn durable_run_and_cross_machine_resume_over_loopback_http() {
     let other = RemoteStore::new(http2, remote_policy(), 2);
     let be2 = SimBackend::exact(params());
     let resumed = Executor::with_policy(&be2, policy)
-        .resume_with_store(&f, &inputs(), &other)
+        .resume(&f, &inputs(), &other)
         .expect("cross-machine resume over loopback HTTP");
     assert_eq!(bits(&resumed.outputs), base);
     assert_eq!(resumed.stats.resumes_from_disk, 1);

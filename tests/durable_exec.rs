@@ -1,6 +1,6 @@
 //! Durable-execution integration: on-disk/in-memory snapshot stores,
-//! `Executor::run_durable` / `Executor::resume`, generation fallback on
-//! corruption, and storage-fault chaos.
+//! `Executor::run_durable` / `Executor::resume` over the store they are
+//! given, generation fallback on corruption, and storage-fault chaos.
 //!
 //! The central property mirrors the process-kill harness
 //! (`crash_resume`): a run resumed from *any* snapshot prefix must
@@ -85,7 +85,7 @@ fn corrupt_newest(src: &MemStore, gens: usize) -> MemStore {
 #[test]
 fn resume_from_any_prefix_is_bit_identical_sim() {
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
     let params = CkksParams {
         poly_degree: N,
         max_level: LEVELS,
@@ -95,7 +95,7 @@ fn resume_from_any_prefix_is_bit_identical_sim() {
     let full = MemStore::new(0);
     let be = SimBackend::new(params.clone());
     let base = Executor::with_policy(&be, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &full)
+        .run_durable(&f, &inputs(), &full)
         .expect("baseline runs");
     let total_gens = full.generations().unwrap().len();
     assert_eq!(base.stats.snapshot_writes, ITERS);
@@ -106,7 +106,7 @@ fn resume_from_any_prefix_is_bit_identical_sim() {
         let store = prefix_store(&full, kill_after);
         let be2 = SimBackend::new(params.clone());
         let out = Executor::with_policy(&be2, policy.clone())
-            .resume_with_store(&f, &inputs(), &store)
+            .resume(&f, &inputs(), &store)
             .expect("resume runs");
         assert_eq!(
             bits(&out.outputs),
@@ -128,13 +128,13 @@ fn resume_from_any_prefix_is_bit_identical_sim() {
 #[test]
 fn resume_is_bit_identical_toy() {
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
     let seed = 0xA11CE;
 
     let full = MemStore::new(0);
     let be = ToyBackend::new(N, LEVELS, seed);
     let base = Executor::with_policy(&be, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &full)
+        .run_durable(&f, &inputs(), &full)
         .expect("baseline runs");
     let total_gens = full.generations().unwrap().len();
 
@@ -142,7 +142,7 @@ fn resume_is_bit_identical_toy() {
         let store = prefix_store(&full, kill_after);
         let be2 = ToyBackend::new(N, LEVELS, seed);
         let out = Executor::with_policy(&be2, policy.clone())
-            .resume_with_store(&f, &inputs(), &store)
+            .resume(&f, &inputs(), &store)
             .expect("resume runs");
         assert_eq!(
             bits(&out.outputs),
@@ -159,7 +159,7 @@ fn resume_is_bit_identical_toy() {
 #[test]
 fn corrupt_newest_generation_falls_back_to_previous() {
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
     let params = CkksParams {
         poly_degree: N,
         max_level: LEVELS,
@@ -169,14 +169,14 @@ fn corrupt_newest_generation_falls_back_to_previous() {
     let full = MemStore::new(0);
     let be = SimBackend::new(params.clone());
     let base = Executor::with_policy(&be, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &full)
+        .run_durable(&f, &inputs(), &full)
         .expect("baseline runs");
 
     for kill_after in 2..=full.generations().unwrap().len() {
         let store = corrupt_newest(&full, kill_after);
         let be2 = SimBackend::new(params.clone());
         let out = Executor::with_policy(&be2, policy.clone())
-            .resume_with_store(&f, &inputs(), &store)
+            .resume(&f, &inputs(), &store)
             .expect("fallback resume runs");
         assert_eq!(bits(&out.outputs), bits(&base.outputs));
         assert_eq!(out.stats.corrupt_snapshots_skipped, 1, "newest was skipped");
@@ -189,7 +189,7 @@ fn corrupt_newest_generation_falls_back_to_previous() {
 #[test]
 fn resume_with_empty_store_starts_fresh() {
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
     let params = CkksParams {
         poly_degree: N,
         max_level: LEVELS,
@@ -197,12 +197,12 @@ fn resume_with_empty_store_starts_fresh() {
     };
     let be = SimBackend::new(params.clone());
     let base = Executor::with_policy(&be, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &MemStore::new(0))
+        .run_durable(&f, &inputs(), &MemStore::new(0))
         .expect("baseline runs");
 
     let be2 = SimBackend::new(params);
     let out = Executor::with_policy(&be2, policy)
-        .resume_with_store(&f, &inputs(), &MemStore::new(0))
+        .resume(&f, &inputs(), &MemStore::new(0))
         .expect("fresh start");
     assert_eq!(bits(&out.outputs), bits(&base.outputs));
     assert_eq!(out.stats.resumes_from_disk, 0);
@@ -229,7 +229,7 @@ fn resume_with_unlistable_store_degrades_to_fresh_start() {
     }
 
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
     let params = CkksParams {
         poly_degree: N,
         max_level: LEVELS,
@@ -237,7 +237,7 @@ fn resume_with_unlistable_store_degrades_to_fresh_start() {
     };
     let be = SimBackend::new(params.clone());
     let base = Executor::with_policy(&be, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &MemStore::new(0))
+        .run_durable(&f, &inputs(), &MemStore::new(0))
         .expect("baseline runs");
 
     // Seed the store with real snapshots so the *only* obstacle is the
@@ -245,7 +245,7 @@ fn resume_with_unlistable_store_degrades_to_fresh_start() {
     let store = UnlistableStore(MemStore::new(0));
     let be1 = SimBackend::new(params.clone());
     Executor::with_policy(&be1, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &store)
+        .run_durable(&f, &inputs(), &store)
         .expect("durable run tolerates an unlistable store");
     assert!(
         !store.0.generations().unwrap().is_empty(),
@@ -254,7 +254,7 @@ fn resume_with_unlistable_store_degrades_to_fresh_start() {
 
     let be2 = SimBackend::new(params);
     let out = Executor::with_policy(&be2, policy)
-        .resume_with_store(&f, &inputs(), &store)
+        .resume(&f, &inputs(), &store)
         .expect("resume degrades instead of erroring");
     assert_eq!(bits(&out.outputs), bits(&base.outputs));
     assert_eq!(out.stats.resume_list_failures, 1, "degradation was counted");
@@ -269,7 +269,7 @@ fn resume_with_unlistable_store_degrades_to_fresh_start() {
 #[test]
 fn faulty_store_chaos_never_aborts_and_falls_back() {
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
     let params = CkksParams {
         poly_degree: N,
         max_level: LEVELS,
@@ -277,7 +277,7 @@ fn faulty_store_chaos_never_aborts_and_falls_back() {
     };
     let be = SimBackend::new(params.clone());
     let base = Executor::with_policy(&be, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &MemStore::new(0))
+        .run_durable(&f, &inputs(), &MemStore::new(0))
         .expect("baseline runs");
 
     let mut fallbacks = 0u64;
@@ -286,7 +286,7 @@ fn faulty_store_chaos_never_aborts_and_falls_back() {
         let store = FaultyStore::new(MemStore::new(0), StoreFaultSpec::chaos(), seed);
         let be1 = SimBackend::new(params.clone());
         let out = Executor::with_policy(&be1, policy.clone())
-            .run_durable_with_store(&f, &inputs(), &store)
+            .run_durable(&f, &inputs(), &store)
             .expect("durable run survives storage faults");
         assert_eq!(bits(&out.outputs), bits(&base.outputs));
         let report = store.report();
@@ -301,7 +301,7 @@ fn faulty_store_chaos_never_aborts_and_falls_back() {
         // abort.
         let be2 = SimBackend::new(params.clone());
         let resumed = Executor::with_policy(&be2, policy.clone())
-            .resume_with_store(&f, &inputs(), &store)
+            .resume(&f, &inputs(), &store)
             .expect("resume survives storage faults");
         assert_eq!(
             bits(&resumed.outputs),
@@ -320,10 +320,10 @@ fn faulty_store_chaos_never_aborts_and_falls_back() {
     );
 }
 
-/// End-to-end through the real `DiskStore`: `ExecPolicy::durable(dir)`
-/// writes generation files with atomic-rename names, prunes to
-/// `snapshot_keep`, survives an on-disk truncation of the newest file,
-/// and `Executor::resume(dir)` reproduces the uninterrupted output.
+/// End-to-end through the real `DiskStore`: a durable run writes
+/// generation files with atomic-rename names, prunes to `KEEP`, survives
+/// an on-disk truncation of the newest file, and `Executor::resume` over
+/// the reopened directory reproduces the uninterrupted output.
 #[test]
 fn disk_store_end_to_end_with_truncation_fallback() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("durable_exec_disk");
@@ -334,18 +334,19 @@ fn disk_store_end_to_end_with_truncation_fallback() {
         max_level: LEVELS,
         rf_bits: 40,
     };
-    let policy = ExecPolicy::durable(&dir);
+    const KEEP: usize = 3;
+    let policy = ExecPolicy::resilient();
 
     let be = SimBackend::new(params.clone());
     let base = Executor::with_policy(&be, policy.clone())
-        .run_durable(&f, &inputs())
+        .run_durable(&f, &inputs(), &DiskStore::open(&dir, KEEP).unwrap())
         .expect("durable run");
     assert!(base.stats.snapshot_writes > 0);
 
-    // Pruning: only `snapshot_keep` generation files remain.
-    let store = DiskStore::open(&dir, policy.snapshot_keep).unwrap();
+    // Pruning: only `KEEP` generation files remain.
+    let store = DiskStore::open(&dir, KEEP).unwrap();
     let gens = store.generations().unwrap();
-    assert_eq!(gens.len(), policy.snapshot_keep);
+    assert_eq!(gens.len(), KEEP);
 
     // Truncate the newest generation on disk (torn write past rename —
     // e.g. a lying disk) and resume: fallback to the previous generation.
@@ -356,7 +357,7 @@ fn disk_store_end_to_end_with_truncation_fallback() {
 
     let be2 = SimBackend::new(params);
     let out = Executor::with_policy(&be2, policy)
-        .resume(&f, &inputs())
+        .resume(&f, &inputs(), &DiskStore::open(&dir, KEEP).unwrap())
         .expect("resume from disk");
     assert_eq!(bits(&out.outputs), bits(&base.outputs));
     assert_eq!(out.stats.corrupt_snapshots_skipped, 1);

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use halo_fhe::prelude::*;
-use halo_fhe::runtime::fleet::{self, baseline_policy, lease_key, try_claim, LEASE_PREFIX};
+use halo_fhe::runtime::fleet::{self, lease_key, try_claim, LEASE_PREFIX};
 use halo_fhe::runtime::{decode_snapshot, run_fleet, LoopSchedule};
 use proptest::prelude::*;
 
@@ -71,7 +71,7 @@ fn bits(outputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
 /// The solo uninterrupted run every fleet schedule must match bit-for-bit.
 fn baseline(f: &Function) -> Vec<Vec<u64>> {
     let be = make_backend();
-    let out = Executor::with_policy(&be, baseline_policy())
+    let out = Executor::with_policy(&be, ExecPolicy::default())
         .run(f, &base_inputs().env("n", ITERS))
         .expect("baseline runs");
     bits(&out.outputs)
@@ -110,6 +110,10 @@ fn healthy_fleet_is_bit_identical_to_solo_run() {
     assert_eq!(report.stats.zombie_writes_fenced, 0);
     assert_eq!(report.executor_crashes, 0);
     assert_eq!(report.stats.legs_reassigned, 0);
+    // Without a spill store every snapshot write is a remote put, and
+    // the writes of preempted slices count too.
+    assert!(report.stats.snapshot_writes > 0);
+    assert_eq!(report.stats.snapshot_writes, report.stats.remote_puts);
 }
 
 #[test]

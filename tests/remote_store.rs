@@ -55,8 +55,8 @@ fn bits(outputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
 fn baseline() -> Vec<Vec<u64>> {
     let be = SimBackend::new(params());
     bits(
-        &Executor::with_policy(&be, ExecPolicy::durable("/unused"))
-            .run_durable_with_store(&program(), &inputs(), &MemStore::new(0))
+        &Executor::with_policy(&be, ExecPolicy::resilient())
+            .run_durable(&program(), &inputs(), &MemStore::new(0))
             .expect("baseline runs")
             .outputs,
     )
@@ -74,7 +74,7 @@ fn spill_dir(name: &str) -> std::path::PathBuf {
 #[test]
 fn remote_run_and_cross_machine_resume_are_bit_identical() {
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
     let base = baseline();
 
     let store = RemoteStore::new(
@@ -84,7 +84,7 @@ fn remote_run_and_cross_machine_resume_are_bit_identical() {
     );
     let be = SimBackend::new(params());
     let out = Executor::with_policy(&be, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &store)
+        .run_durable(&f, &inputs(), &store)
         .expect("durable run over the remote");
     assert_eq!(bits(&out.outputs), base);
     assert_eq!(out.stats.snapshot_writes, ITERS);
@@ -103,7 +103,7 @@ fn remote_run_and_cross_machine_resume_are_bit_identical() {
     }
     let be2 = SimBackend::new(params());
     let resumed = Executor::with_policy(&be2, policy)
-        .resume_with_store(&f, &inputs(), &other)
+        .resume(&f, &inputs(), &other)
         .expect("cross-machine resume");
     assert_eq!(bits(&resumed.outputs), base);
     assert_eq!(resumed.stats.resumes_from_disk, 1);
@@ -116,7 +116,7 @@ fn remote_run_and_cross_machine_resume_are_bit_identical() {
 #[test]
 fn remote_chaos_never_aborts_and_stays_bit_identical() {
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
     let base = baseline();
 
     let mut total_retries = 0u64;
@@ -132,7 +132,7 @@ fn remote_chaos_never_aborts_and_stays_bit_identical() {
 
         let be = SimBackend::new(params());
         let out = Executor::with_policy(&be, policy.clone())
-            .run_durable_with_store(&f, &inputs(), &store)
+            .run_durable(&f, &inputs(), &store)
             .expect("chaos run never aborts");
         assert_eq!(bits(&out.outputs), base, "seed {seed}: run diverged");
         assert_eq!(
@@ -142,7 +142,7 @@ fn remote_chaos_never_aborts_and_stays_bit_identical() {
 
         let be2 = SimBackend::new(params());
         let resumed = Executor::with_policy(&be2, policy.clone())
-            .resume_with_store(&f, &inputs(), &store)
+            .resume(&f, &inputs(), &store)
             .expect("chaos resume never aborts");
         assert_eq!(bits(&resumed.outputs), base, "seed {seed}: resume diverged");
 
@@ -163,7 +163,7 @@ fn remote_chaos_never_aborts_and_stays_bit_identical() {
 #[test]
 fn dead_remote_spills_locally_and_resumes_from_spill() {
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
     let base = baseline();
 
     let dead = RemoteFaultSpec {
@@ -176,7 +176,7 @@ fn dead_remote_spills_locally_and_resumes_from_spill() {
 
     let be = SimBackend::new(params());
     let out = Executor::with_policy(&be, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &store)
+        .run_durable(&f, &inputs(), &store)
         .expect("dead remote must not abort the run");
     assert_eq!(bits(&out.outputs), base);
     assert_eq!(out.stats.snapshot_writes, ITERS);
@@ -189,7 +189,7 @@ fn dead_remote_spills_locally_and_resumes_from_spill() {
 
     let be2 = SimBackend::new(params());
     let resumed = Executor::with_policy(&be2, policy)
-        .resume_with_store(&f, &inputs(), &store)
+        .resume(&f, &inputs(), &store)
         .expect("resume from spill");
     assert_eq!(bits(&resumed.outputs), base);
     assert_eq!(resumed.stats.resumes_from_disk, 1);
@@ -201,7 +201,7 @@ fn dead_remote_spills_locally_and_resumes_from_spill() {
 #[test]
 fn dead_remote_without_spill_degrades_to_skipped_snapshots() {
     let f = program();
-    let policy = ExecPolicy::durable("/unused");
+    let policy = ExecPolicy::resilient();
     let base = baseline();
 
     let dead = RemoteFaultSpec {
@@ -213,14 +213,14 @@ fn dead_remote_without_spill_degrades_to_skipped_snapshots() {
 
     let be = SimBackend::new(params());
     let out = Executor::with_policy(&be, policy.clone())
-        .run_durable_with_store(&f, &inputs(), &store)
+        .run_durable(&f, &inputs(), &store)
         .expect("run continues with zero durability");
     assert_eq!(bits(&out.outputs), base);
     assert_eq!(out.stats.snapshot_writes, 0, "every write skipped");
 
     let be2 = SimBackend::new(params());
     let resumed = Executor::with_policy(&be2, policy)
-        .resume_with_store(&f, &inputs(), &store)
+        .resume(&f, &inputs(), &store)
         .expect("resume degrades to fresh start");
     assert_eq!(bits(&resumed.outputs), base);
     assert_eq!(resumed.stats.resumes_from_disk, 0);
