@@ -18,7 +18,7 @@ use halo_bench::json::{self, num, Json};
 use halo_ckks::backend::Backend;
 use halo_ckks::toy::ntt::NttTable;
 use halo_ckks::toy::poly::primes_near;
-use halo_ckks::{metrics, ToyBackend};
+use halo_ckks::{ScopedCounters, ToyBackend};
 
 const N: usize = 4096;
 const LEVELS: u32 = 8;
@@ -74,9 +74,9 @@ fn main() {
     let ca = be.encrypt(&va, LEVELS).expect("encrypt a");
     let cb = be.encrypt(&vb, LEVELS).expect("encrypt b");
     std::hint::black_box(be.mult(&ca, &cb).expect("warm-up"));
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     let mult_us = time_mult(&be, &ca, &cb);
-    let lazy_skipped = metrics::snapshot().lazy_reductions_skipped;
+    let lazy_skipped = scope.finish().lazy_reductions_skipped;
     assert!(
         lazy_skipped > 0,
         "the lazy kernels must record deferred reductions"

@@ -141,7 +141,7 @@ fn main() -> ExitCode {
                 ("executor_crashes", count(|r| r.executor_crashes)),
                 ("executor_stalls", count(|r| r.executor_stalls)),
                 ("snapshot_writes", count(|r| r.stats.snapshot_writes)),
-                ("remote_puts", count(|r| r.stats.remote_puts)),
+                ("remote_puts", count(|r| r.stats.remote.puts)),
                 ("store_faults", num(store.report().total() as f64)),
             ];
             let outputs = out.as_ref().map(|r| &r.outputs[..]);

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use halo_bench::json::{self, num, Json};
 use halo_ckks::backend::Backend;
-use halo_ckks::{metrics, ToyBackend};
+use halo_ckks::{MetricsSnapshot, ScopedCounters, ToyBackend};
 
 const N: usize = 4096;
 const LEVELS: u32 = 8;
@@ -46,7 +46,7 @@ fn time_paired(arms: [&mut dyn FnMut(); 2]) -> [f64; 2] {
     secs.map(|s| s * 1e6 / f64::from(REPS))
 }
 
-fn counters_json(s: metrics::MetricsSnapshot) -> Json {
+fn counters_json(s: MetricsSnapshot) -> Json {
     json::obj(vec![
         ("poly_allocs", num(s.poly_allocs as f64)),
         ("digit_decomposes", num(s.digit_decomposes as f64)),
@@ -64,18 +64,18 @@ fn main() {
     // timed loops measure steady-state key switching only.
     std::hint::black_box(be.rotate_batch(&ct, &OFFSETS).expect("warm-up"));
 
-    // Counter snapshots (one pass each) — the hoisting contract.
-    metrics::reset();
+    // Counter scopes (one pass each) — the hoisting contract.
+    let scope = ScopedCounters::begin();
     std::hint::black_box(
         OFFSETS
             .iter()
             .map(|&o| be.rotate(&ct, o).expect("rotate"))
             .collect::<Vec<_>>(),
     );
-    let seq_counters = metrics::snapshot();
-    metrics::reset();
+    let seq_counters = scope.finish();
+    let scope = ScopedCounters::begin();
     std::hint::black_box(be.rotate_batch(&ct, &OFFSETS).expect("rotate_batch"));
-    let hoist_counters = metrics::snapshot();
+    let hoist_counters = scope.finish();
     assert_eq!(
         hoist_counters.digit_decomposes, 1,
         "hoisted batch must decompose exactly once"

@@ -111,18 +111,19 @@ fn run_profile(
         faults += injected;
         let none = RunStats::default();
         let stats = out.as_ref().map_or(&none, |o| &o.stats);
+        let remote = &stats.remote;
         let fields = vec![
             ("profile", Json::Str(profile.into())),
             ("seed", num(seed as f64)),
             ("kind", Json::Str(kind.into())),
             ("faults_injected", num(injected as f64)),
             ("snapshot_writes", num(stats.snapshot_writes as f64)),
-            ("remote_puts", num(stats.remote_puts as f64)),
-            ("remote_retries", num(stats.remote_retries as f64)),
-            ("remote_backoff_us", num(stats.remote_backoff_us)),
-            ("hedged_reads", num(stats.hedged_reads as f64)),
-            ("breaker_opens", num(stats.breaker_opens as f64)),
-            ("spilled_snapshots", num(stats.spilled_snapshots as f64)),
+            ("remote_puts", num(remote.puts as f64)),
+            ("remote_retries", num(remote.retries as f64)),
+            ("remote_backoff_us", num(remote.backoff_us)),
+            ("hedged_reads", num(remote.hedged_reads as f64)),
+            ("breaker_opens", num(remote.breaker_opens as f64)),
+            ("spilled_snapshots", num(remote.spilled_snapshots as f64)),
         ];
         let outputs = out.as_ref().map(|o| &o.outputs[..]);
         trials.push(Trial::new(fields, outputs, baseline));

@@ -1,17 +1,15 @@
 //! Regenerates every table and figure in sequence (the source of
 //! `EXPERIMENTS.md`'s measured columns), then writes the run's
 //! machine-readable trajectory to `BENCH_RUN_ALL.json` (schema
-//! `halo-bench-run-all/1`, destination `HALO_BENCH_JSON_DIR`, default
+//! `halo-bench-run-all/2`, destination `HALO_BENCH_JSON_DIR`, default
 //! `results/`).
 use std::time::Instant;
 
 use halo_bench::json::{self, num, Json};
 use halo_bench::tables::*;
-use halo_ckks::metrics;
 
 fn main() {
     let wall = Instant::now();
-    metrics::reset();
     let scale = halo_bench::Scale::from_env();
     println!("== HALO evaluation, scale {scale:?} ==\n");
     print_table1(scale);
@@ -63,11 +61,10 @@ fn main() {
         })
         .collect();
     let doc = json::obj(vec![
-        ("schema", Json::Str("halo-bench-run-all/1".into())),
+        ("schema", Json::Str("halo-bench-run-all/2".into())),
         ("scale", Json::Str(format!("{scale:?}"))),
         ("iters", num(PAPER_ITERS as f64)),
         ("wall_ms", num(wall.elapsed().as_secs_f64() * 1e3)),
-        ("poly_allocs", num(metrics::snapshot().poly_allocs as f64)),
         ("benchmarks", Json::Arr(benchmarks)),
         (
             "serving",
@@ -78,7 +75,7 @@ fn main() {
             Json::Arr(tuning.iter().map(TuneRow::to_json).collect()),
         ),
     ]);
-    json::validate("halo-bench-run-all/1", &doc)
+    json::validate("halo-bench-run-all/2", &doc)
         .expect("emitted document must satisfy its own schema");
     let dir = halo_bench::bench_json_dir().expect("bench json dir");
     let path = dir.join("BENCH_RUN_ALL.json");

@@ -786,12 +786,11 @@ const SCHEMAS: &[Schema] = &[
     // time, and optional serving and tuning sections.
     Schema {
         file: "BENCH_RUN_ALL.json",
-        id: "halo-bench-run-all/1",
+        id: "halo-bench-run-all/2",
         fields: &[
             ("scale", Str),
             ("iters", NUM),
             ("wall_ms", NUM),
-            ("poly_allocs", NUM),
             ("benchmarks", Arr(&BENCH_ROWS)),
             ("serving", Opt(&Arr(&SERVING_ROWS))),
             ("tuning", Opt(&Arr(&TUNE_ROWS))),
@@ -961,7 +960,7 @@ mod tests {
 
     const ROTATE: &str = "halo-bench-rotate/1";
     const NTT: &str = "halo-bench-ntt/2";
-    const RUN_ALL: &str = "halo-bench-run-all/1";
+    const RUN_ALL: &str = "halo-bench-run-all/2";
     const SERVE: &str = "halo-bench-serve/1";
     const TUNE: &str = "halo-bench-tune/1";
     const FUZZ: &str = "halo-fuzz-report/1";
@@ -1116,7 +1115,6 @@ mod tests {
             ("scale", s("Small")),
             ("iters", num(40.0)),
             ("wall_ms", num(12.5)),
-            ("poly_allocs", num(0.0)),
             ("benchmarks", Json::Arr(vec![bench_row])),
             (
                 "serving",

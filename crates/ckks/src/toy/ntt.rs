@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::metrics;
+use crate::metrics::{self, Counter};
 use crate::toy::modular::{
     csub, invmod, mul_shoup, mul_shoup_lazy, mulmod, primitive_root, shoup_precompute,
 };
@@ -164,7 +164,7 @@ impl NttTable {
         for x in a.iter_mut() {
             *x = csub(csub(*x, self.twice_p), self.p);
         }
-        metrics::count_lazy_reductions_skipped(self.deferred_reductions());
+        metrics::count(Counter::LazyReductionsSkipped, self.deferred_reductions());
     }
 
     /// [`NttTable::forward`] minus the final canonicalization pass: output
@@ -179,7 +179,10 @@ impl NttTable {
     /// Panics if `a.len() != N`.
     pub fn forward_redundant(&self, a: &mut [u64]) {
         self.forward_lazy(a);
-        metrics::count_lazy_reductions_skipped(self.deferred_reductions() + self.n as u64);
+        metrics::count(
+            Counter::LazyReductionsSkipped,
+            self.deferred_reductions() + self.n as u64,
+        );
     }
 
     /// Pre-twist plus butterflies, output in `[0, 4p)`.
@@ -207,7 +210,7 @@ impl NttTable {
         for ((x, &w), &wp) in a.iter_mut().zip(&self.inv_post).zip(&self.inv_post_shoup) {
             *x = mul_shoup(*x, w, wp, self.p);
         }
-        metrics::count_lazy_reductions_skipped(self.deferred_reductions());
+        metrics::count(Counter::LazyReductionsSkipped, self.deferred_reductions());
     }
 
     /// Reductions one transform defers relative to canonicalizing every

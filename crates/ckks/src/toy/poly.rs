@@ -24,7 +24,9 @@
 //! [`crate::metrics::MetricsSnapshot::poly_allocs`] counter therefore
 //! counts *fresh heap allocations only* — a warm key-switch or rotation
 //! batch runs at ≈ 0 fresh allocations, which `tests/hoist_counters.rs`
-//! asserts.
+//! asserts. The counters land only in the caller's scope, but the pool
+//! is shared by every thread: a scope's `poly_allocs` and `pool_reuses`
+//! depend on what other threads left in the pool.
 //!
 //! # Lazy-representation invariant
 //!
@@ -42,7 +44,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::metrics;
+use crate::metrics::{self, Counter};
 use crate::parallel;
 use crate::toy::modular::{
     addmod, invmod, is_prime, mul_shoup, mul_shoup_lazy, mulmod, shoup_precompute, submod, Modulus,
@@ -76,11 +78,11 @@ fn acquire_buf_raw(len: usize) -> Vec<u64> {
         .and_then(|mut m| m.get_mut(&len).and_then(Vec::pop));
     match hit {
         Some(buf) => {
-            metrics::count_pool_reuse();
+            metrics::count(Counter::PoolReuses, 1);
             buf
         }
         None => {
-            metrics::count_poly_alloc();
+            metrics::count(Counter::PolyAllocs, 1);
             vec![0u64; len]
         }
     }
@@ -706,7 +708,7 @@ impl RnsPoly {
     /// Panics if already in NTT form.
     pub fn to_ntt(&mut self, ctx: &RnsContext) {
         assert!(!self.ntt, "already in NTT form");
-        metrics::count_ntt_forward_rows(self.limbs() as u64);
+        metrics::count(Counter::NttForwardRows, self.limbs() as u64);
         let work = self.work();
         let n = self.n;
         let RnsPoly { data, basis, .. } = self;
@@ -724,7 +726,7 @@ impl RnsPoly {
     /// Panics if already in coefficient form.
     pub fn to_coeff(&mut self, ctx: &RnsContext) {
         assert!(self.ntt, "already in coefficient form");
-        metrics::count_ntt_inverse_rows(self.limbs() as u64);
+        metrics::count(Counter::NttInverseRows, self.limbs() as u64);
         let work = self.work();
         let n = self.n;
         let RnsPoly { data, basis, .. } = self;
@@ -967,8 +969,8 @@ impl RnsPoly {
         for (row, &bi) in top.chunks_exact_mut(n).zip(&dropped) {
             ctx.tables[bi].inverse(row);
         }
-        metrics::count_ntt_inverse_rows(k as u64);
-        metrics::count_ntt_forward_rows(keep as u64);
+        metrics::count(Counter::NttInverseRows, k as u64);
+        metrics::count(Counter::NttForwardRows, keep as u64);
         self.data.truncate(split);
         let conv = if dropped.iter().copied().eq(ctx.special_primes()) {
             &ctx.mod_down
@@ -1147,7 +1149,7 @@ impl HoistedDigits {
     /// Panics unless `d`'s basis is a prefix of the level primes.
     #[must_use]
     pub fn new(ctx: &RnsContext, d: &RnsPoly) -> HoistedDigits {
-        metrics::count_digit_decompose();
+        metrics::count(Counter::DigitDecomposes, 1);
         let rows = d.limbs();
         assert!(
             d.basis.iter().copied().eq(0..rows),
@@ -1201,8 +1203,8 @@ impl HoistedDigits {
         });
         release_buf(y_rows);
         let transformed = (digits * ext - if d_ntt.is_some() { rows } else { 0 }) as u64;
-        metrics::count_ntt_forward_rows(transformed);
-        metrics::count_digit_ntt_rows(transformed);
+        metrics::count(Counter::NttForwardRows, transformed);
+        metrics::count(Counter::DigitNttRows, transformed);
         HoistedDigits {
             data,
             ext_basis,
@@ -1372,7 +1374,7 @@ pub fn keyswitch_fused(
         for x in r1.iter_mut() {
             *x = m.reduce_u64(*x);
         }
-        metrics::count_lazy_reductions_skipped(2 * (n * nd) as u64);
+        metrics::count(Counter::LazyReductionsSkipped, 2 * (n * nd) as u64);
     });
     let mut d0 = acquire_buf_raw(ext * n);
     let mut d1 = acquire_buf_raw(ext * n);

@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::backend::{expand_to_slots, Backend, BackendError, Result};
-use crate::metrics;
+use crate::metrics::{self, Counter};
 use crate::params::CkksParams;
 use crate::snapshot::{put_f64, put_u32, put_u64, put_u8, SnapError, SnapReader, SnapshotBackend};
 use crate::toy::encode::Encoder;
@@ -316,7 +316,7 @@ impl ToyBackend {
     /// ([`keyswitch_fused`]: raw-`u64` sums, one reduction per output
     /// element), then divide by the special primes.
     fn keyswitch(&self, d: &RnsPoly, kind: KeyKind, level: u32) -> (RnsPoly, RnsPoly) {
-        metrics::count_keyswitch();
+        metrics::count(Counter::KeyswitchCalls, 1);
         debug_assert_eq!(d.limbs(), self.rows(level));
         let key = self.ksk(kind);
         let digits = HoistedDigits::new(&self.ctx, d);
@@ -614,7 +614,7 @@ impl Backend for ToyBackend {
             }
             let key = self.ksk(KeyKind::Galois(t));
             let perm = automorphism_indices(self.ctx.n, t);
-            metrics::count_keyswitch();
+            metrics::count(Counter::KeyswitchCalls, 1);
             let pairs = key_pairs(&key, &self.ctx, self.rows(a.level));
             let (acc0, acc1) = keyswitch_fused(&digits, &pairs, Some(&perm), &self.ctx);
             let k0 = self.mod_down_special(acc0);

@@ -435,7 +435,8 @@ impl<B: SnapshotBackend> Executor<'_, B> {
         let mut out = run.finish()?;
         if let Some(after) = store.remote_telemetry() {
             out.stats
-                .absorb_remote(&after.delta(&remote_before.unwrap_or_default()));
+                .remote
+                .absorb(&after.delta(&remote_before.unwrap_or_default()));
         }
         Ok(out)
     }

@@ -812,7 +812,7 @@ impl<'a> ExecutorSim<'a> {
     /// the end of the run).
     fn bank_telemetry(&mut self) {
         if let Some(t) = self.rstore.remote_telemetry() {
-            self.stats.absorb_remote(&t);
+            self.stats.remote.absorb(&t);
         }
     }
 
@@ -1130,7 +1130,7 @@ impl<'a> CoordinatorSim<'a> {
 
     fn bank_telemetry(&mut self) {
         if let Some(t) = self.rstore.remote_telemetry() {
-            self.stats.absorb_remote(&t);
+            self.stats.remote.absorb(&t);
         }
     }
 

@@ -570,18 +570,20 @@ impl Default for RemotePolicy {
 
 /// Remote-operation telemetry of a [`RemoteStore`]: monotone counters
 /// over the store's lifetime. The executor samples this before and after
-/// a durable run and adds the delta to `RunStats`, so per-run numbers
-/// stay correct even when one store serves many runs.
+/// a durable run and absorbs the delta into `RunStats::remote`, so
+/// per-run numbers stay correct even when one store serves many runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RemoteTelemetry {
     /// Snapshot generations successfully persisted to the remote
     /// (spilled generations count only once drained).
-    pub remote_puts: u64,
-    /// Remote attempts re-issued after a retryable failure (hedge
-    /// attempts not included).
-    pub remote_retries: u64,
-    /// Modeled backoff charged between retries, in µs.
-    pub remote_backoff_us: f64,
+    pub puts: u64,
+    /// Remote attempts re-issued after a retryable failure (timeouts,
+    /// transient "5xx" errors, unavailability; hedge attempts not
+    /// included).
+    pub retries: u64,
+    /// Modeled backoff charged between retries, in µs (decorrelated
+    /// jitter; counted in `RunStats::recovery_overhead_us`).
+    pub backoff_us: f64,
     /// Reads whose tight first deadline expired and fired a
     /// full-deadline hedge attempt.
     pub hedged_reads: u64,
@@ -597,13 +599,34 @@ impl RemoteTelemetry {
     #[must_use]
     pub fn delta(&self, earlier: &RemoteTelemetry) -> RemoteTelemetry {
         RemoteTelemetry {
-            remote_puts: self.remote_puts - earlier.remote_puts,
-            remote_retries: self.remote_retries - earlier.remote_retries,
-            remote_backoff_us: self.remote_backoff_us - earlier.remote_backoff_us,
+            puts: self.puts - earlier.puts,
+            retries: self.retries - earlier.retries,
+            backoff_us: self.backoff_us - earlier.backoff_us,
             hedged_reads: self.hedged_reads - earlier.hedged_reads,
             breaker_opens: self.breaker_opens - earlier.breaker_opens,
             spilled_snapshots: self.spilled_snapshots - earlier.spilled_snapshots,
         }
+    }
+
+    /// Counter-wise `self += other`: how a run folds in its store's delta,
+    /// a fleet executor banks each store stack it discards, and
+    /// `RunStats::absorb` merges runs. Destructured exhaustively, like
+    /// `RunStats::absorb`, so a new counter cannot be left out.
+    pub fn absorb(&mut self, other: &RemoteTelemetry) {
+        let RemoteTelemetry {
+            puts,
+            retries,
+            backoff_us,
+            hedged_reads,
+            breaker_opens,
+            spilled_snapshots,
+        } = other;
+        self.puts += puts;
+        self.retries += retries;
+        self.backoff_us += backoff_us;
+        self.hedged_reads += hedged_reads;
+        self.breaker_opens += breaker_opens;
+        self.spilled_snapshots += spilled_snapshots;
     }
 }
 
@@ -808,14 +831,14 @@ impl<O: ObjectStore> RemoteStore<O> {
                 Err(e) if e.is_retryable() && retries_left > 0 => {
                     hedge_pending = false;
                     retries_left -= 1;
-                    inner.telemetry.remote_retries += 1;
+                    inner.telemetry.retries += 1;
                     // Decorrelated jitter: sleep ∈ [base, prev·3], capped.
                     let base = self.policy.backoff_base_us;
                     let hi = (inner.prev_backoff_us * 3.0).max(base);
                     let roll = inner.roll();
                     let backoff = (base + roll * (hi - base)).min(self.policy.backoff_cap_us);
                     inner.prev_backoff_us = backoff;
-                    inner.telemetry.remote_backoff_us += backoff;
+                    inner.telemetry.backoff_us += backoff;
                 }
                 Err(e) => {
                     if e.is_retryable() {
@@ -970,7 +993,7 @@ impl<O: ObjectStore> RemoteStore<O> {
                 if done {
                     let mut inner = self.inner.lock().expect("remote store lock");
                     inner.drained.insert(g);
-                    inner.telemetry.remote_puts += 1;
+                    inner.telemetry.puts += 1;
                 }
             }
         }
@@ -997,11 +1020,7 @@ impl<O: ObjectStore> SnapshotStore for RemoteStore<O> {
         let generation = self.allocate_generation();
         match self.guarded(false, |d| self.remote.put(&gen_key(generation), bytes, d)) {
             Guarded::Ok(()) => {
-                self.inner
-                    .lock()
-                    .expect("remote store lock")
-                    .telemetry
-                    .remote_puts += 1;
+                self.inner.lock().expect("remote store lock").telemetry.puts += 1;
                 self.drain_and_prune();
                 Ok(generation)
             }
@@ -1123,7 +1142,7 @@ mod tests {
         assert_eq!(store.generations().unwrap(), vec![3, 4, 5]);
         assert_eq!(store.get(5).unwrap(), vec![4u8; 32]);
         let t = store.telemetry();
-        assert_eq!(t.remote_puts, 5);
+        assert_eq!(t.puts, 5);
         assert_eq!(t.spilled_snapshots, 0);
         assert_eq!(t.breaker_opens, 0);
     }
@@ -1139,8 +1158,8 @@ mod tests {
             store.put(&[i; 32]).expect("retries absorb 25% transients");
         }
         let t = store.telemetry();
-        assert!(t.remote_retries > 0, "transient spec must force retries");
-        assert!(t.remote_backoff_us > 0.0, "retries must charge backoff");
+        assert!(t.retries > 0, "transient spec must force retries");
+        assert!(t.backoff_us > 0.0, "retries must charge backoff");
     }
 
     #[test]
@@ -1195,7 +1214,7 @@ mod tests {
         let t = store.telemetry();
         assert_eq!(t.spilled_snapshots, 4, "every put spilled");
         assert!(t.breaker_opens >= 1, "dead remote must open the breaker");
-        assert_eq!(t.remote_puts, 0);
+        assert_eq!(t.puts, 0);
         // The spill serves reads and listings while the remote is dark.
         assert_eq!(store.generations().unwrap(), vec![1, 2, 3, 4]);
         assert_eq!(store.get(3).unwrap(), vec![2u8; 32]);
@@ -1224,7 +1243,7 @@ mod tests {
             remote_keys.contains(&1) && remote_keys.contains(&4) && remote_keys.contains(&5),
             "spilled generations drained to the remote: {remote_keys:?}"
         );
-        assert_eq!(healthy.telemetry().remote_puts, 5, "1 put + 4 drained");
+        assert_eq!(healthy.telemetry().puts, 5, "1 put + 4 drained");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! - **Sessions** ([`Server::session`]) own quotas and per-op accounting.
 //!   Accounting is race-free under concurrency: each batch executes
 //!   inside a [`ScopedCounters`] guard (`ckks::metrics`), and the scope's
-//!   private delta — not a global counter diff — is split across the
-//!   batch's participants.
+//!   private counts are split across the batch's participants so that
+//!   the shares sum to the batch's total.
 //! - **Admission control** degrades, never aborts: [`Server::submit`]
 //!   applies backpressure (blocks while the bounded queue is full);
 //!   [`Server::try_submit`] rejects *only* at the explicit queue cap or
@@ -197,6 +197,14 @@ impl Ticket {
     }
 }
 
+/// Member `j`'s share of a count `n` split over a `k`-job batch: `⌊n/k⌋`,
+/// plus one for the first `n mod k` members, so the shares sum to `n` (a
+/// plain floor would zero out counts smaller than the batch).
+fn share(n: u64, k: usize, j: usize) -> u64 {
+    let k = k as u64;
+    n / k + u64::from((j as u64) < n % k)
+}
+
 fn deliver(cell: &TicketCell, r: JobResult) {
     *cell.slot.lock().unwrap() = Some(r);
     cell.cv.notify_all();
@@ -225,8 +233,9 @@ pub struct SessionStats {
     pub deadline_misses: u64,
     /// Accounted modeled time: Σ `share_us` of this session's jobs.
     pub modeled_us: f64,
-    /// Backend op counters accounted to this session (each batch's
-    /// [`ScopedCounters`] delta, split evenly across participants).
+    /// Backend op counters accounted to this session: each batch's
+    /// [`ScopedCounters`] reading, split across participants like
+    /// [`SessionStats::op_counts`].
     pub ops: MetricsSnapshot,
     /// Executed-op counts accounted to this session (batch counts split
     /// evenly, remainder spread over the first members so batch totals
@@ -865,7 +874,6 @@ impl<'e, B: Backend> Server<'e, B> {
         let k = batch.len();
         let exec_us = stats.total_us;
         let share_us = (exec_us + pack_us) / k as f64;
-        let ops_share = ops.div(k as u64);
         let mut st = self.state.lock().unwrap();
         st.batches += 1;
         if packed {
@@ -886,16 +894,12 @@ impl<'e, B: Backend> Server<'e, B> {
             let sess = &mut st.sessions[p.session];
             sess.completed += 1;
             sess.modeled_us += share_us;
-            sess.ops = sess.ops.add(&ops_share);
+            sess.ops = sess.ops.add(&ops.map(|n| share(n, k, j)));
             if missed {
                 sess.deadline_misses += 1;
             }
-            // Even split with the remainder spread over the first
-            // members, so batch totals are conserved (a plain floor
-            // would zero out counts smaller than the batch).
             for (&m, &n) in &stats.op_counts {
-                let extra = u64::from((j as u64) < n % k as u64);
-                *sess.op_counts.entry(m).or_insert(0) += n / k as u64 + extra;
+                *sess.op_counts.entry(m).or_insert(0) += share(n, k, j);
             }
             deliver(
                 &p.ticket,
@@ -914,14 +918,13 @@ impl<'e, B: Backend> Server<'e, B> {
 
     /// Accounts and delivers a failed (solo) run.
     fn fail(&self, batch: &[Pending], e: &ExecError, ops: &MetricsSnapshot) {
-        let k = batch.len() as u64;
-        let ops_share = ops.div(k);
+        let k = batch.len();
         let mut st = self.state.lock().unwrap();
-        for p in batch {
+        for (j, p) in batch.iter().enumerate() {
             st.jobs_failed += 1;
             let sess = &mut st.sessions[p.session];
             sess.failed += 1;
-            sess.ops = sess.ops.add(&ops_share);
+            sess.ops = sess.ops.add(&ops.map(|n| share(n, k, j)));
             deliver(&p.ticket, Err(JobError::Exec(e.clone())));
         }
     }

@@ -308,7 +308,7 @@ pub fn peek_snapshot_cursor(function: &str, bytes: &[u8]) -> Option<(OpId, u64)>
 mod tests {
     use super::*;
     use crate::fleet::{decode_lease, decode_result, encode_lease, encode_result, LeaseRecord};
-    use halo_ckks::{Backend, CkksParams, SimBackend};
+    use halo_ckks::{Backend, CkksParams, SimBackend, ToyBackend};
     use proptest::prelude::*;
 
     /// XORs `mask` into body byte `at` of a sealed record and seals it
@@ -346,6 +346,12 @@ mod tests {
         encode_snapshot(be, "prog", OpId(7), 3, &values, &carried)
     }
 
+    /// A toy record: N = 16, L = 2, one carried ciphertext.
+    fn toy_snapshot(be: &ToyBackend) -> Vec<u8> {
+        let carried = vec![RtValue::Ct(be.encrypt(&[0.5, -0.25], 2).expect("encrypt"))];
+        encode_snapshot(be, "prog", OpId(1), 2, &HashMap::new(), &carried)
+    }
+
     #[test]
     fn open_checks_the_framing_seal_writes() {
         let sealed = seal(b"TESTTEST", 2, |out| out.extend_from_slice(b"body"));
@@ -364,9 +370,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Every single-byte body mutation of a lease, a result and a sim
-        /// `halo-snap/1` record, sealed again, decodes to a value or a
-        /// typed error — never a panic.
+        /// Every single-byte body mutation of a lease, a result, a sim and
+        /// a toy `halo-snap/1` record, sealed again, decodes to a value or
+        /// a typed error — never a panic. A toy record that decodes also
+        /// applies its RNG state and decrypts every restored ciphertext
+        /// (the toy replay is bounded by its input; the sim one is not).
         #[test]
         fn resealed_body_mutations_decode_or_fail_typed(mask in 1u8..=255) {
             let lease = encode_lease(&LeaseRecord {
@@ -390,6 +398,19 @@ mod tests {
                 let mutated = reseal(&snap, at, mask);
                 let _ = decode_snapshot(&be, "prog", &mutated);
                 let _ = peek_snapshot_cursor("prog", &mutated);
+            }
+            let toy = ToyBackend::new(16, 2, 0x7E57);
+            let snap = toy_snapshot(&toy);
+            for at in 0..body_len(&snap) {
+                let Ok(restored) = decode_snapshot(&toy, "prog", &reseal(&snap, at, mask)) else {
+                    continue;
+                };
+                let _ = restored.apply_rng(&toy);
+                for v in restored.values.values().chain(&restored.carried) {
+                    if let RtValue::Ct(ct) = v {
+                        let _ = toy.decrypt(ct);
+                    }
+                }
             }
         }
     }

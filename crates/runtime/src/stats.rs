@@ -2,6 +2,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::remote::RemoteTelemetry;
+
 /// Execution statistics for one program run.
 ///
 /// The latency figures come from the calibrated cost model
@@ -80,29 +82,11 @@ pub struct RunStats {
     /// degraded to a fresh start instead of erroring.
     pub resume_list_failures: u64,
 
-    // ------------------------------------------------------------------
-    // Remote-store telemetry (all zero unless the durable run's store is
-    // a `RemoteStore`; deltas of `RemoteTelemetry` sampled around the
-    // run).
-    // ------------------------------------------------------------------
-    /// Snapshot generations successfully persisted to the remote object
-    /// store (spilled generations count only once drained back).
-    pub remote_puts: u64,
-    /// Remote attempts re-issued after a retryable failure (timeouts,
-    /// transient "5xx" errors, unavailability).
-    pub remote_retries: u64,
-    /// Modeled retry backoff charged between remote attempts, in µs
-    /// (decorrelated jitter; counted in
-    /// [`RunStats::recovery_overhead_us`]).
-    pub remote_backoff_us: f64,
-    /// Reads whose tight first deadline expired and fired a full-deadline
-    /// hedge attempt.
-    pub hedged_reads: u64,
-    /// Circuit-breaker transitions into the open state.
-    pub breaker_opens: u64,
-    /// Snapshots spilled to the local write-behind store because the
-    /// remote was unreachable.
-    pub spilled_snapshots: u64,
+    /// Remote-store telemetry gained over the run (all zero unless its
+    /// snapshots went to a [`RemoteStore`], as every fleet's do).
+    ///
+    /// [`RemoteStore`]: crate::remote::RemoteStore
+    pub remote: RemoteTelemetry,
 
     // ------------------------------------------------------------------
     // Hoisted-rotation telemetry (all zero unless the executor's rotation
@@ -174,7 +158,7 @@ impl RunStats {
     /// the *measured* time spent writing durable disk snapshots.
     #[must_use]
     pub fn recovery_overhead_us(&self) -> f64 {
-        self.retry_backoff_us + self.checkpoint_us + self.disk_snapshot_us + self.remote_backoff_us
+        self.retry_backoff_us + self.checkpoint_us + self.disk_snapshot_us + self.remote.backoff_us
     }
 
     /// Merges every counter of `other` into `self` — how the fleet
@@ -206,12 +190,7 @@ impl RunStats {
             resumes_from_disk,
             corrupt_snapshots_skipped,
             resume_list_failures,
-            remote_puts,
-            remote_retries,
-            remote_backoff_us,
-            hedged_reads,
-            breaker_opens,
-            spilled_snapshots,
+            remote,
             hoisted_batches,
             hoisted_rotations,
             hoist_saved_us,
@@ -242,12 +221,7 @@ impl RunStats {
         self.resumes_from_disk += resumes_from_disk;
         self.corrupt_snapshots_skipped += corrupt_snapshots_skipped;
         self.resume_list_failures += resume_list_failures;
-        self.remote_puts += remote_puts;
-        self.remote_retries += remote_retries;
-        self.remote_backoff_us += remote_backoff_us;
-        self.hedged_reads += hedged_reads;
-        self.breaker_opens += breaker_opens;
-        self.spilled_snapshots += spilled_snapshots;
+        self.remote.absorb(remote);
         self.hoisted_batches += hoisted_batches;
         self.hoisted_rotations += hoisted_rotations;
         self.hoist_saved_us += hoist_saved_us;
@@ -256,19 +230,6 @@ impl RunStats {
         self.zombie_writes_fenced += zombie_writes_fenced;
         self.legs_reassigned += legs_reassigned;
         self.coordinator_resumes += coordinator_resumes;
-    }
-
-    /// Folds a remote-telemetry delta (sampled around a durable run from
-    /// [`SnapshotStore::remote_telemetry`]) into these stats.
-    ///
-    /// [`SnapshotStore::remote_telemetry`]: crate::store::SnapshotStore::remote_telemetry
-    pub fn absorb_remote(&mut self, delta: &crate::remote::RemoteTelemetry) {
-        self.remote_puts += delta.remote_puts;
-        self.remote_retries += delta.remote_retries;
-        self.remote_backoff_us += delta.remote_backoff_us;
-        self.hedged_reads += delta.hedged_reads;
-        self.breaker_opens += delta.breaker_opens;
-        self.spilled_snapshots += delta.spilled_snapshots;
     }
 }
 
@@ -332,12 +293,14 @@ mod tests {
             resumes_from_disk: 61,
             corrupt_snapshots_skipped: 67,
             resume_list_failures: 71,
-            remote_puts: 73,
-            remote_retries: 79,
-            remote_backoff_us: 83.0,
-            hedged_reads: 89,
-            breaker_opens: 97,
-            spilled_snapshots: 101,
+            remote: RemoteTelemetry {
+                puts: 73,
+                retries: 79,
+                backoff_us: 83.0,
+                hedged_reads: 89,
+                breaker_opens: 97,
+                spilled_snapshots: 101,
+            },
             hoisted_batches: 103,
             hoisted_rotations: 107,
             hoist_saved_us: 109.0,

@@ -284,7 +284,7 @@ fn durable_run_and_cross_machine_resume_over_loopback_http() {
         .expect("durable run over loopback HTTP");
     assert_eq!(bits(&out.outputs), base);
     assert_eq!(
-        out.stats.remote_puts, ITERS,
+        out.stats.remote.puts, ITERS,
         "every snapshot reached the server"
     );
     assert!(

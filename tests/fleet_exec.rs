@@ -113,7 +113,7 @@ fn healthy_fleet_is_bit_identical_to_solo_run() {
     // Without a spill store every snapshot write is a remote put, and
     // the writes of preempted slices count too.
     assert!(report.stats.snapshot_writes > 0);
-    assert_eq!(report.stats.snapshot_writes, report.stats.remote_puts);
+    assert_eq!(report.stats.snapshot_writes, report.stats.remote.puts);
 }
 
 #[test]

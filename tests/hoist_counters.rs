@@ -1,10 +1,11 @@
 //! Op/alloc counter assertions for hoisted rotation and the exact
-//! transform budget of the key-switching ops. These live in their own
-//! integration-test binary (and one test function) because the metrics
-//! counters — and the limb-buffer pool — are process-global: sibling
-//! tests running ciphertext ops concurrently would perturb the deltas.
+//! transform budget of the key-switching ops, each read from a scope of
+//! its own. Only the limb-buffer pool is process-wide: sibling tests
+//! running ciphertext ops concurrently would perturb the `poly_allocs`
+//! and `pool_reuses` asserted here, so this lives in its own
+//! integration-test binary (and one test function).
 
-use halo_fhe::ckks::metrics;
+use halo_fhe::ckks::{MetricsSnapshot, ScopedCounters};
 use halo_fhe::prelude::*;
 
 const N: usize = 64;
@@ -19,9 +20,9 @@ fn hoisted_batch_decomposes_once_and_reuses_pooled_buffers() {
 
     // Cold batch: generates every Galois key, builds NTT tables, and seeds
     // the limb-buffer pool. All fresh heap allocations happen here.
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     std::hint::black_box(be.rotate_batch(&ct, &offsets).expect("warm-up"));
-    let cold = metrics::snapshot();
+    let cold = scope.finish();
     assert!(
         cold.poly_allocs > 3,
         "the cold batch must actually allocate (got {})",
@@ -32,9 +33,9 @@ fn hoisted_batch_decomposes_once_and_reuses_pooled_buffers() {
     // per-digit NTT row count of a *single* rotation (that work is shared
     // across all eight offsets), and essentially zero fresh allocations —
     // every limb buffer is recycled through the pool.
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     let batch = be.rotate_batch(&ct, &offsets).expect("rotate_batch");
-    let hoisted = metrics::snapshot();
+    let hoisted = scope.finish();
     assert_eq!(batch.len(), offsets.len());
     assert_eq!(
         hoisted.digit_decomposes, 1,
@@ -57,9 +58,9 @@ fn hoisted_batch_decomposes_once_and_reuses_pooled_buffers() {
          record its deferred reductions"
     );
 
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     std::hint::black_box(be.rotate(&ct, 1).expect("rotate"));
-    let single = metrics::snapshot();
+    let single = scope.finish();
     assert_eq!(
         hoisted.digit_ntt_rows, single.digit_ntt_rows,
         "the batch must run one per-digit forward-NTT set, same as one rotation"
@@ -84,13 +85,13 @@ fn hoisted_batch_decomposes_once_and_reuses_pooled_buffers() {
     // change that adds back a transform or a per-element reduction fails
     // here on any machine.
     std::hint::black_box(be.mult(&ct, &ct).expect("relin key warm-up"));
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     let prod = be.mult(&ct, &ct).expect("mult");
-    let mult = metrics::snapshot();
-    metrics::reset();
+    let mult = scope.finish();
+    let scope = ScopedCounters::begin();
     std::hint::black_box(be.rescale(&prod).expect("rescale"));
-    let rescale = metrics::snapshot();
-    let budget = |m: &metrics::MetricsSnapshot| {
+    let rescale = scope.finish();
+    let budget = |m: &MetricsSnapshot| {
         (
             m.ntt_forward_rows,
             m.ntt_inverse_rows,
@@ -107,11 +108,11 @@ fn hoisted_batch_decomposes_once_and_reuses_pooled_buffers() {
     );
 
     // The sequential path decomposes (and NTTs digits) once per rotation.
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     for &o in &offsets {
         std::hint::black_box(be.rotate(&ct, o).expect("rotate"));
     }
-    let sequential = metrics::snapshot();
+    let sequential = scope.finish();
     assert_eq!(sequential.digit_decomposes, offsets.len() as u64);
     assert_eq!(
         sequential.digit_ntt_rows,
@@ -127,9 +128,9 @@ fn hoisted_batch_decomposes_once_and_reuses_pooled_buffers() {
     // Duplicate offsets are memoized by Galois exponent: a batch with
     // repeats pays key switching only once per distinct offset, and the
     // cloned results are bit-identical to recomputing.
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     let dup = be.rotate_batch(&ct, &[3, 3, 5, 3]).expect("dup batch");
-    let d = metrics::snapshot();
+    let d = scope.finish();
     assert_eq!(
         d.keyswitch_calls, 2,
         "two distinct offsets, two key switches"

@@ -1,14 +1,12 @@
 //! Scope-safe metrics under concurrency: two sessions running different
-//! ciphertext workloads on different threads must each see *exactly*
-//! their own backend op counts through [`ScopedCounters`], even though
-//! the underlying counters are process-global — that is the property the
-//! serving layer's per-session accounting stands on.
+//! ciphertext workloads on different threads of one shared backend must
+//! each see *exactly* their own backend op counts through
+//! [`ScopedCounters`] — that is the property the serving layer's
+//! per-session accounting stands on.
 //!
-//! Counter-asserted, so this lives in its own integration-test binary
-//! (sibling tests running ciphertext ops concurrently would perturb the
-//! global baseline check at the end).
+//! Counters land only in scopes; only the limb-buffer pool is
+//! process-wide, and no pool counter is asserted here.
 
-use halo_fhe::ckks::metrics;
 use halo_fhe::ckks::ScopedCounters;
 use halo_fhe::prelude::*;
 
@@ -36,9 +34,6 @@ fn concurrent_scopes_each_see_only_their_own_work() {
     be.mult(&ct, &ct).expect("baseline mult");
     let base_mul = scope.finish();
     assert!(base_mul.keyswitch_calls > 0, "multcc must relinearize");
-
-    metrics::reset();
-    let before = metrics::snapshot();
 
     // Two tenants on two threads, interleaving on the shared backend.
     // Thread A rotates 3×, thread B multiplies 5×; each scope must read
@@ -95,16 +90,4 @@ fn concurrent_scopes_each_see_only_their_own_work() {
     // any sequence pays rows the rest do not. The scope still must have
     // captured B's NTT work.
     assert!(got_b.ntt_forward_rows > 0);
-
-    // The global counters saw the union of both threads' work.
-    let global = metrics::snapshot().delta(&before);
-    assert_eq!(
-        global.keyswitch_calls,
-        got_a.keyswitch_calls + got_b.keyswitch_calls,
-        "global counters must equal the sum of both scopes"
-    );
-    assert_eq!(
-        global.digit_decomposes,
-        got_a.digit_decomposes + got_b.digit_decomposes
-    );
 }

@@ -88,8 +88,8 @@ fn remote_run_and_cross_machine_resume_are_bit_identical() {
         .expect("durable run over the remote");
     assert_eq!(bits(&out.outputs), base);
     assert_eq!(out.stats.snapshot_writes, ITERS);
-    assert_eq!(out.stats.remote_puts, ITERS, "telemetry reached RunStats");
-    assert_eq!(out.stats.spilled_snapshots, 0);
+    assert_eq!(out.stats.remote.puts, ITERS, "telemetry reached RunStats");
+    assert_eq!(out.stats.remote.spilled_snapshots, 0);
 
     // "Another machine": a fresh RemoteStore wrapping a remote that holds
     // the same objects (copied raw), no local spill, different jitter.
@@ -147,8 +147,8 @@ fn remote_chaos_never_aborts_and_stays_bit_identical() {
         assert_eq!(bits(&resumed.outputs), base, "seed {seed}: resume diverged");
 
         let t = store.telemetry();
-        total_retries += t.remote_retries;
-        total_backoff += t.remote_backoff_us;
+        total_retries += t.retries;
+        total_backoff += t.backoff_us;
         total_faults += store.remote().report().total();
     }
     assert!(total_faults > 0, "chaos spec must inject faults");
@@ -180,10 +180,13 @@ fn dead_remote_spills_locally_and_resumes_from_spill() {
         .expect("dead remote must not abort the run");
     assert_eq!(bits(&out.outputs), base);
     assert_eq!(out.stats.snapshot_writes, ITERS);
-    assert_eq!(out.stats.spilled_snapshots, ITERS, "everything spilled");
-    assert_eq!(out.stats.remote_puts, 0);
+    assert_eq!(
+        out.stats.remote.spilled_snapshots, ITERS,
+        "everything spilled"
+    );
+    assert_eq!(out.stats.remote.puts, 0);
     assert!(
-        out.stats.breaker_opens >= 1,
+        out.stats.remote.breaker_opens >= 1,
         "dead remote opens the breaker"
     );
 

@@ -1,10 +1,11 @@
 //! Edge-case hardening for `rotate_batch`: empty and all-duplicate offset
-//! batches must not pay for work they don't do. Counter-asserted, so this
-//! lives in its own integration-test binary — the metrics counters are
-//! process-global and sibling tests running ciphertext ops concurrently
-//! would perturb the deltas. One test function for the same reason.
+//! batches must not pay for work they don't do. Counter-asserted, each
+//! check in a scope of its own. Only the limb-buffer pool is
+//! process-wide: sibling tests running ciphertext ops concurrently would
+//! perturb the `poly_allocs` and `pool_reuses` asserted here, so this
+//! lives in its own integration-test binary, in one test function.
 
-use halo_fhe::ckks::metrics;
+use halo_fhe::ckks::ScopedCounters;
 use halo_fhe::prelude::*;
 
 const N: usize = 64;
@@ -19,9 +20,9 @@ fn degenerate_batches_skip_the_key_cache_and_decomposer() {
 
     // --- Empty batch: literally free. No decomposition, no key-switch,
     // no key-cache fill, not even a buffer allocation. ---
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     let out = be.rotate_batch(&ct, &[]).expect("empty batch");
-    let d = metrics::snapshot();
+    let d = scope.finish();
     assert!(out.is_empty());
     assert_eq!(d.digit_decomposes, 0, "empty batch touched the decomposer");
     assert_eq!(d.digit_ntt_rows, 0);
@@ -35,9 +36,9 @@ fn degenerate_batches_skip_the_key_cache_and_decomposer() {
     // The Galois exponent is 1 for every entry, so neither the decomposer
     // nor the key cache is consulted. ---
     for offsets in [&[0i64, 0, 0][..], &[slots, -slots, 0, 2 * slots][..]] {
-        metrics::reset();
+        let scope = ScopedCounters::begin();
         let out = be.rotate_batch(&ct, offsets).expect("identity batch");
-        let d = metrics::snapshot();
+        let d = scope.finish();
         assert_eq!(out.len(), offsets.len());
         assert_eq!(
             d.digit_decomposes, 0,
@@ -57,13 +58,13 @@ fn degenerate_batches_skip_the_key_cache_and_decomposer() {
     // batch — the PR 6 memoization collapses the duplicates, and the
     // dedicated fast path never sizes the hoisting slab for more. ---
     let warm = be.rotate_batch(&ct, &[5]).expect("warm-up single rotate");
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     let single = be.rotate_batch(&ct, &[5]).expect("single rotate");
-    let one = metrics::snapshot();
+    let one = scope.finish();
 
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     let out = be.rotate_batch(&ct, &[5; 16]).expect("all-duplicate batch");
-    let d = metrics::snapshot();
+    let d = scope.finish();
     assert_eq!(out.len(), 16);
     assert_eq!(
         d.digit_decomposes, 1,
@@ -93,9 +94,9 @@ fn degenerate_batches_skip_the_key_cache_and_decomposer() {
 
     // --- Offsets that only *differ* still pay per unique exponent: the
     // hardening must not have broken the general hoisted path. ---
-    metrics::reset();
+    let scope = ScopedCounters::begin();
     let out = be.rotate_batch(&ct, &[1, 2, 1, 2, 3]).expect("mixed batch");
-    let d = metrics::snapshot();
+    let d = scope.finish();
     assert_eq!(out.len(), 5);
     assert_eq!(d.digit_decomposes, 1, "hoisting shares one decomposition");
     assert_eq!(d.keyswitch_calls, 3, "one key-switch per unique exponent");

@@ -11,6 +11,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
+use halo_fhe::ckks::{MetricsSnapshot, ScopedCounters};
 use halo_fhe::prelude::*;
 use halo_fhe::runtime::serve;
 
@@ -106,4 +107,74 @@ proptest! {
         // batch size — that is the whole point.
         prop_assert!(outcomes[0].bootstrap_count > 0);
     }
+}
+
+/// Per-session accounting keeps a batch's totals: three sessions' jobs
+/// coalesce into one packed toy-backend run of a program with a single
+/// relinearizing `multcc`, and the sessions' counter shares sum to what
+/// one scoped solo run of the program counts (a floor split would credit
+/// nobody with the one key switch).
+#[test]
+fn session_counter_shares_sum_to_the_shared_run() {
+    const N: usize = 32;
+    const LEVELS: u32 = 4;
+    let mut b = FunctionBuilder::new("square", N / 2);
+    let x = b.input_cipher("x");
+    let y = b.mul(x, x);
+    b.ret(&[y]);
+    let opts = CompileOptions::new(CkksParams {
+        poly_degree: N,
+        max_level: LEVELS,
+        rf_bits: 40,
+    });
+    let prog = Arc::new(
+        compile(&b.finish(), CompilerConfig::TypeMatched, &opts)
+            .expect("compiles")
+            .function,
+    );
+    let be = ToyBackend::new(N, LEVELS, 0x5E55);
+    let inputs = |j: usize| Inputs::new().cipher("x", vec![0.1 * j as f64 - 0.2; 4]);
+
+    // Warm-up: the relinearization key's NTT-resident cache fills on
+    // first use, so only later runs cost the same.
+    Executor::new(&be).run(&prog, &inputs(0)).expect("warm-up");
+    let scope = ScopedCounters::begin();
+    Executor::new(&be).run(&prog, &inputs(0)).expect("solo run");
+    let solo = scope.finish();
+    assert_eq!(solo.keyswitch_calls, 1, "one multcc, one relinearization");
+
+    let config = ServeConfig {
+        workers: 1,
+        max_batch: 3,
+        // Linger until all three jobs are queued, as `serving_rows` does.
+        batch_window_ms: 2_000,
+        ..ServeConfig::default()
+    };
+    let ((), report) = serve::serve(&be, config, |srv| {
+        let tickets: Vec<_> = (0..3)
+            .map(|j| {
+                let sess = srv.session(&format!("tenant-{j}"));
+                srv.submit(sess, &prog, inputs(j)).expect("admit")
+            })
+            .collect();
+        for t in tickets {
+            assert_eq!(t.wait().expect("job ok").batch_size, 3);
+        }
+    });
+    assert_eq!(report.packed_batches, 1);
+    assert_eq!(report.sessions.len(), 3);
+    let summed = report
+        .sessions
+        .iter()
+        .fold(MetricsSnapshot::default(), |acc, s| acc.add(&s.ops));
+    let compared = |m: &MetricsSnapshot| {
+        (
+            m.ntt_forward_rows,
+            m.ntt_inverse_rows,
+            m.digit_decomposes,
+            m.digit_ntt_rows,
+            m.keyswitch_calls,
+        )
+    };
+    assert_eq!(compared(&summed), compared(&solo));
 }
