@@ -6,36 +6,30 @@
 //! peeling stops at status matching, and target tuning is all-or-nothing.
 //! This module searches the joint space instead —
 //!
-//! * **unroll** — leave loops alone, the paper's heuristic factor, any
-//!   explicit factor `2..=L`, or DaCapo-style full unrolling (constant
-//!   trips only);
-//! * **packing** — on or off (the pipeline's cost-aware pack driver is
-//!   subsumed: both points are in the space);
-//! * **peel depth** — extra constant-trip first-iteration peels beyond
-//!   the mandatory status peel;
-//! * **bootstrap target tuning** — whether §6.3 target lowering runs
-//!   (the pass itself derives the per-group optimal targets).
+//! * **unroll** — none, the heuristic factor, any factor `2..=L`, or
+//!   DaCapo-style full unrolling (constant trips only);
+//! * **packing** — on or off (subsumes the cost-aware pack driver);
+//! * **peel depth** — extra constant-trip first-iteration peels;
+//! * **bootstrap target tuning** — whether §6.3 target lowering runs.
 //!
-//! Every candidate [`TunePlan`] compiles through the ordinary pipeline
-//! (`compile(src, CompilerConfig::Tuned(plan), opts)`) and is scored with
-//! the calibrated static estimate [`estimate_cost_us`] — the same modeled
-//! time the sim backend charges at execution, which the calibration test
-//! suite ties together. Two interchangeable strategies implement one
-//! [`Tuner`] trait so tests can assert they agree:
+//! Every candidate [`TunePlan`] is scored as it compiles through the
+//! ordinary pipeline (`compile(src, CompilerConfig::Tuned(plan), opts)`),
+//! with the calibrated static estimate [`estimate_cost_us`] — the modeled
+//! time the sim backend charges, which the calibration suite ties
+//! together. Two strategies implement one [`Tuner`] trait so tests can
+//! assert they agree:
 //!
-//! * [`ExhaustiveTuner`] compiles every point — the ground truth for
-//!   small spaces;
-//! * [`BranchBoundTuner`] shares work across the search: plans that agree
-//!   on (unroll, pack, peel) share one traced prefix, whose admissible
-//!   floor ([`crate::cost_est::traced_floor_us`]) prunes both `tune`
-//!   leaves whenever the floor already meets the incumbent. Pruning is
-//!   optimality-preserving by construction — the agreement proptest in
-//!   `tests/autotune_optimal.rs` is the proof harness.
+//! * [`ExhaustiveTuner`] compiles every point — the ground truth;
+//! * [`BranchBoundTuner`] shares work: plans that agree on (unroll, pack,
+//!   peel) share one traced prefix, whose admissible floor
+//!   ([`traced_floor_us`]) prunes both `tune` leaves once it meets the
+//!   incumbent, and one level assignment, which scores both leaves
+//!   exactly as `compile` would. The agreement proptest in
+//!   `tests/autotune_optimal.rs` is the proof harness for pruning.
 //!
-//! The [`PolicyHook`] seam lets a future learned policy (CHEHAB-style RL,
-//! see PAPERS.md) reorder candidates — a better-first ordering tightens
-//! the incumbent sooner and prunes more — and observe every evaluation as
-//! a training signal, without touching the search's optimality argument.
+//! The [`PolicyHook`] seam lets a learned policy (CHEHAB-style RL,
+//! PAPERS.md) reorder candidates — better-first orders prune more — and
+//! observe every evaluation, without touching the optimality argument.
 
 use std::collections::HashMap;
 
@@ -45,12 +39,16 @@ use halo_ir::op::{Opcode, TripCount};
 use crate::config::{CompileOptions, CompilerConfig};
 use crate::cost_est::{estimate_cost_us, traced_floor_us};
 use crate::error::CompileError;
-use crate::pipeline::{compile, plan_traced, PipelineHooks, ASSUMED_TRIPS};
+use crate::pipeline::{
+    catch_pass_panics, compile, finish_typed, plan_traced, PipelineHooks, ASSUMED_TRIPS,
+};
+use crate::scale::assign_levels;
 
 /// How a tuned plan unrolls loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum UnrollChoice {
     /// Leave loops as written.
+    #[default]
     None,
     /// The paper's level-aware factor formula (§6.2).
     Heuristic,
@@ -63,7 +61,7 @@ pub enum UnrollChoice {
 
 /// One point of the joint search space. `Copy` (and tiny) so it embeds
 /// directly in the [`CompilerConfig::Tuned`] arm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct TunePlan {
     /// Unroll treatment.
     pub unroll: UnrollChoice,
@@ -81,12 +79,7 @@ impl TunePlan {
     /// is valid — the search's fallback point.
     #[must_use]
     pub fn baseline() -> TunePlan {
-        TunePlan {
-            unroll: UnrollChoice::None,
-            pack: false,
-            peel_extra: 0,
-            tune_targets: false,
-        }
+        TunePlan::default()
     }
 
     /// Compact human-readable form for tables and reports.
@@ -104,12 +97,6 @@ impl TunePlan {
             self.peel_extra,
             if self.tune_targets { "on" } else { "off" },
         )
-    }
-}
-
-impl Default for TunePlan {
-    fn default() -> TunePlan {
-        TunePlan::baseline()
     }
 }
 
@@ -252,7 +239,7 @@ impl LoopScan {
 }
 
 /// The best plan a search found, with the search's own accounting.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuneOutcome {
     /// The winning plan.
     pub plan: TunePlan,
@@ -260,8 +247,7 @@ pub struct TuneOutcome {
     pub cost_us: f64,
     /// Candidates actually compiled and scored.
     pub evaluated: usize,
-    /// Candidates discarded without a full compile (bound or failed
-    /// prefix).
+    /// Candidates discarded without a full compile (bound or failed prefix).
     pub pruned: usize,
     /// Total size of the candidate space.
     pub space: usize,
@@ -323,34 +309,56 @@ pub trait Tuner {
     ) -> Result<TuneOutcome, CompileError>;
 }
 
-/// Compiles one candidate and scores it with the static estimate.
-fn evaluate(
-    src: &Function,
-    opts: &CompileOptions,
-    plan: TunePlan,
-    assumed_trip: u64,
-) -> Result<f64, CompileError> {
-    let r = compile(src, CompilerConfig::Tuned(plan), opts)?;
-    Ok(estimate_cost_us(&r.function, assumed_trip))
-}
-
-fn finish(
+/// One search's incumbent and accounting.
+#[derive(Default)]
+struct Search {
     best: Option<(TunePlan, f64)>,
     evaluated: usize,
     pruned: usize,
-    space: usize,
     first_err: Option<CompileError>,
-) -> Result<TuneOutcome, CompileError> {
-    match best {
-        Some((plan, cost_us)) => Ok(TuneOutcome {
+}
+
+impl Search {
+    /// Whether `floor` already meets the incumbent's cost.
+    fn beats(&self, floor: f64) -> bool {
+        self.best.is_some_and(|(_, inc)| floor >= inc)
+    }
+
+    /// Counts one scored candidate. A failing one is skipped, not fatal;
+    /// only a strictly cheaper one replaces the incumbent, so the first
+    /// plan found wins a tie.
+    fn score(
+        &mut self,
+        plan: TunePlan,
+        cost: Result<f64, CompileError>,
+        policy: &mut dyn PolicyHook,
+    ) {
+        match cost {
+            Ok(cost) => {
+                policy.observe(plan, cost);
+                self.evaluated += 1;
+                if self.best.is_none_or(|(_, b)| cost < b) {
+                    self.best = Some((plan, cost));
+                }
+            }
+            Err(e) => {
+                self.first_err.get_or_insert(e);
+            }
+        }
+    }
+
+    fn finish(self, space: usize) -> Result<TuneOutcome, CompileError> {
+        let (plan, cost_us) = self.best.ok_or_else(|| {
+            self.first_err
+                .unwrap_or_else(|| CompileError::Internal("empty autotune search space".into()))
+        })?;
+        Ok(TuneOutcome {
             plan,
             cost_us,
-            evaluated,
-            pruned,
+            evaluated: self.evaluated,
+            pruned: self.pruned,
             space,
-        }),
-        None => Err(first_err
-            .unwrap_or_else(|| CompileError::Internal("empty autotune search space".into()))),
+        })
     }
 }
 
@@ -375,43 +383,28 @@ impl Tuner for ExhaustiveTuner {
     ) -> Result<TuneOutcome, CompileError> {
         let mut plans = space.plans();
         policy.order(src, &mut plans);
-        let total = plans.len();
-        let mut best: Option<(TunePlan, f64)> = None;
-        let mut evaluated = 0;
-        let mut first_err = None;
-        for plan in plans {
-            match evaluate(src, opts, plan, assumed_trip) {
-                Ok(cost) => {
-                    policy.observe(plan, cost);
-                    evaluated += 1;
-                    if best.is_none_or(|(_, b)| cost < b) {
-                        best = Some((plan, cost));
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
+        let mut search = Search::default();
+        for &plan in &plans {
+            let cost = heuristic_cost_us(src, CompilerConfig::Tuned(plan), opts, assumed_trip);
+            search.score(plan, cost, policy);
         }
-        finish(best, evaluated, total - evaluated, total, first_err)
+        // Nothing is bounded away: the candidates that failed count as pruned.
+        search.pruned = plans.len() - search.evaluated;
+        search.finish(plans.len())
     }
 }
 
-/// Branch-and-bound strategy with shared-prefix bounds.
+/// Branch-and-bound strategy with shared prefixes.
 ///
-/// Plans that agree on `(unroll, pack, peel_extra)` share their entire
-/// traced pipeline — only level assignment and target tuning differ. For
-/// each such prefix the strategy runs the (cheap) traced passes once and
-/// computes [`traced_floor_us`], an *admissible* lower bound on every
-/// typed completion: level assignment only raises levels and inserts
-/// management ops. Whenever the floor already meets the incumbent's cost,
-/// both `tune` leaves are pruned without running level assignment — the
-/// expensive half of a compile — and optimality is preserved because the
-/// bound never exceeds a leaf's true cost. Candidates the exhaustive
-/// strategy would find infeasible prune here through the same seam (a
-/// failed prefix bounds at +∞).
+/// Plans that agree on `(unroll, pack, peel_extra)` share their traced
+/// pipeline and their level assignment; only target tuning differs. The
+/// first visit to a prefix traces it once and computes its
+/// [`traced_floor_us`], an *admissible* lower bound on every typed
+/// completion (level assignment only raises levels and inserts management
+/// ops). A leaf whose floor meets the incumbent is pruned, so optimality
+/// holds; a failed prefix bounds at +∞. Otherwise one level assignment
+/// scores both leaves, and the sibling's score waits until the policy
+/// order reaches it: only then is it evaluated or pruned.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BranchBoundTuner;
 
@@ -430,72 +423,69 @@ impl Tuner for BranchBoundTuner {
     ) -> Result<TuneOutcome, CompileError> {
         let mut plans = space.plans();
         policy.order(src, &mut plans);
-        let total = plans.len();
-        let mut bounds: HashMap<(UnrollChoice, bool, u8), f64> = HashMap::new();
-        let mut best: Option<(TunePlan, f64)> = None;
-        let mut evaluated = 0;
-        let mut pruned = 0;
-        let mut first_err: Option<CompileError> = None;
-        for plan in plans {
+        // Per prefix: its floor and, unless that pruned it, its leaves' scores.
+        let mut prefixes: HashMap<(UnrollChoice, bool, u8), (f64, Leaves)> = HashMap::new();
+        let mut search = Search::default();
+        for &plan in &plans {
             let key = (plan.unroll, plan.pack, plan.peel_extra);
-            let bound = match bounds.get(&key) {
-                Some(&b) => b,
-                None => {
-                    let b = match prefix_floor(src, plan, opts, assumed_trip) {
-                        Ok(floor) => floor,
-                        Err(e) => {
-                            if first_err.is_none() {
-                                first_err = Some(e);
-                            }
-                            f64::INFINITY
-                        }
-                    };
-                    bounds.insert(key, b);
-                    b
+            let (floor, leaves) = prefixes.entry(key).or_insert_with(|| {
+                match prefix_floor(src, plan, opts, assumed_trip) {
+                    // A prefix the floor prunes now is pruned at both leaves.
+                    Ok((floor, _)) if search.beats(floor) => (floor, None),
+                    Ok((floor, traced)) => (floor, score_leaves(traced, opts, assumed_trip)),
+                    Err(e) => {
+                        search.first_err.get_or_insert(e);
+                        (f64::INFINITY, None)
+                    }
                 }
-            };
-            let beaten = best.is_some_and(|(_, inc)| bound >= inc);
-            if bound.is_infinite() || beaten {
-                pruned += 1;
+            });
+            if floor.is_infinite() || search.beats(*floor) {
+                search.pruned += 1;
                 continue;
             }
-            match evaluate(src, opts, plan, assumed_trip) {
-                Ok(cost) => {
-                    policy.observe(plan, cost);
-                    evaluated += 1;
-                    if best.is_none_or(|(_, b)| cost < b) {
-                        best = Some((plan, cost));
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
+            let leaves = leaves.as_ref().expect("scored unless pruned");
+            search.score(plan, leaves[usize::from(plan.tune_targets)].clone(), policy);
         }
-        finish(best, evaluated, pruned, total, first_err)
+        search.finish(plans.len())
     }
 }
 
-/// Runs one plan's traced prefix and returns its admissible cost floor.
-/// Pass panics (malformed sources) are converted to errors, matching
-/// `compile`'s boundary.
+/// The scores of a prefix's `tune = off` and `tune = on` leaves, or `None`
+/// when its floor pruned it before level assignment.
+type Leaves = Option<[Result<f64, CompileError>; 2]>;
+
+/// Runs one plan's traced prefix and returns its admissible cost floor
+/// with the traced program. Pass panics (malformed sources) are converted
+/// to errors, matching `compile`'s boundary.
 fn prefix_floor(
     src: &Function,
     plan: TunePlan,
     opts: &CompileOptions,
     assumed_trip: u64,
-) -> Result<f64, CompileError> {
-    let traced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        plan_traced(src, plan, opts, &mut PipelineHooks::default())
-    }))
-    .unwrap_or_else(|_| {
-        Err(CompileError::Internal(
-            "traced prefix panicked during autotuning".into(),
-        ))
-    })?;
-    Ok(traced_floor_us(&traced.0, assumed_trip))
+) -> Result<(f64, Function), CompileError> {
+    let run = || plan_traced(src, plan, opts, &mut PipelineHooks::default());
+    let panicked = |_| CompileError::Internal("traced prefix panicked during autotuning".into());
+    let (f, ..) =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).map_err(panicked)??;
+    Ok((traced_floor_us(&f, assumed_trip), f))
+}
+
+/// Scores both `tune` leaves of a traced prefix from one level
+/// assignment. Each leaf then runs what `compile(Tuned(plan))` runs, so
+/// its score is bit-identical to a whole compile's, errors included.
+fn score_leaves(mut f: Function, opts: &CompileOptions, assumed_trip: u64) -> Leaves {
+    let hooks = &mut PipelineHooks::default();
+    let typed = catch_pass_panics(|| assign_levels(&mut f, opts));
+    let mut score = |mut f: Function, tune: bool| {
+        catch_pass_panics(|| {
+            finish_typed(&mut f, tune, opts, hooks)?;
+            Ok(estimate_cost_us(&f, assumed_trip))
+        })
+    };
+    match typed {
+        Ok(()) => Some([score(f.clone(), false), score(f, true)]),
+        Err(e) => Some([Err(e.clone()), Err(e)]),
+    }
 }
 
 /// Autotunes `src` with the default strategy ([`BranchBoundTuner`]), the
@@ -515,9 +505,10 @@ pub fn autotune(src: &Function, opts: &CompileOptions) -> Result<TuneOutcome, Co
     )
 }
 
-/// Modeled cost (µs) of compiling `src` under one of the paper's
-/// heuristic configurations — the baseline the tuned plan is compared
-/// against in benches and tests.
+/// Modeled cost (µs) of compiling `src` under one configuration: one of
+/// the paper's heuristics, the baseline the tuned plan is compared against
+/// in benches and tests, or a `Tuned` plan, as the exhaustive search
+/// scores it.
 ///
 /// # Errors
 ///
@@ -562,24 +553,25 @@ mod tests {
     }
 
     #[test]
-    fn space_derivation_collapses_structural_duplicates() {
+    fn space_derivation_collapses_structural_duplicates_and_caps() {
         let o = opts();
         // Dynamic trip: full unrolling is out, factors run to L.
         let dynamic = SearchSpace::for_program(&sample(TripCount::dynamic("n")), &o);
         assert!(!dynamic.allow_full);
         assert!(dynamic.try_pack);
         assert_eq!(dynamic.max_peel_extra, 0, "no constant-trip loop");
-        assert_eq!(
-            dynamic.factors.len(),
-            o.params.max_level as usize - 1,
-            "2..=L"
-        );
+        let to_l = o.params.max_level as usize - 1;
+        assert_eq!(dynamic.factors.len(), to_l, "2..=L");
 
         // Constant trip 12: full unrolling allowed, factor cap = 12.
         let constant = SearchSpace::for_program(&sample(TripCount::Constant(12)), &o);
         assert!(constant.allow_full);
         assert_eq!(constant.max_peel_extra, 2);
         assert_eq!(*constant.factors.last().unwrap(), 12);
+        let capped = constant.clone().capped(3, 1);
+        assert!(capped.factors.iter().all(|&k| k <= 3));
+        assert_eq!(capped.max_peel_extra, 1);
+        assert!(capped.len() < constant.len());
 
         // No loops at all: only the pack-collapsed baseline dimensions.
         let mut b = FunctionBuilder::new("straight", 32);
@@ -593,104 +585,110 @@ mod tests {
         assert_eq!(space.len(), 2);
     }
 
-    #[test]
-    fn capped_space_shrinks_factor_and_peel_dimensions() {
-        let o = opts();
-        let space = SearchSpace::for_program(&sample(TripCount::Constant(12)), &o);
-        let capped = space.clone().capped(3, 1);
-        assert!(capped.factors.iter().all(|&k| k <= 3));
-        assert_eq!(capped.max_peel_extra, 1);
-        assert!(capped.len() < space.len());
-    }
+    /// Records every observation; `.0` reverses the default order.
+    struct Recording(bool, Vec<(TunePlan, u64)>);
 
-    #[test]
-    fn tuned_plan_beats_or_matches_every_heuristic() {
-        let o = opts();
-        for trip in [TripCount::dynamic("n"), TripCount::Constant(12)] {
-            let src = sample(trip);
-            let outcome = autotune(&src, &o).unwrap();
-            for config in CompilerConfig::ALL {
-                let Ok(h) = heuristic_cost_us(&src, config, &o, ASSUMED_TRIPS) else {
-                    continue; // DaCapo on the dynamic trip
-                };
-                assert!(
-                    outcome.cost_us <= h + 1e-6,
-                    "{} beats the tuned plan: {h} < {} ({})",
-                    config.name(),
-                    outcome.cost_us,
-                    outcome.plan.describe()
-                );
+    impl PolicyHook for Recording {
+        fn order(&mut self, src: &Function, plans: &mut Vec<TunePlan>) {
+            DefaultPolicy.order(src, plans);
+            if self.0 {
+                plans.reverse();
             }
         }
-    }
-
-    #[test]
-    fn strategies_agree_and_branch_bound_prunes() {
-        let o = opts();
-        for trip in [TripCount::dynamic("n"), TripCount::Constant(6)] {
-            let src = sample(trip);
-            let space = SearchSpace::for_program(&src, &o).capped(6, 1);
-            let ex = ExhaustiveTuner
-                .tune(&src, &o, &space, ASSUMED_TRIPS, &mut DefaultPolicy)
-                .unwrap();
-            let bb = BranchBoundTuner
-                .tune(&src, &o, &space, ASSUMED_TRIPS, &mut DefaultPolicy)
-                .unwrap();
-            assert!(
-                (ex.cost_us - bb.cost_us).abs() <= 1e-9 * ex.cost_us.max(1.0),
-                "strategies disagree: exhaustive {} vs branch-bound {}",
-                ex.cost_us,
-                bb.cost_us
-            );
-            assert_eq!(ex.space, bb.space);
-            assert!(bb.evaluated + bb.pruned == bb.space);
+        fn observe(&mut self, plan: TunePlan, cost_us: f64) {
+            self.1.push((plan, cost_us.to_bits()));
         }
     }
 
-    #[test]
-    fn policy_hook_observes_every_evaluation_and_may_reorder() {
-        struct Recording {
-            seen: Vec<(TunePlan, f64)>,
-        }
-        impl PolicyHook for Recording {
-            fn order(&mut self, _src: &Function, plans: &mut Vec<TunePlan>) {
-                plans.reverse(); // any ordering must not change the result
+    type Outcome = Result<TuneOutcome, CompileError>;
+
+    /// Branch-and-bound with every unpruned leaf compiled from scratch.
+    fn compile_each_leaf(src: &Function, o: &CompileOptions, policy: &mut Recording) -> Outcome {
+        let mut plans = SearchSpace::for_program(src, o).capped(4, 1).plans();
+        policy.order(src, &mut plans);
+        let mut search = Search::default();
+        for &plan in &plans {
+            let floor = match prefix_floor(src, plan, o, ASSUMED_TRIPS) {
+                Ok((floor, _)) => floor,
+                Err(e) => {
+                    search.first_err.get_or_insert(e);
+                    f64::INFINITY
+                }
+            };
+            if floor.is_infinite() || search.beats(floor) {
+                search.pruned += 1;
+                continue;
             }
-            fn observe(&mut self, plan: TunePlan, cost_us: f64) {
-                self.seen.push((plan, cost_us));
+            let cost = heuristic_cost_us(src, CompilerConfig::Tuned(plan), o, ASSUMED_TRIPS);
+            search.score(plan, cost, policy);
+        }
+        search.finish(plans.len())
+    }
+
+    /// Shared leaves against compiling each leaf, in both orders, on the
+    /// fuzz corpus and then `extra`: the same outcome and observe stream,
+    /// one observation per evaluated plan with the cheapest one the
+    /// outcome, every observed cost `compile`'s, bit for bit, the
+    /// exhaustive oracle's plan, cost and space, and no heuristic cheaper.
+    fn check_shared_leaves(o: &CompileOptions, extra: Option<Function>) -> Vec<Outcome> {
+        let corpus =
+            (0..24).map(|seed| halo_fuzz::gen::build(&halo_fuzz::gen::gen_spec(seed), true));
+        let mut outcomes = Vec::new();
+        for src in corpus.chain(extra) {
+            let space = SearchSpace::for_program(&src, o).capped(4, 1);
+            for reverse in [false, true] {
+                let (mut shared, mut each) =
+                    (Recording(reverse, vec![]), Recording(reverse, vec![]));
+                let got = BranchBoundTuner.tune(&src, o, &space, ASSUMED_TRIPS, &mut shared);
+                let n = outcomes.len();
+                assert_eq!(got, compile_each_leaf(&src, o, &mut each), "run {n}");
+                assert_eq!(shared.1, each.1, "run {n}");
+                // Costs are positive, so their bit order is their value order.
+                let summary = got
+                    .as_ref()
+                    .ok()
+                    .map(|t| (t.evaluated, t.cost_us.to_bits()));
+                let min = shared.1.iter().map(|p| p.1).min();
+                assert_eq!(summary, min.map(|c| (shared.1.len(), c)), "run {n}");
+                for &(plan, bits) in &shared.1 {
+                    let r = compile(&src, CompilerConfig::Tuned(plan), o).unwrap();
+                    assert_eq!(r.config, CompilerConfig::Tuned(plan));
+                    assert_eq!(estimate_cost_us(&r.function, ASSUMED_TRIPS).to_bits(), bits);
+                }
+                let ex = ExhaustiveTuner.tune(&src, o, &space, ASSUMED_TRIPS, &mut each);
+                let best = |r: &Outcome| r.as_ref().map(|t| (t.plan, t.cost_us, t.space)).ok();
+                assert_eq!(best(&got), best(&ex), "run {n}");
+                for config in CompilerConfig::ALL {
+                    let h = heuristic_cost_us(&src, config, o, ASSUMED_TRIPS);
+                    let beaten = |t: &TuneOutcome| h.as_ref().is_ok_and(|&h| h < t.cost_us - 1e-6);
+                    assert!(!got.as_ref().is_ok_and(beaten), "run {n}: {config:?}");
+                }
+                outcomes.push(got);
             }
         }
-        let o = opts();
-        let src = sample(TripCount::dynamic("n"));
-        let space = SearchSpace::for_program(&src, &o).capped(3, 0);
-        let mut rec = Recording { seen: Vec::new() };
-        let out = BranchBoundTuner
-            .tune(&src, &o, &space, ASSUMED_TRIPS, &mut rec)
-            .unwrap();
-        assert_eq!(rec.seen.len(), out.evaluated);
-        let best_seen = rec
-            .seen
-            .iter()
-            .map(|&(_, c)| c)
-            .fold(f64::INFINITY, f64::min);
-        assert!((best_seen - out.cost_us).abs() < 1e-9);
-        let ex = ExhaustiveTuner
-            .tune(&src, &o, &space, ASSUMED_TRIPS, &mut DefaultPolicy)
-            .unwrap();
-        assert!((ex.cost_us - out.cost_us).abs() <= 1e-9 * ex.cost_us.max(1.0));
+        outcomes
     }
 
     #[test]
-    fn tuned_config_round_trips_through_compile() {
-        let o = opts();
-        let src = sample(TripCount::dynamic("n"));
-        let outcome = autotune(&src, &o).unwrap();
-        let r = compile(&src, CompilerConfig::Tuned(outcome.plan), &o).unwrap();
-        assert!(
-            (estimate_cost_us(&r.function, ASSUMED_TRIPS) - outcome.cost_us).abs() < 1e-9,
-            "recompiling the winning plan reproduces its score"
-        );
-        assert_eq!(r.config, CompilerConfig::Tuned(outcome.plan));
+    fn shared_leaves_score_every_plan_as_compiling_each_leaf_does() {
+        let mut o = CompileOptions::new(halo_fuzz::diff::fuzz_params());
+        let covered = |t: &TuneOutcome| t.evaluated > 0 && t.evaluated + t.pruned == t.space;
+        let outcomes = check_shared_leaves(&o, None);
+        assert!(outcomes.iter().all(|r| r.as_ref().is_ok_and(covered)));
+
+        // At L = 0 level assignment fails on most of the corpus, by error
+        // or by pass panic. On an add-only loop it fails only where the
+        // loop survives (its head bootstrap has no level to restore): the
+        // reversed order meets those leaves before any incumbent.
+        o.params.max_level = 0;
+        let mut b = FunctionBuilder::new("adds", 32);
+        let x = b.input_cipher("x");
+        let r = b.for_loop(TripCount::Constant(2), &[x], 4, |b, a| vec![b.add(a[0], x)]);
+        b.ret(&r);
+        let outcomes = check_shared_leaves(&o, Some(b.finish()));
+        assert!(outcomes[..48].iter().filter(|r| r.is_err()).count() >= 40);
+        let t = outcomes[49].as_ref().expect("unrolling levels the adds");
+        assert!(t.evaluated + t.pruned < t.space, "a failed leaf is neither");
     }
 
     #[test]
@@ -702,9 +700,7 @@ mod tests {
             tune_targets: true,
         };
         assert_eq!(plan.describe(), "unroll=x4 pack=on peel=+1 tune=on");
-        assert_eq!(
-            TunePlan::baseline().describe(),
-            "unroll=none pack=off peel=+0 tune=off"
-        );
+        let base = TunePlan::baseline().describe();
+        assert_eq!(base, "unroll=none pack=off peel=+0 tune=off");
     }
 }

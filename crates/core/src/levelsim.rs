@@ -362,8 +362,8 @@ pub fn sim_range(
     cost: &CostModel,
     max_level: u32,
 ) -> RangeSim {
-    let mut cum = Vec::with_capacity(ops.len() + 1);
-    cum.push(0.0);
+    // Grown as ops simulate: a segment that underflows early stays small.
+    let mut cum = vec![0.0];
     let mut total = 0.0;
     for (k, &op_id) in ops.iter().enumerate() {
         let op = f.op(op_id);

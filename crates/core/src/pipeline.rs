@@ -197,14 +197,20 @@ pub fn compile_with_hooks(
     opts: &CompileOptions,
     hooks: &mut PipelineHooks<'_>,
 ) -> Result<CompileResult, CompileError> {
+    catch_pass_panics(|| compile_inner(src, config, opts, hooks))
+}
+
+/// Runs compiler passes, converting a panic into
+/// [`CompileError::Internal`] — the boundary of [`compile`], which the
+/// autotuner keeps when it completes a leaf itself.
+pub(crate) fn catch_pass_panics<T>(
+    run: impl FnOnce() -> Result<T, CompileError>,
+) -> Result<T, CompileError> {
     // The passes are pure over (&Function, &CompileOptions), so resuming
     // after a caught unwind cannot observe broken state in the caller's
     // data; the hooks' trace may miss the panicking pass's record, which
     // is fine for a diagnostic artifact: AssertUnwindSafe is sound here.
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        compile_inner(src, config, opts, hooks)
-    }))
-    .unwrap_or_else(|payload| {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
         let msg = payload
             .downcast_ref::<&str>()
             .map(|s| (*s).to_string())
@@ -308,6 +314,28 @@ pub(crate) fn plan_traced(
     Ok((f, peeled, packed, unrolled))
 }
 
+/// The typed tail of every compile: optional target tuning (§6.3), then
+/// the final clean-up and the typed verifier. The autotuner runs it on
+/// each `tune` leaf of a level-assigned prefix. Returns the number of
+/// bootstraps tuned.
+pub(crate) fn finish_typed(
+    f: &mut Function,
+    tune_targets: bool,
+    opts: &CompileOptions,
+    hooks: &mut PipelineHooks<'_>,
+) -> Result<usize, CompileError> {
+    let mut tuned = 0;
+    if tune_targets {
+        tuned = tune_bootstrap_targets(f);
+        halo_ir::verify::verify_typed(f, opts.params.max_level)?;
+        pass_boundary(f, Pass::Tune, opts, hooks)?;
+    }
+    dce::run(f);
+    halo_ir::verify::verify_typed(f, opts.params.max_level)?;
+    pass_boundary(f, Pass::FinalDce, opts, hooks)?;
+    Ok(tuned)
+}
+
 fn compile_inner(
     src: &Function,
     config: CompilerConfig,
@@ -331,17 +359,12 @@ fn compile_inner(
         }
         CompilerConfig::Tuned(plan) => {
             // An explicit plan: no heuristics, no cost-aware pack driver —
-            // the autotuner already searched those dimensions.
+            // the autotuner already searched those dimensions. Its target
+            // tuning runs in the typed tail below.
             let (mut f, peeled, packed, unrolled) = plan_traced(src, plan, opts, hooks)?;
             assign_levels(&mut f, opts)?;
             pass_boundary(&mut f, Pass::AssignLevels, opts, hooks)?;
-            let mut tuned = 0;
-            if plan.tune_targets {
-                tuned = tune_bootstrap_targets(&mut f);
-                halo_ir::verify::verify_typed(&f, opts.params.max_level)?;
-                pass_boundary(&mut f, Pass::Tune, opts, hooks)?;
-            }
-            (f, peeled, packed, unrolled, tuned)
+            (f, peeled, packed, unrolled, 0)
         }
         _ => {
             // The loop-aware pipeline. Packing is *cost-aware*: packing
@@ -399,9 +422,8 @@ fn compile_inner(
             }
         }
     };
-    dce::run(&mut f);
-    halo_ir::verify::verify_typed(&f, opts.params.max_level)?;
-    pass_boundary(&mut f, Pass::FinalDce, opts, hooks)?;
+    let tail_tunes = matches!(config, CompilerConfig::Tuned(plan) if plan.tune_targets);
+    let tuned = tuned + finish_typed(&mut f, tail_tunes, opts, hooks)?;
 
     let static_bootstraps = f.count_ops(|o| matches!(o, Opcode::Bootstrap { .. }));
     Ok(CompileResult {

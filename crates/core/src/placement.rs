@@ -19,18 +19,23 @@
 //! imperfection is part of the baseline being reproduced. If the filtered
 //! DP is infeasible the filter is widened (×2) until it covers every point,
 //! and only then is the program declared depth-infeasible.
+//!
+//! The pass is linear in the work it keeps: each op's uses (operands plus a
+//! nested body's live-ins) are listed once per block, first uses are
+//! counted with one stamp array indexed by value, and each reset point's
+//! segment is simulated once per block and reused when the filter widens.
 
 use std::collections::HashSet;
 
 use halo_ckks::{CostModel, CostedOp};
 use halo_ir::analysis::liveness;
-use halo_ir::func::{BlockId, Function, ValueId};
+use halo_ir::func::{BlockId, Function, OpId, ValueId};
 use halo_ir::op::Opcode;
 use halo_ir::types::{CtType, Status};
 
 use crate::config::CompileOptions;
 use crate::error::CompileError;
-use crate::levelsim::{sim_range, SimTypes};
+use crate::levelsim::{sim_range, RangeSim, SimTypes};
 
 /// Ensures `block` can be leveled without underflow, inserting bootstraps
 /// at DP-chosen points if necessary. Entry values (block args, live-ins)
@@ -50,13 +55,11 @@ pub fn ensure_feasible(
     let max_level = opts.params.max_level;
     let ops = f.block(block).ops.clone();
 
-    // Fast path: already feasible.
-    {
-        let mut types = SimTypes::new(f);
-        let sim = sim_range(f, &ops, &mut types, &cost, max_level);
-        if sim.underflow_at.is_none() {
-            return Ok(0);
-        }
+    // Fast path: already feasible. The same simulation is the DP's entry
+    // segment.
+    let entry = sim_range(f, &ops, &mut SimTypes::new(f), &cost, max_level);
+    if entry.underflow_at.is_none() {
+        return Ok(0);
     }
 
     let live = liveness(f, block, &HashSet::new());
@@ -84,29 +87,24 @@ pub fn ensure_feasible(
     // ops at least) — this is what makes DaCapo's compile time grow with
     // the unrolled program (Table 6) while keeping plans competitive.
     let mut filter = opts.placement_filter.max(ops.len() / 24).max(1);
-    loop {
-        match plan_with_filter(f, &ops, &live_cipher, filter, &cost, max_level) {
+    let mut planner = Planner::new(f, &ops, &live_cipher, entry, &cost, max_level);
+    let work = loop {
+        match planner.plan(filter) {
             Some(points) => {
-                let mut inserted = 0;
                 // Per segment (point → next point/end), bootstrap only the
-                // live values the segment uses. Insert in descending order
-                // so earlier insertions see (and re-route) later
-                // bootstraps' operands.
-                let mut bounded = points.clone();
-                bounded.push(ops.len());
-                let mut work: Vec<(usize, Vec<ValueId>)> = points
+                // live values the segment uses.
+                let ends = points.iter().skip(1).copied().chain([ops.len()]);
+                let work: Vec<(usize, Vec<ValueId>)> = points
                     .iter()
-                    .zip(bounded.iter().skip(1))
-                    .map(|(&k, &next)| {
-                        let live: HashSet<ValueId> = live_cipher[k].iter().copied().collect();
-                        (k, used_in_range(f, &ops, k, next, &live))
+                    .zip(ends)
+                    .map(|(&k, next)| {
+                        let mut used = Vec::new();
+                        planner.first_uses(k, next, |_, v| used.push(v));
+                        used.sort_unstable();
+                        (k, used)
                     })
                     .collect();
-                work.sort_unstable_by_key(|w| std::cmp::Reverse(w.0));
-                for (k, values) in work {
-                    inserted += insert_reset(f, block, k, &values, max_level);
-                }
-                return Ok(inserted);
+                break work;
             }
             None if filter > ops.len() => {
                 return Err(CompileError::DepthInfeasible {
@@ -119,147 +117,203 @@ pub fn ensure_feasible(
             }
             None => filter *= 2,
         }
-    }
-}
-
-/// The values among `candidates` used by ops `ops[from..to]` (looking
-/// through nested loop bodies, whose live-ins count as uses).
-fn used_in_range(
-    f: &Function,
-    ops: &[halo_ir::OpId],
-    from: usize,
-    to: usize,
-    candidates: &HashSet<ValueId>,
-) -> Vec<ValueId> {
-    let mut used = Vec::new();
-    let mut seen: HashSet<ValueId> = HashSet::new();
-    for &op_id in &ops[from..to.min(ops.len())] {
-        let op = f.op(op_id);
-        for &v in &op.operands {
-            if candidates.contains(&v) && seen.insert(v) {
-                used.push(v);
-            }
-        }
-        if let Opcode::For { body, .. } = op.opcode {
-            for v in halo_ir::analysis::live_ins(f, body) {
-                if candidates.contains(&v) && seen.insert(v) {
-                    used.push(v);
-                }
-            }
-        }
-    }
-    used.sort_unstable();
-    used
-}
-
-/// Runs the DP with the given candidate-filter width. Returns the chosen
-/// reset points, or `None` if infeasible under this filter.
-fn plan_with_filter(
-    f: &Function,
-    ops: &[halo_ir::OpId],
-    live_cipher: &[Vec<ValueId>],
-    filter: usize,
-    cost: &CostModel,
-    max_level: u32,
-) -> Option<Vec<usize>> {
-    let p = ops.len();
-
-    // Candidate points, filtered by live-ciphertext count (DaCapo §5.3).
-    // One candidate per program window (the min-live point in it), so the
-    // filtered set covers the whole op stream instead of clustering where
-    // ties sort first.
-    let windows = filter.min(p);
-    let mut candidates: Vec<usize> = (0..windows)
-        .map(|w| {
-            let lo = w * p / windows;
-            let hi = ((w + 1) * p / windows).max(lo + 1);
-            (lo..hi)
-                .min_by_key(|&k| live_cipher[k].len())
-                .expect("window non-empty")
-        })
-        .collect();
-    candidates.dedup();
-
-    // Segment simulation from a reset at point `i`: all live ciphertexts
-    // enter at the maximum level.
-    let seg_sim = |i: usize, from_entry: bool| {
-        let mut types = SimTypes::new(f);
-        if !from_entry {
-            for &v in &live_cipher[i] {
-                types.set(v, CtType::cipher(max_level));
-            }
-        }
-        sim_range(f, &ops[i..], &mut types, cost, max_level)
     };
-
-    let bs_unit = cost.latency_us(CostedOp::Bootstrap { target: max_level });
-
-    // dp[j]: (cost, predecessor candidate) for executing ops[0..j) with j a
-    // reset point or the end. A reset at i serving segment (i, j) only
-    // bootstraps the live values actually *used* in (i, j) — values merely
-    // passing through are reset later, where (and if) they are consumed.
-    let entry_sim = seg_sim(0, true);
-    let entry_reach = entry_sim.underflow_at.unwrap_or(p);
-
-    let mut dp: Vec<Option<(f64, Option<usize>)>> = vec![None; p + 1];
-    let positions: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .chain(std::iter::once(p))
-        .collect();
-    for &j in &positions {
-        if j <= entry_reach {
-            dp[j] = Some((entry_sim.cum_cost[j], None));
-        }
+    // Insert in descending order so earlier insertions see (and re-route)
+    // later bootstraps' operands.
+    let mut inserted = 0;
+    for (k, values) in work.into_iter().rev() {
+        inserted += insert_reset(f, block, k, &values, max_level);
     }
-    for (ci, &i) in candidates.iter().enumerate() {
-        let Some((base, _)) = dp[i] else { continue };
-        let sim = seg_sim(i, false);
-        let reach = i + sim.underflow_at.unwrap_or(p - i);
-        // Cumulative count of live-at-i values first used by each point.
-        let live_set: HashSet<ValueId> = live_cipher[i].iter().copied().collect();
-        let mut first_use_count = vec![0u32; reach - i + 1];
-        {
-            let mut seen: HashSet<ValueId> = HashSet::new();
-            for (k, &op_id) in ops[i..reach].iter().enumerate() {
-                let mut uses = Vec::new();
-                let op = f.op(op_id);
-                for &v in &op.operands {
-                    uses.push(v);
-                }
-                if let Opcode::For { body, .. } = op.opcode {
-                    uses.extend(halo_ir::analysis::live_ins(f, body));
-                }
-                let mut newly = 0;
-                for v in uses {
-                    if live_set.contains(&v) && seen.insert(v) {
-                        newly += 1;
-                    }
-                }
-                first_use_count[k + 1] = first_use_count[k] + newly;
+    Ok(inserted)
+}
+
+/// The segment simulated from one reset point: every live ciphertext
+/// enters at the maximum level.
+struct Segment {
+    /// Ops simulated before the first underflow (or to the block's end).
+    reach: usize,
+    /// `cum_cost[k]`: modeled cost of the segment's first `k` ops.
+    cum_cost: Vec<f64>,
+    /// `first_uses[k]`: live values first used by the segment's first `k`
+    /// ops — the bootstraps a reset serving them must place.
+    first_uses: Vec<u32>,
+}
+
+/// The placement DP over one block. Each op's uses are listed once, and
+/// each reset point's segment is simulated once and reused when the
+/// candidate filter widens.
+struct Planner<'a> {
+    f: &'a Function,
+    ops: &'a [OpId],
+    live_cipher: &'a [Vec<ValueId>],
+    cost: &'a CostModel,
+    max_level: u32,
+    /// Op `k` uses `uses[use_start[k]..use_start[k + 1]]`: its operands,
+    /// then a nested loop body's live-ins.
+    use_start: Vec<usize>,
+    uses: Vec<ValueId>,
+    /// Per value: `tag - 1` while it waits for its first use in the
+    /// current walk, `tag` once used (a dense set that clears by bumping
+    /// `tag`).
+    stamp: Vec<u32>,
+    tag: u32,
+    /// The segment from the block's entry, where values keep their types.
+    entry: RangeSim,
+    segments: Vec<Option<Segment>>,
+}
+
+impl<'a> Planner<'a> {
+    fn new(
+        f: &'a Function,
+        ops: &'a [OpId],
+        live_cipher: &'a [Vec<ValueId>],
+        entry: RangeSim,
+        cost: &'a CostModel,
+        max_level: u32,
+    ) -> Planner<'a> {
+        let mut use_start = Vec::with_capacity(ops.len() + 1);
+        let mut uses = Vec::new();
+        for &op_id in ops {
+            use_start.push(uses.len());
+            let op = f.op(op_id);
+            uses.extend_from_slice(&op.operands);
+            if let Opcode::For { body, .. } = op.opcode {
+                uses.extend(halo_ir::analysis::live_ins(f, body));
             }
         }
-        for &j in positions.iter().skip_while(|&&j| j <= i) {
-            if j > reach {
-                break;
-            }
-            let bc = f64::from(first_use_count[j - i]) * bs_unit;
-            let c = base + bc + sim.cum_cost[j - i];
-            if dp[j].is_none_or(|(best, _)| c < best) {
-                dp[j] = Some((c, Some(ci)));
+        use_start.push(uses.len());
+        Planner {
+            f,
+            ops,
+            live_cipher,
+            cost,
+            max_level,
+            use_start,
+            uses,
+            stamp: vec![0; f.num_values()],
+            tag: 0,
+            entry,
+            segments: (0..ops.len()).map(|_| None).collect(),
+        }
+    }
+
+    /// Walks ops `from..to`, calling `first(k, v)` at op `k`'s first use of
+    /// each value live before op `from`.
+    fn first_uses(&mut self, from: usize, to: usize, mut first: impl FnMut(usize, ValueId)) {
+        self.tag += 2;
+        let (waiting, used) = (self.tag - 1, self.tag);
+        for &v in &self.live_cipher[from] {
+            self.stamp[v.0 as usize] = waiting;
+        }
+        for k in from..to {
+            for &v in &self.uses[self.use_start[k]..self.use_start[k + 1]] {
+                let s = &mut self.stamp[v.0 as usize];
+                if *s == waiting {
+                    *s = used;
+                    first(k, v);
+                }
             }
         }
     }
 
-    let (_, mut pred) = dp[p]?;
-    let mut points = Vec::new();
-    while let Some(ci) = pred {
-        let i = candidates[ci];
-        points.push(i);
-        pred = dp[i].and_then(|(_, pr)| pr);
+    /// The segment from a reset at point `i`, simulated on first request.
+    fn segment(&mut self, i: usize) -> &Segment {
+        if self.segments[i].is_none() {
+            let mut types = SimTypes::new(self.f);
+            for &v in &self.live_cipher[i] {
+                types.set(v, CtType::cipher(self.max_level));
+            }
+            let sim = sim_range(
+                self.f,
+                &self.ops[i..],
+                &mut types,
+                self.cost,
+                self.max_level,
+            );
+            let reach = sim.underflow_at.unwrap_or(self.ops.len() - i);
+            let mut first_uses = vec![0u32; reach + 1];
+            self.first_uses(i, i + reach, |k, _| first_uses[k - i + 1] += 1);
+            for k in 1..=reach {
+                first_uses[k] += first_uses[k - 1];
+            }
+            #[cfg(test)]
+            assert_eq!(
+                first_uses,
+                tests::oracle_first_uses(self.f, &self.ops[i..i + reach], &self.live_cipher[i]),
+                "stamped first-use counts differ from per-candidate counting"
+            );
+            self.segments[i] = Some(Segment {
+                reach,
+                cum_cost: sim.cum_cost,
+                first_uses,
+            });
+        }
+        self.segments[i].as_ref().expect("segment simulated above")
     }
-    points.reverse();
-    Some(points)
+
+    /// Runs the DP with the given candidate-filter width. Returns the
+    /// chosen reset points, or `None` if infeasible under this filter.
+    fn plan(&mut self, filter: usize) -> Option<Vec<usize>> {
+        let p = self.ops.len();
+
+        // Candidate points, filtered by live-ciphertext count (DaCapo
+        // §5.3). One candidate per program window (the min-live point in
+        // it), so the filtered set covers the whole op stream instead of
+        // clustering where ties sort first.
+        let windows = filter.min(p);
+        let mut candidates: Vec<usize> = (0..windows)
+            .map(|w| {
+                let lo = w * p / windows;
+                let hi = ((w + 1) * p / windows).max(lo + 1);
+                (lo..hi)
+                    .min_by_key(|&k| self.live_cipher[k].len())
+                    .expect("window non-empty")
+            })
+            .collect();
+        candidates.dedup();
+
+        let bs_unit = self.cost.latency_us(CostedOp::Bootstrap {
+            target: self.max_level,
+        });
+
+        // dp[j]: (cost, predecessor candidate) for executing ops[0..j) with
+        // j a reset point or the end. A reset at i serving segment (i, j)
+        // only bootstraps the live values actually *used* in (i, j) —
+        // values merely passing through are reset later, where (and if)
+        // they are consumed.
+        let entry_reach = self.entry.underflow_at.unwrap_or(p);
+        let mut dp: Vec<Option<(f64, Option<usize>)>> = vec![None; p + 1];
+        let positions: Vec<usize> = candidates.iter().copied().chain([p]).collect();
+        for &j in &positions {
+            if j <= entry_reach {
+                dp[j] = Some((self.entry.cum_cost[j], None));
+            }
+        }
+        for (ci, &i) in candidates.iter().enumerate() {
+            let Some((base, _)) = dp[i] else { continue };
+            let seg = self.segment(i);
+            for &j in positions.iter().skip_while(|&&j| j <= i) {
+                if j > i + seg.reach {
+                    break;
+                }
+                let bc = f64::from(seg.first_uses[j - i]) * bs_unit;
+                let c = base + bc + seg.cum_cost[j - i];
+                if dp[j].is_none_or(|(best, _)| c < best) {
+                    dp[j] = Some((c, Some(ci)));
+                }
+            }
+        }
+
+        let (_, mut pred) = dp[p]?;
+        let mut points = Vec::new();
+        while let Some(ci) = pred {
+            let i = candidates[ci];
+            points.push(i);
+            pred = dp[i].and_then(|(_, pr)| pr);
+        }
+        points.reverse();
+        Some(points)
+    }
 }
 
 /// Inserts, before op index `k` of `block`, one `bootstrap` per live
@@ -305,7 +359,7 @@ pub(crate) fn replace_uses_from(
     }
 }
 
-fn replace_in_op_rec(f: &mut Function, op_id: halo_ir::OpId, old: ValueId, new: ValueId) {
+fn replace_in_op_rec(f: &mut Function, op_id: OpId, old: ValueId, new: ValueId) {
     for i in 0..f.op(op_id).operands.len() {
         if f.op(op_id).operands[i] == old {
             f.op_mut(op_id).operands[i] = new;
@@ -339,6 +393,69 @@ mod tests {
         }
         b.ret(&[v]);
         (b.finish(), x)
+    }
+
+    /// Per-candidate first-use counting with hash sets, as placement did
+    /// before stamps: the oracle every test-build segment checks against.
+    pub(super) fn oracle_first_uses(f: &Function, ops: &[OpId], live: &[ValueId]) -> Vec<u32> {
+        let live_set: HashSet<ValueId> = live.iter().copied().collect();
+        let mut first_use_count = vec![0u32; ops.len() + 1];
+        let mut seen: HashSet<ValueId> = HashSet::new();
+        for (k, &op_id) in ops.iter().enumerate() {
+            let mut uses = Vec::new();
+            let op = f.op(op_id);
+            for &v in &op.operands {
+                uses.push(v);
+            }
+            if let Opcode::For { body, .. } = op.opcode {
+                uses.extend(halo_ir::analysis::live_ins(f, body));
+            }
+            let mut newly = 0;
+            for v in uses {
+                if live_set.contains(&v) && seen.insert(v) {
+                    newly += 1;
+                }
+            }
+            first_use_count[k + 1] = first_use_count[k] + newly;
+        }
+        first_use_count
+    }
+
+    /// Levels the fuzz corpus unrolled ×2…×8 and fully unrolled, at the
+    /// default filter and at a narrow one that must widen. Every simulated
+    /// segment asserts its first-use counts equal the oracle's
+    /// (`Planner::segment`), so every DP run sees the inputs, and places
+    /// the reset points, that per-candidate counting would.
+    #[test]
+    fn stamped_first_uses_match_the_oracle_on_unrolled_programs() {
+        use halo_fuzz::gen::{build, gen_spec};
+        let mut placed = 0;
+        // The corpus is shallow: at the paper's L = 16 nothing needs a
+        // reset, so the budget drops to 3 and 2.
+        for (filter, max_level) in [(96, 3), (2, 3), (96, 2), (2, 2)] {
+            let mut o = CompileOptions::new(halo_fuzz::diff::fuzz_params());
+            o.placement_filter = filter;
+            o.params.max_level = max_level;
+            for seed in 0..48 {
+                let spec = gen_spec(seed);
+                for k in 2..=8 {
+                    let mut f = build(&spec, true);
+                    crate::peel::peel_loops(&mut f);
+                    crate::unroll::unroll_loops_with_factor(&mut f, k);
+                    crate::dce::run(&mut f);
+                    crate::scale::assign_levels(&mut f, &o).expect("unrolled program levels");
+                }
+                let mut f = build(&spec, false);
+                crate::dacapo::full_unroll(&mut f).expect("constant trips unroll");
+                crate::dce::run(&mut f);
+                crate::scale::assign_levels(&mut f, &o).expect("unrolled program levels");
+                placed += f.count_ops(|o| matches!(o, Opcode::Bootstrap { .. }));
+            }
+        }
+        assert!(
+            placed >= 100,
+            "only {placed} resets placed on straight-line programs"
+        );
     }
 
     fn prep(f: &mut Function, x: ValueId, level: u32) {

@@ -18,6 +18,8 @@
 //!    *type-matched*: init ≡ arg ≡ yield ≡ result for every carried
 //!    variable.
 
+use std::collections::HashMap;
+
 use halo_ckks::CostModel;
 use halo_ir::analysis::{live_ins, propagate_statuses};
 use halo_ir::func::{BlockId, Function, OpId, ValueId};
@@ -73,6 +75,44 @@ pub fn normalize_plain_types(f: &mut Function) {
     }
 }
 
+/// The renames a block's rescales leave for the ops after them: a rescale
+/// of `old` at op `i` renames `old` in every later op of the block,
+/// nested bodies included. Each op picks its renames up when the block's
+/// walk reaches it, so a rescale costs nothing per later op.
+#[derive(Default)]
+struct Renames(HashMap<ValueId, ValueId>);
+
+impl Renames {
+    fn record(&mut self, old: ValueId, new: ValueId) {
+        self.0.insert(old, new);
+    }
+
+    /// The current name of `v`, following renames of renames.
+    fn resolve(&self, mut v: ValueId) -> ValueId {
+        while let Some(&new) = self.0.get(&v) {
+            v = new;
+        }
+        v
+    }
+
+    /// Renames the operands of `op_id` and, for a `For` op, of every op
+    /// in its body.
+    fn apply(&self, f: &mut Function, op_id: OpId) {
+        if self.0.is_empty() {
+            return;
+        }
+        for k in 0..f.op(op_id).operands.len() {
+            let v = self.resolve(f.op(op_id).operands[k]);
+            f.op_mut(op_id).operands[k] = v;
+        }
+        if let Opcode::For { body, .. } = f.op(op_id).opcode {
+            for inner in f.block(body).ops.clone() {
+                self.apply(f, inner);
+            }
+        }
+    }
+}
+
 /// Materializes one block: placement (if needed) then per-op leveling.
 fn materialize_block(
     f: &mut Function,
@@ -83,11 +123,13 @@ fn materialize_block(
     let cost = CostModel::new();
     let max_level = opts.params.max_level;
 
+    let mut renames = Renames::default();
     let mut i = 0usize;
     while i < f.block(block).ops.len() {
         let op_id = f.block(block).ops[i];
+        renames.apply(f, op_id);
         if let Opcode::For { .. } = f.op(op_id).opcode {
-            i = materialize_loop(f, block, i, opts)?;
+            i = materialize_loop(f, block, i, opts, &mut renames)?;
             continue;
         }
         let op = f.op(op_id).clone();
@@ -97,14 +139,15 @@ fn materialize_block(
                 detail: "underflow after placement — internal invariant violation".into(),
             }
         })?;
-        i = apply_plan(f, block, i, op_id, &plan);
+        i = apply_plan(f, block, i, op_id, &plan, &mut renames);
         i += 1;
     }
     Ok(())
 }
 
 /// Applies a step plan at `block[i]` (which holds `op_id`): inserts
-/// coercion ops before it, rewrites operands, stamps result types.
+/// coercion ops before it, rewrites operands, stamps result types, and
+/// records each rescale in `renames` for the block's later ops.
 /// Returns the (possibly shifted) index of `op_id`.
 fn apply_plan(
     f: &mut Function,
@@ -112,11 +155,10 @@ fn apply_plan(
     mut i: usize,
     op_id: OpId,
     plan: &StepPlan,
+    renames: &mut Renames,
 ) -> usize {
-    use std::collections::HashMap;
-    let mut renames: HashMap<ValueId, ValueId> = HashMap::new();
     for c in &plan.coercions {
-        let mut cur = *renames.get(&c.value).unwrap_or(&c.value);
+        let mut cur = renames.resolve(c.value);
         if c.rescale {
             let t = f.ty(cur);
             debug_assert_eq!(t.degree, 2);
@@ -128,8 +170,12 @@ fn apply_plan(
                 CtType::cipher(t.level - 1),
             );
             i += 1;
-            replace_uses_from(f, block, i, cur, v2);
-            renames.insert(c.value, v2);
+            renames.record(cur, v2);
+            for operand in &mut f.op_mut(op_id).operands {
+                if *operand == cur {
+                    *operand = v2;
+                }
+            }
             cur = v2;
         }
         if let Some(target) = c.modswitch_to {
@@ -162,8 +208,16 @@ fn apply_plan(
 }
 
 /// Coerces the value at `block[.. pos]`'s scope to `(floor, degree 1)`,
-/// inserting ops at `pos` and returning `(new_value, ops_inserted)`.
-fn coerce_to_floor(f: &mut Function, block: BlockId, pos: usize, v: ValueId) -> (ValueId, usize) {
+/// inserting ops at `pos` and returning `(new_value, ops_inserted)`. A
+/// rescale renames `v` in the rest of the block at once and records the
+/// rename, so ops still holding a stale name resolve through it.
+fn coerce_to_floor(
+    f: &mut Function,
+    block: BlockId,
+    pos: usize,
+    v: ValueId,
+    renames: &mut Renames,
+) -> (ValueId, usize) {
     let mut cur = v;
     let mut inserted = 0usize;
     let t = f.ty(cur);
@@ -177,6 +231,7 @@ fn coerce_to_floor(f: &mut Function, block: BlockId, pos: usize, v: ValueId) -> 
         );
         inserted += 1;
         replace_uses_from(f, block, pos + inserted, v, cur);
+        renames.record(v, cur);
     }
     let t = f.ty(cur);
     if t.level > FLOOR_LEVEL {
@@ -195,12 +250,15 @@ fn coerce_to_floor(f: &mut Function, block: BlockId, pos: usize, v: ValueId) -> 
 }
 
 /// Materializes a `For` op at `block[i]`: Algorithm 1 plus recursion.
-/// Returns the index just past the loop op.
+/// The op and its body already carry `renames`; the rescales inserted
+/// before the op rename eagerly and record in `renames` too. Returns the
+/// index just past the loop op.
 fn materialize_loop(
     f: &mut Function,
     block: BlockId,
     mut i: usize,
     opts: &CompileOptions,
+    renames: &mut Renames,
 ) -> Result<usize, CompileError> {
     let max_level = opts.params.max_level;
     let op_id = f.block(block).ops[i];
@@ -220,6 +278,7 @@ fn materialize_loop(
             );
             i += 1;
             replace_uses_from(f, block, i, li, v2);
+            renames.record(li, v2);
         }
     }
 
@@ -228,7 +287,7 @@ fn materialize_loop(
     for k in 0..n_inits {
         let init = f.op(op_id).operands[k];
         if f.ty(init).status == Status::Cipher {
-            let (new_v, inserted) = coerce_to_floor(f, block, i, init);
+            let (new_v, inserted) = coerce_to_floor(f, block, i, init, renames);
             i += inserted;
             f.op_mut(op_id).operands[k] = new_v;
         }
@@ -268,7 +327,7 @@ fn materialize_loop(
         let y = f.op(term).operands[k];
         if f.ty(y).status == Status::Cipher {
             let pos = f.block(body).ops.len() - 1;
-            let (new_v, _) = coerce_to_floor(f, body, pos, y);
+            let (new_v, _) = coerce_to_floor(f, body, pos, y, &mut Renames::default());
             let term = f.terminator(body).expect("still terminated");
             f.op_mut(term).operands[k] = new_v;
         }

@@ -116,7 +116,8 @@ impl Groups {
 pub fn tune_bootstrap_targets(f: &mut Function) -> usize {
     let mut groups = Groups::new();
     let mut group_of: HashMap<ValueId, usize> = HashMap::new();
-    analyze_block(f, f.entry, &mut groups, &mut group_of);
+    let uses = use_counts(f);
+    analyze_block(f, f.entry, &uses, &mut groups, &mut group_of);
 
     // Apply each root group's reduction.
     let mut tuned = 0;
@@ -217,10 +218,24 @@ fn elide_bootstraps(f: &mut Function, block: BlockId) -> usize {
     elided
 }
 
+/// Operand slots per value over every reachable op, counted in one walk:
+/// `uses[v]` is `f.uses_of(v).len()`.
+fn use_counts(f: &Function) -> Vec<u32> {
+    let mut uses = vec![0u32; f.num_values()];
+    f.walk_ops(|_, op| {
+        for &v in &f.op(op).operands {
+            uses[v.0 as usize] += 1;
+        }
+    });
+    uses
+}
+
 /// Walks one block in execution order, growing the affected regions.
+/// `uses` holds [`use_counts`] of `f`.
 fn analyze_block(
     f: &Function,
     block: BlockId,
+    uses: &[u32],
     groups: &mut Groups,
     group_of: &mut HashMap<ValueId, usize>,
 ) {
@@ -283,7 +298,7 @@ fn analyze_block(
                         if f.ty(other).status == Status::Cipher {
                             let r = groups.find(g);
                             groups.cut(r, f.ty(other).level);
-                            match boostable_modswitch(f, other) {
+                            match boostable_modswitch(f, uses, other) {
                                 Some(ms) => groups.others[r].push(OtherSide::Boost(ms)),
                                 None => groups.others[r].push(OtherSide::Insert {
                                     consumer: op_id,
@@ -320,7 +335,7 @@ fn analyze_block(
                 for g in operand_groups.into_iter().flatten() {
                     groups.cut(g, 0);
                 }
-                analyze_block(f, *body, groups, group_of);
+                analyze_block(f, *body, uses, groups, group_of);
             }
             Opcode::Input { .. } | Opcode::Const(_) | Opcode::Encrypt => {}
         }
@@ -346,8 +361,9 @@ fn find_op(f: &Function, target: OpId) -> Option<(BlockId, usize)> {
 }
 
 /// The defining `modswitch` of `v`, if it is single-use and cipher (so its
-/// `down` can safely grow to meet a lowered partner level).
-fn boostable_modswitch(f: &Function, v: ValueId) -> Option<OpId> {
+/// `down` can safely grow to meet a lowered partner level). `uses` holds
+/// [`use_counts`] of `f`.
+fn boostable_modswitch(f: &Function, uses: &[u32], v: ValueId) -> Option<OpId> {
     if f.ty(v).status != Status::Cipher {
         return None;
     }
@@ -355,7 +371,7 @@ fn boostable_modswitch(f: &Function, v: ValueId) -> Option<OpId> {
     if !matches!(f.op(d).opcode, Opcode::ModSwitch { .. }) {
         return None;
     }
-    (f.uses_of(v).len() == 1).then_some(d)
+    (uses[v.0 as usize] == 1).then_some(d)
 }
 
 /// Removes `modswitch` ops whose `down` was tuned to zero.
@@ -473,6 +489,43 @@ mod tests {
         assert_eq!(targets[0], targets[1], "grouped targets move together");
         assert!(targets[0] < 16 && targets[0] >= 2, "targets = {targets:?}");
         verify_typed(&f, 16).unwrap();
+    }
+
+    #[test]
+    fn a_modswitch_feeding_both_operands_of_one_op_counts_two_uses() {
+        use halo_ir::types::CtType;
+        let mut f = Function::new("t", 8);
+        let e = f.entry;
+        let x = f.push_op1(
+            e,
+            Opcode::Input { name: "x".into() },
+            vec![],
+            CtType::cipher(16),
+        );
+        let twice = f.push_op1(
+            e,
+            Opcode::ModSwitch { down: 2 },
+            vec![x],
+            CtType::cipher(14),
+        );
+        let once = f.push_op1(
+            e,
+            Opcode::ModSwitch { down: 2 },
+            vec![x],
+            CtType::cipher(14),
+        );
+        let s = f.push_op1(e, Opcode::AddCC, vec![twice, twice], CtType::cipher(14));
+        let r = f.push_op1(e, Opcode::AddCC, vec![s, once], CtType::cipher(14));
+        f.push_op(e, Opcode::Return, vec![r], &[]);
+        let uses = use_counts(&f);
+        assert_eq!(uses[twice.0 as usize], 2, "one op, two operand slots");
+        assert_eq!(boostable_modswitch(&f, &uses, twice), None);
+        assert_eq!(uses[once.0 as usize], 1);
+        assert_eq!(
+            boostable_modswitch(&f, &uses, once),
+            def_op(&f, once),
+            "a single-use modswitch can deepen"
+        );
     }
 
     #[test]
