@@ -17,6 +17,20 @@ pub mod rngs {
     }
 
     impl StdRng {
+        /// The generator's four state words: its whole stream position.
+        #[must_use]
+        pub fn state(&self) -> [u64; 4] {
+            self.s
+        }
+
+        /// A generator that continues the stream [`StdRng::state`] saved.
+        /// The all-zero state is xoshiro's fixed point (it draws zeros
+        /// forever); seeding never produces it.
+        #[must_use]
+        pub fn from_state(s: [u64; 4]) -> StdRng {
+            StdRng { s }
+        }
+
         #[inline]
         pub(crate) fn next_u64(&mut self) -> u64 {
             let r = self.s[0]
@@ -148,6 +162,15 @@ mod tests {
         let zs: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
+    }
+
+    #[test]
+    fn saved_state_continues_the_stream() {
+        let mut a = StdRng::seed_from_u64(5);
+        a.next_u64();
+        let mut b = StdRng::from_state(a.state());
+        assert_eq!(a.next_u64(), b.next_u64());
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -234,12 +234,6 @@ pub fn rmse_per_output(
         .collect())
 }
 
-/// Formats a microsecond latency as seconds with 3 decimals.
-#[must_use]
-pub fn fmt_seconds(us: f64) -> String {
-    format!("{:.3}", us / 1e6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

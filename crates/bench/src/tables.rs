@@ -2,6 +2,7 @@
 
 use std::time::Instant;
 
+use halo_ckks::fault::splitmix64;
 use halo_ckks::{CostModel, CostedOp, FaultSpec};
 use halo_core::autotune::heuristic_cost_us;
 use halo_core::{autotune, CompilerConfig, ASSUMED_TRIPS};
@@ -579,14 +580,6 @@ impl ServingRow {
     }
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The serving workload: a compiled squaring iteration (`w ← w²`,
 /// [`SERVING_ITERS`] trips) — slotwise after type-matched compilation
 /// (no rotations, no masks), so jobs coalesce into slot windows.
@@ -638,7 +631,11 @@ pub fn serving_rows(scale: Scale, seed: u64) -> Vec<ServingRow> {
     let jobs: Vec<Vec<f64>> = (0..SERVING_JOBS)
         .map(|_| {
             (0..width)
-                .map(|_| (splitmix(&mut rng) as f64 / u64::MAX as f64) * 1.8 - 0.9)
+                .map(|_| {
+                    let z = splitmix64(rng);
+                    rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    (z as f64 / u64::MAX as f64) * 1.8 - 0.9
+                })
                 .collect()
         })
         .collect();

@@ -35,6 +35,24 @@ use rand::{Rng, SeedableRng};
 use crate::backend::{Backend, BackendError, Result};
 use crate::params::CkksParams;
 
+/// One round of SplitMix64, the workspace's seeded mixer: it derives the
+/// toy backend's key RNGs and drives the store, remote and fleet fault
+/// schedules.
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Advances a [`splitmix64`] stream and returns its next draw in
+/// `[0, 1)` (53 bits).
+pub fn unit_draw(state: &mut u64) -> f64 {
+    *state = splitmix64(*state);
+    (*state >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// Per-op-class fault probabilities. All rates are per backend call in
 /// `[0, 1]`; `0.0` disables the class.
 #[derive(Debug, Clone, PartialEq)]

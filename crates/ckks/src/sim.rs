@@ -96,23 +96,12 @@ impl SimCt {
 ///
 /// Ops take `&self`; the noise RNG is the only mutable state and sits
 /// behind a mutex, so the backend is freely shareable across threads.
-/// The noise RNG plus its replay coordinates. The sim backend's draws are
-/// homogeneous — every perturbed slot consumes exactly one
-/// `gen_range(-1.0..1.0)` — so (seed, draw count) pins the stream position
-/// exactly: reseeding and burning `draws` values restores it. That is what
-/// [`SnapshotBackend::rng_save`] persists for durable resume.
-#[derive(Debug)]
-struct CountedRng {
-    rng: StdRng,
-    draws: u64,
-}
-
 #[derive(Debug)]
 pub struct SimBackend {
     params: CkksParams,
     noise: NoiseProfile,
     seed: u64,
-    rng: Mutex<CountedRng>,
+    rng: Mutex<StdRng>,
 }
 
 impl SimBackend {
@@ -137,10 +126,7 @@ impl SimBackend {
             params,
             noise,
             seed,
-            rng: Mutex::new(CountedRng {
-                rng: StdRng::seed_from_u64(seed),
-                draws: 0,
-            }),
+            rng: Mutex::new(StdRng::seed_from_u64(seed)),
         }
     }
 
@@ -148,12 +134,11 @@ impl SimBackend {
         if sigma == 0.0 {
             return;
         }
-        let mut g = self.rng.lock().expect("rng lock");
-        g.draws += values.len() as u64;
+        let mut rng = self.rng.lock().expect("rng lock");
         for v in values {
             // Symmetric uniform relative error with a small absolute floor,
             // mimicking fixed-point noise at the scale's precision.
-            let eps: f64 = g.rng.gen_range(-1.0..1.0) * sigma;
+            let eps: f64 = rng.gen_range(-1.0..1.0) * sigma;
             *v += eps * (v.abs() + 1e-2);
         }
     }
@@ -410,12 +395,12 @@ impl Backend for SimBackend {
 }
 
 /// Durable-execution support (`halo-snap/1`, see `halo-runtime` and
-/// DESIGN.md §12). Wire format `halo-ct-sim/1`: slot count, slot values as
-/// raw IEEE-754 bits, level, degree. RNG replay state: construction seed
-/// plus the homogeneous draw counter.
+/// DESIGN.md §12). Wire format `halo-ct-sim/2`: slot count, slot values as
+/// raw IEEE-754 bits, level, degree. RNG state: construction seed plus the
+/// generator's four xoshiro256++ state words.
 impl SnapshotBackend for SimBackend {
     fn ct_format(&self) -> &'static str {
-        "halo-ct-sim/1"
+        "halo-ct-sim/2"
     }
 
     fn ct_save(&self, ct: &SimCt, out: &mut Vec<u8>) {
@@ -460,25 +445,30 @@ impl SnapshotBackend for SimBackend {
     }
 
     fn rng_save(&self, out: &mut Vec<u8>) {
-        let g = self.rng.lock().expect("rng lock");
         put_u64(out, self.seed);
-        put_u64(out, g.draws);
+        for word in self.rng.lock().expect("rng lock").state() {
+            put_u64(out, word);
+        }
     }
 
     fn rng_load(&self, r: &mut SnapReader<'_>) -> std::result::Result<(), SnapError> {
         let seed = r.u64()?;
-        let draws = r.u64()?;
+        let mut state = [0; 4];
+        for word in &mut state {
+            *word = r.u64()?;
+        }
         if seed != self.seed {
             return Err(SnapError::Malformed(format!(
                 "snapshot RNG seed {seed:#x} does not match backend seed {:#x}",
                 self.seed
             )));
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..draws {
-            let _: f64 = rng.gen_range(-1.0..1.0);
+        if state == [0; 4] {
+            return Err(SnapError::Malformed(
+                "snapshot RNG state is all zero, which no generator reaches".into(),
+            ));
         }
-        *self.rng.lock().expect("rng lock") = CountedRng { rng, draws };
+        *self.rng.lock().expect("rng lock") = StdRng::from_state(state);
         Ok(())
     }
 }
@@ -602,7 +592,7 @@ mod tests {
     }
 
     #[test]
-    fn rng_replay_restores_stream_position() {
+    fn rng_state_restores_stream_position() {
         let params = CkksParams::test_small();
         let b1 = SimBackend::new(params.clone());
         let x = b1.encrypt(&[1.0], 5).unwrap();
@@ -621,6 +611,27 @@ mod tests {
         // Seed mismatch is rejected.
         let other = SimBackend::with_noise(params, NoiseProfile::default(), 99);
         assert!(other.rng_load(&mut SnapReader::new(&blob)).is_err());
+    }
+
+    #[test]
+    fn rng_load_takes_any_nonzero_state_at_once() {
+        let b = SimBackend::new(CkksParams::test_small());
+        let blob = |words: [u64; 4]| {
+            let mut out = Vec::new();
+            put_u64(&mut out, b.seed);
+            for w in words {
+                put_u64(&mut out, w);
+            }
+            out
+        };
+        b.rng_load(&mut SnapReader::new(&blob([u64::MAX; 4])))
+            .unwrap();
+        let mut drawn = [0.0];
+        b.perturb(&mut drawn, 1.0);
+        let expected: f64 = StdRng::from_state([u64::MAX; 4]).gen_range(-1.0..1.0);
+        assert_eq!(drawn[0], expected * 1e-2);
+        let zero = b.rng_load(&mut SnapReader::new(&blob([0; 4])));
+        assert!(matches!(zero, Err(SnapError::Malformed(_))), "{zero:?}");
     }
 
     #[test]

@@ -11,14 +11,12 @@
 //!   [`SnapReader`] cursor — a fixed little-endian wire format, hand-rolled
 //!   like `halo-bench`'s JSON module (no serde).
 //! - [`SnapshotBackend`] — the extra capability a backend implements to be
-//!   durable: save/load one ciphertext, save/load the RNG replay state.
+//!   durable: save/load one ciphertext, save/load the RNG state.
 //!
-//! `StdRng`'s internal state is deliberately not extractable, so RNG state
-//! is captured as *replay instructions* instead of raw state: the sim
-//! backend records its seed plus a draw counter (its draws are
-//! homogeneous), the toy backend records its seed plus the per-encryption
-//! event log. Reconstructing the stream from the seed and burning the
-//! recorded draws restores the exact stream position.
+//! The sim backend saves its seed plus the generator's four xoshiro256++
+//! state words, so a restore costs the same whatever the stream position.
+//! The toy backend records its seed plus the per-encryption event log;
+//! reseeding and replaying the logged draws restores the stream.
 
 use crate::backend::Backend;
 use crate::fault::FaultInjectingBackend;
@@ -253,7 +251,7 @@ impl<'a> SnapReader<'a> {
 /// reported, not silently accepted.
 pub trait SnapshotBackend: Backend {
     /// Version tag of this backend's ciphertext wire format (e.g.
-    /// `"halo-ct-sim/1"`). Stored in the snapshot header and checked on
+    /// `"halo-ct-sim/2"`). Stored in the snapshot header and checked on
     /// load so a sim snapshot can never be fed to a toy backend.
     fn ct_format(&self) -> &'static str;
 
@@ -268,16 +266,16 @@ pub trait SnapshotBackend: Backend {
     /// [`SnapError`] on truncation or a structurally invalid payload.
     fn ct_load(&self, r: &mut SnapReader<'_>) -> Result<Self::Ct, SnapError>;
 
-    /// Serializes the RNG replay state (seed + stream position).
+    /// Serializes the RNG state (seed + stream position).
     fn rng_save(&self, out: &mut Vec<u8>);
 
-    /// Restores the RNG stream to the saved position by reseeding and
-    /// replaying the recorded draws.
+    /// Restores the RNG stream to the saved position.
     ///
     /// # Errors
     ///
-    /// [`SnapError`] on truncation or a seed that does not match this
-    /// backend's construction seed.
+    /// [`SnapError`] on truncation, a seed that does not match this
+    /// backend's construction seed, or a stream position no generator
+    /// reaches.
     fn rng_load(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 

@@ -645,20 +645,6 @@ impl RnsPoly {
         &mut self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// Limb `i` as a tagged immutable view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn limb_view<'a>(&'a self, ctx: &RnsContext, i: usize) -> LimbRef<'a> {
-        LimbRef {
-            index: i,
-            prime: ctx.primes[self.basis[i]],
-            coeffs: self.limb(i),
-        }
-    }
-
     /// Limb `i` as a tagged mutable view.
     ///
     /// # Panics

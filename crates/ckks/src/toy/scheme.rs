@@ -32,6 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::backend::{expand_to_slots, Backend, BackendError, Result};
+use crate::fault::splitmix64;
 use crate::metrics::{self, Counter};
 use crate::params::CkksParams;
 use crate::snapshot::{put_f64, put_u32, put_u64, put_u8, SnapError, SnapReader, SnapshotBackend};
@@ -135,15 +136,6 @@ pub struct ToyBackend {
     key_seed: u64,
 }
 
-/// One round of SplitMix64 — the seed-derivation mixer for the keyed
-/// key-generation RNGs.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl ToyBackend {
     /// Creates an instance with ring degree `n` and `max_level` usable
     /// levels, keyed from `seed`. Key switching puts
@@ -200,7 +192,7 @@ impl ToyBackend {
             KeyKind::Relin => 0,
             KeyKind::Galois(t) => 1 + t as u64,
         };
-        StdRng::seed_from_u64(splitmix(self.key_seed ^ splitmix(tag)))
+        StdRng::seed_from_u64(splitmix64(self.key_seed ^ splitmix64(tag)))
     }
 
     /// The secret key embedded at the given basis, NTT form.

@@ -4,20 +4,23 @@
 //! HALO's five [`CompilerConfig`] variants hard-wire their decisions: the
 //! unroll factor comes from the §6.2 formula, packing is always attempted,
 //! peeling stops at status matching, and target tuning is all-or-nothing.
-//! This module searches the joint space instead —
+//! Each is one fixed point of a joint space ([`CompilerConfig::plan`]),
+//! which this module searches instead —
 //!
 //! * **unroll** — none, the heuristic factor, any factor `2..=L`, or
 //!   DaCapo-style full unrolling (constant trips only);
-//! * **packing** — on or off (subsumes the cost-aware pack driver);
+//! * **packing** — on or off (subsumes the cost-aware pack choice);
 //! * **peel depth** — extra constant-trip first-iteration peels;
 //! * **bootstrap target tuning** — whether §6.3 target lowering runs.
 //!
-//! Every candidate [`TunePlan`] is scored as it compiles through the
-//! ordinary pipeline (`compile(src, CompilerConfig::Tuned(plan), opts)`),
-//! with the calibrated static estimate [`estimate_cost_us`] — the modeled
-//! time the sim backend charges, which the calibration suite ties
-//! together. Two strategies implement one [`Tuner`] trait so tests can
-//! assert they agree:
+//! Every candidate [`TunePlan`] is scored as it compiles down the one
+//! pipeline path every configuration takes
+//! (`compile(src, CompilerConfig::Tuned(plan), opts)`), with the
+//! calibrated static estimate [`estimate_cost_us`] — the modeled time the
+//! sim backend charges, which the calibration suite ties together. So the
+//! five configurations are points of the space by construction, and the
+//! search can never lose to one of them. Two strategies implement one
+//! [`Tuner`] trait so tests can assert they agree:
 //!
 //! * [`ExhaustiveTuner`] compiles every point — the ground truth;
 //! * [`BranchBoundTuner`] shares work: plans that agree on (unroll, pack,
@@ -40,7 +43,7 @@ use crate::config::{CompileOptions, CompilerConfig};
 use crate::cost_est::{estimate_cost_us, traced_floor_us};
 use crate::error::CompileError;
 use crate::pipeline::{
-    catch_pass_panics, compile, finish_typed, plan_traced, PipelineHooks, ASSUMED_TRIPS,
+    catch_pass_panics, compile, final_dce, plan_traced, tune_targets, PipelineHooks, ASSUMED_TRIPS,
 };
 use crate::scale::assign_levels;
 
@@ -206,9 +209,9 @@ struct LoopScan {
     any_loop: bool,
     any_dynamic: bool,
     max_const_trip: u64,
-    /// Largest useful explicit factor over all undivided loops: a dynamic
-    /// trip admits any factor (capped by the level budget); a constant
-    /// trip clamps at the trip count.
+    /// Largest useful explicit factor: the largest
+    /// [`TripCount::unroll_cap`] of any loop (later capped by the level
+    /// budget).
     factor_cap: u64,
 }
 
@@ -217,21 +220,11 @@ impl LoopScan {
         for op_id in f.loops_in_block(block) {
             self.any_loop = true;
             if let Opcode::For { trip, .. } = &f.op(op_id).opcode {
-                match trip {
-                    TripCount::Constant(n) => {
-                        self.max_const_trip = self.max_const_trip.max(*n);
-                        self.factor_cap = self.factor_cap.max(*n);
-                    }
-                    TripCount::Dynamic { div, .. } => {
-                        self.any_dynamic = true;
-                        if *div == 1 {
-                            self.factor_cap = u64::MAX;
-                        }
-                    }
-                    TripCount::DynamicRem { .. } => {
-                        self.any_dynamic = true;
-                    }
+                if let TripCount::Constant(n) = trip {
+                    self.max_const_trip = self.max_const_trip.max(*n);
                 }
+                self.any_dynamic |= trip.symbol().is_some();
+                self.factor_cap = self.factor_cap.max(trip.unroll_cap().unwrap_or(0));
             }
             self.visit(f, f.for_body(op_id));
         }
@@ -478,7 +471,10 @@ fn score_leaves(mut f: Function, opts: &CompileOptions, assumed_trip: u64) -> Le
     let typed = catch_pass_panics(|| assign_levels(&mut f, opts));
     let mut score = |mut f: Function, tune: bool| {
         catch_pass_panics(|| {
-            finish_typed(&mut f, tune, opts, hooks)?;
+            if tune {
+                tune_targets(&mut f, opts, hooks)?;
+            }
+            final_dce(&mut f, opts, hooks)?;
             Ok(estimate_cost_us(&f, assumed_trip))
         })
     };

@@ -51,37 +51,44 @@ impl CompilerConfig {
         }
     }
 
+    /// The plan this configuration compiles through: every configuration
+    /// is a point of the autotuner's space, so one pipeline compiles them
+    /// all.
+    #[must_use]
+    pub fn plan(self) -> TunePlan {
+        let (unroll, pack, tune_targets) = match self {
+            CompilerConfig::DaCapo => (UnrollChoice::Full, false, false),
+            CompilerConfig::TypeMatched => (UnrollChoice::None, false, false),
+            CompilerConfig::Packing => (UnrollChoice::None, true, false),
+            CompilerConfig::PackingUnrolling => (UnrollChoice::Heuristic, true, false),
+            CompilerConfig::Halo => (UnrollChoice::Heuristic, true, true),
+            CompilerConfig::Tuned(plan) => return plan,
+        };
+        TunePlan {
+            unroll,
+            pack,
+            peel_extra: 0,
+            tune_targets,
+        }
+    }
+
     /// Whether this configuration applies the packing optimization.
     #[must_use]
     pub fn packs(self) -> bool {
-        match self {
-            CompilerConfig::Packing | CompilerConfig::PackingUnrolling | CompilerConfig::Halo => {
-                true
-            }
-            CompilerConfig::Tuned(p) => p.pack,
-            _ => false,
-        }
+        self.plan().pack
     }
 
     /// Whether this configuration applies loop unrolling of any kind
     /// (level-aware, explicit-factor, or full).
     #[must_use]
     pub fn unrolls(self) -> bool {
-        match self {
-            CompilerConfig::PackingUnrolling | CompilerConfig::Halo => true,
-            CompilerConfig::Tuned(p) => !matches!(p.unroll, UnrollChoice::None),
-            _ => false,
-        }
+        self.plan().unroll != UnrollChoice::None
     }
 
     /// Whether this configuration tunes bootstrap target levels.
     #[must_use]
     pub fn tunes(self) -> bool {
-        match self {
-            CompilerConfig::Halo => true,
-            CompilerConfig::Tuned(p) => p.tune_targets,
-            _ => false,
-        }
+        self.plan().tune_targets
     }
 }
 
@@ -120,7 +127,8 @@ mod tests {
     #[test]
     fn config_feature_matrix() {
         use CompilerConfig as C;
-        assert!(!C::DaCapo.packs() && !C::DaCapo.unrolls() && !C::DaCapo.tunes());
+        // DaCapo unrolls fully.
+        assert!(!C::DaCapo.packs() && C::DaCapo.unrolls() && !C::DaCapo.tunes());
         assert!(!C::TypeMatched.packs());
         assert!(C::Packing.packs() && !C::Packing.unrolls());
         assert!(C::PackingUnrolling.unrolls() && !C::PackingUnrolling.tunes());
@@ -142,5 +150,9 @@ mod tests {
         assert!(c.packs() && c.unrolls() && !c.tunes());
         let base = C::Tuned(TunePlan::baseline());
         assert!(!base.packs() && !base.unrolls() && !base.tunes());
+        for config in C::ALL {
+            assert_eq!(C::Tuned(config.plan()).plan(), config.plan());
+        }
+        assert_eq!(C::TypeMatched.plan(), TunePlan::baseline());
     }
 }

@@ -21,15 +21,14 @@ use std::collections::HashMap;
 use halo_ckks::{CostModel, CostedOp};
 use halo_ir::analysis::rotation_fanouts;
 use halo_ir::func::{BlockId, Function, OpId};
-use halo_ir::op::{Opcode, TripCount};
+use halo_ir::op::Opcode;
 use halo_ir::types::Status;
 
 /// Estimated execution latency (µs) of a typed function, assuming dynamic
 /// trip counts run `assumed_trip` iterations.
 #[must_use]
 pub fn estimate_cost_us(f: &Function, assumed_trip: u64) -> f64 {
-    let cost = CostModel::new();
-    block_cost(f, f.entry, assumed_trip, &cost)
+    block_cost(f, f.entry, assumed_trip, &CostModel::new(), false)
 }
 
 /// Admissible lower bound (µs) on the modeled cost of **any** typed
@@ -45,65 +44,7 @@ pub fn estimate_cost_us(f: &Function, assumed_trip: u64) -> f64 {
 /// without running level assignment.
 #[must_use]
 pub fn traced_floor_us(f: &Function, assumed_trip: u64) -> f64 {
-    let cost = CostModel::new();
-    floor_block(f, f.entry, assumed_trip, &cost)
-}
-
-fn floor_block(f: &Function, block: BlockId, assumed: u64, cost: &CostModel) -> f64 {
-    let fanouts = rotation_fanout_sizes(f, block);
-    let mut total = 0.0;
-    for &op_id in &f.block(block).ops {
-        let op = f.op(op_id);
-        let cipher = |i: usize| f.ty(op.operands[i]).status == Status::Cipher;
-        total += match &op.opcode {
-            Opcode::For { trip, body, .. } => {
-                floor_block(f, *body, assumed, cost) * trip_estimate(trip, assumed) as f64
-            }
-            Opcode::MultCC if cipher(0) => cost.latency_us(CostedOp::MultCC { level: 1 }),
-            Opcode::MultCP => {
-                cost.latency_us(CostedOp::MultCP { level: 1 }) + cost.latency_us(CostedOp::Encode)
-            }
-            Opcode::AddCC | Opcode::SubCC if cipher(0) => {
-                cost.latency_us(CostedOp::AddCC { level: 1 })
-            }
-            Opcode::AddCP | Opcode::SubCP => {
-                cost.latency_us(CostedOp::AddCP { level: 1 }) + cost.latency_us(CostedOp::Encode)
-            }
-            Opcode::Negate if cipher(0) => cost.latency_us(CostedOp::Negate { level: 1 }),
-            Opcode::Rotate { .. } if cipher(0) => match fanouts.get(&op_id) {
-                Some(&k) if k > 0 => cost.rotate_batch_us(1, k),
-                Some(_) => 0.0,
-                None => cost.latency_us(CostedOp::Rotate { level: 1 }),
-            },
-            Opcode::Const(_) | Opcode::Encrypt => cost.latency_us(CostedOp::Encode),
-            // Management ops are absent from traced programs; anything a
-            // later pass inserts only raises the true cost above the floor.
-            _ => 0.0,
-        };
-    }
-    total
-}
-
-fn trip_estimate(trip: &TripCount, assumed: u64) -> u64 {
-    match trip {
-        TripCount::Constant(n) => *n,
-        TripCount::Dynamic { add, div, .. } => {
-            let num = assumed as i64 + add;
-            if num <= 0 {
-                0
-            } else {
-                num as u64 / div
-            }
-        }
-        TripCount::DynamicRem { add, div, .. } => {
-            let num = assumed as i64 + add;
-            if num <= 0 {
-                0
-            } else {
-                num as u64 % div
-            }
-        }
-    }
+    block_cost(f, f.entry, assumed_trip, &CostModel::new(), true)
 }
 
 /// Rotation fan-out group sizes for one block ([`rotation_fanouts`]):
@@ -119,16 +60,19 @@ fn rotation_fanout_sizes(f: &Function, block: BlockId) -> HashMap<OpId, u32> {
     sizes
 }
 
-fn block_cost(f: &Function, block: BlockId, assumed: u64, cost: &CostModel) -> f64 {
+/// Prices `block`, loop bodies times their trip at `assumed`. With
+/// `floor`, every compute op prices at level 1 and management ops are
+/// free: [`traced_floor_us`]'s bound.
+fn block_cost(f: &Function, block: BlockId, assumed: u64, cost: &CostModel, floor: bool) -> f64 {
     let fanouts = rotation_fanout_sizes(f, block);
     let mut total = 0.0;
     for &op_id in &f.block(block).ops {
         let op = f.op(op_id);
-        let level = |i: usize| f.ty(op.operands[i]).level;
+        let level = |i: usize| if floor { 1 } else { f.ty(op.operands[i]).level };
         let cipher = |i: usize| f.ty(op.operands[i]).status == Status::Cipher;
         total += match &op.opcode {
             Opcode::For { trip, body, .. } => {
-                block_cost(f, *body, assumed, cost) * trip_estimate(trip, assumed) as f64
+                block_cost(f, *body, assumed, cost, floor) * trip.at(assumed) as f64
             }
             Opcode::MultCC if cipher(0) => cost.latency_us(CostedOp::MultCC { level: level(0) }),
             Opcode::MultCP => {
@@ -150,9 +94,9 @@ fn block_cost(f: &Function, block: BlockId, assumed: u64, cost: &CostModel) -> f
                 Some(_) => 0.0,
                 None => cost.latency_us(CostedOp::Rotate { level: level(0) }),
             },
-            Opcode::Rescale => cost.latency_us(CostedOp::Rescale { level: level(0) }),
-            Opcode::ModSwitch { down } => cost.modswitch_chain_us(level(0), *down),
-            Opcode::Bootstrap { target } => {
+            Opcode::Rescale if !floor => cost.latency_us(CostedOp::Rescale { level: level(0) }),
+            Opcode::ModSwitch { down } if !floor => cost.modswitch_chain_us(level(0), *down),
+            Opcode::Bootstrap { target } if !floor => {
                 cost.latency_us(CostedOp::Bootstrap { target: *target })
             }
             Opcode::Const(_) | Opcode::Encrypt => cost.latency_us(CostedOp::Encode),
@@ -168,6 +112,7 @@ mod tests {
     use crate::config::CompileOptions;
     use crate::scale::assign_levels;
     use halo_ckks::CkksParams;
+    use halo_ir::op::TripCount;
     use halo_ir::FunctionBuilder;
 
     #[test]

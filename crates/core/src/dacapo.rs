@@ -29,32 +29,22 @@ use crate::peel::normalize_arith_opcodes;
 /// whose trip count is not a compile-time constant.
 pub fn full_unroll(f: &mut Function) -> Result<usize, CompileError> {
     let mut expanded = 0;
-    while let Some((block, op_id)) = first_loop(f, f.entry) {
-        let trip = match &f.op(op_id).opcode {
-            Opcode::For { trip, .. } => trip.clone(),
-            _ => unreachable!(),
-        };
-        let TripCount::Constant(n) = trip else {
+    // Outer loops expand first; cloned inner loops are found on the next
+    // scan.
+    while let Some(&op_id) = f.loops_in_block(f.entry).first() {
+        let Opcode::For {
+            trip: TripCount::Constant(n),
+            ..
+        } = f.op(op_id).opcode
+        else {
             return Err(CompileError::DynamicTripNotSupported { op: op_id });
         };
-        expand(f, block, op_id, n);
+        expand(f, f.entry, op_id, n);
         expanded += 1;
     }
     propagate_statuses(f);
     normalize_arith_opcodes(f);
     Ok(expanded)
-}
-
-fn first_loop(f: &Function, block: BlockId) -> Option<(BlockId, OpId)> {
-    for &op_id in &f.block(block).ops {
-        if let Opcode::For { body, .. } = f.op(op_id).opcode {
-            // Expand outer loops first; cloned inner loops are found on
-            // the next scan.
-            let _ = body;
-            return Some((block, op_id));
-        }
-    }
-    None
 }
 
 fn expand(f: &mut Function, block: BlockId, op_id: OpId, n: u64) {

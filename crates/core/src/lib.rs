@@ -18,12 +18,13 @@
 //! ```
 //!
 //! The five evaluation configurations of §7 ([`config::CompilerConfig`])
-//! toggle these passes; [`pipeline::compile`] is the single entry point.
+//! are each a plan of these passes (`CompilerConfig::plan`), and
+//! [`pipeline::compile`] compiles every plan down one path.
 //!
 //! ## Module map
 //!
 //! - [`config`] — compiler configurations and options.
-//! - [`autotune`] — per-program optimal-placement search over the joint
+//! - [`mod@autotune`] — per-program optimal-placement search over the joint
 //!   (unroll × pack × peel × tune) space the heuristics fix by rule.
 //! - [`levelsim`] — pure level/latency simulator (no IR mutation), used by
 //!   bootstrap placement to evaluate candidate plans.

@@ -1,4 +1,5 @@
-//! The configuration-driven compilation driver.
+//! Compilation: one path that every configuration's plan
+//! ([`CompilerConfig::plan`]) takes.
 
 use std::time::Instant;
 
@@ -164,15 +165,22 @@ pub struct CompileResult {
 
 /// Compiles `src` under `config`.
 ///
+/// Every configuration takes one path, that of its plan
+/// ([`CompilerConfig::plan`]): the traced prefix, level assignment,
+/// optional target tuning, then the final clean-up and verifier. The
+/// paper's packing configurations also build their plan with packing off
+/// and keep the statically cheaper program.
+///
 /// # Errors
 ///
-/// [`CompileError::DynamicTripNotSupported`] when the DaCapo configuration
-/// meets a dynamic trip count; [`CompileError::DepthInfeasible`] when no
-/// bootstrap plan can level the program; verification errors on internal
-/// invariant violations. A panic inside a pass (an internal-invariant
-/// `expect` tripped by a malformed source program) is caught at this
-/// boundary and surfaced as [`CompileError::Internal`] so callers never
-/// unwind through the compiler.
+/// [`CompileError::DynamicTripNotSupported`] when a full-unrolling plan
+/// (DaCapo's) meets a dynamic trip count;
+/// [`CompileError::DepthInfeasible`] when no bootstrap plan can level the
+/// program; verification errors on internal invariant violations. A panic
+/// inside a pass (an internal-invariant `expect` tripped by a malformed
+/// source program) is caught at this boundary and surfaced as
+/// [`CompileError::Internal`] so callers never unwind through the
+/// compiler.
 pub fn compile(
     src: &Function,
     config: CompilerConfig,
@@ -259,16 +267,14 @@ fn pass_boundary(
 /// before level assignment — and returns the traced program plus the
 /// (peeled, packed, unrolled) counters.
 ///
-/// The autotuner's branch-and-bound strategy calls this directly: plans
-/// that agree on (unroll, pack, peel) share this prefix, and its
+/// Every compile starts here: [`compile`] runs [`CompilerConfig::plan`]'s
+/// prefix for each configuration, the paper's five included. The
+/// autotuner's branch-and-bound strategy calls it directly: plans that
+/// agree on (unroll, pack, peel) share this prefix, and its
 /// `traced_floor_us` is an admissible bound on every typed completion.
-/// The [`CompilerConfig::Tuned`] arm of [`compile`] is exactly this
-/// prefix followed by level assignment (+ optional target tuning), which
-/// is what makes the bound sound for whole compiles.
 ///
-/// `UnrollChoice::Full` mirrors the DaCapo arm byte-for-byte (full unroll
-/// with *no* peel — peeling first would change the unrolled shape), so a
-/// `Tuned` plan can reproduce the DaCapo baseline exactly.
+/// `UnrollChoice::Full` is DaCapo's plan: full unrolling with *no* peel
+/// (peeling first would change the unrolled shape).
 ///
 /// # Errors
 ///
@@ -314,26 +320,28 @@ pub(crate) fn plan_traced(
     Ok((f, peeled, packed, unrolled))
 }
 
-/// The typed tail of every compile: optional target tuning (§6.3), then
-/// the final clean-up and the typed verifier. The autotuner runs it on
-/// each `tune` leaf of a level-assigned prefix. Returns the number of
-/// bootstraps tuned.
-pub(crate) fn finish_typed(
+/// Bootstrap target tuning (§6.3) on a typed program, checked by the
+/// typed verifier. Returns the number of bootstraps tuned.
+pub(crate) fn tune_targets(
     f: &mut Function,
-    tune_targets: bool,
     opts: &CompileOptions,
     hooks: &mut PipelineHooks<'_>,
 ) -> Result<usize, CompileError> {
-    let mut tuned = 0;
-    if tune_targets {
-        tuned = tune_bootstrap_targets(f);
-        halo_ir::verify::verify_typed(f, opts.params.max_level)?;
-        pass_boundary(f, Pass::Tune, opts, hooks)?;
-    }
+    let tuned = tune_bootstrap_targets(f);
+    halo_ir::verify::verify_typed(f, opts.params.max_level)?;
+    pass_boundary(f, Pass::Tune, opts, hooks)?;
+    Ok(tuned)
+}
+
+/// The end of every compile: the final clean-up and the typed verifier.
+pub(crate) fn final_dce(
+    f: &mut Function,
+    opts: &CompileOptions,
+    hooks: &mut PipelineHooks<'_>,
+) -> Result<(), CompileError> {
     dce::run(f);
     halo_ir::verify::verify_typed(f, opts.params.max_level)?;
-    pass_boundary(f, Pass::FinalDce, opts, hooks)?;
-    Ok(tuned)
+    pass_boundary(f, Pass::FinalDce, opts, hooks)
 }
 
 fn compile_inner(
@@ -343,87 +351,35 @@ fn compile_inner(
     hooks: &mut PipelineHooks<'_>,
 ) -> Result<CompileResult, CompileError> {
     let start = Instant::now();
-
-    // Each arm builds its own function from `src`, so nothing is cloned
-    // just to be thrown away.
-    let (mut f, peeled, packed, unrolled, tuned) = match config {
-        CompilerConfig::DaCapo => {
-            let mut f = src.clone();
-            full_unroll(&mut f)?;
-            pass_boundary(&mut f, Pass::FullUnroll, opts, hooks)?;
-            dce::run(&mut f);
-            pass_boundary(&mut f, Pass::Dce, opts, hooks)?;
-            assign_levels(&mut f, opts)?;
-            pass_boundary(&mut f, Pass::AssignLevels, opts, hooks)?;
-            (f, 0, 0, 0, 0)
-        }
-        CompilerConfig::Tuned(plan) => {
-            // An explicit plan: no heuristics, no cost-aware pack driver —
-            // the autotuner already searched those dimensions. Its target
-            // tuning runs in the typed tail below.
-            let (mut f, peeled, packed, unrolled) = plan_traced(src, plan, opts, hooks)?;
-            assign_levels(&mut f, opts)?;
-            pass_boundary(&mut f, Pass::AssignLevels, opts, hooks)?;
-            (f, peeled, packed, unrolled, 0)
-        }
-        _ => {
-            // The loop-aware pipeline. Packing is *cost-aware*: packing
-            // trades m head bootstraps for one, but its two extra
-            // multiplicative levels can force extra in-body resets on deep
-            // bodies (the paper's K-means observation, §7.1) — so when the
-            // configuration packs, both variants are built and the
-            // statically cheaper one wins (ties favor packing).
-            let build =
-                |do_pack: bool,
-                 hooks: &mut PipelineHooks<'_>|
-                 -> Result<(Function, usize, usize, usize, usize), CompileError> {
-                    let mut f = src.clone();
-                    let peeled = peel_loops(&mut f);
-                    pass_boundary(&mut f, Pass::Peel, opts, hooks)?;
-                    let mut unrolled = 0;
-                    if config.unrolls() {
-                        unrolled = unroll_loops(&mut f, opts.params.max_level, do_pack);
-                        pass_boundary(&mut f, Pass::Unroll, opts, hooks)?;
-                    }
-                    let mut packed = 0;
-                    if do_pack {
-                        packed = pack_loops(&mut f);
-                        pass_boundary(&mut f, Pass::Pack, opts, hooks)?;
-                    }
-                    dce::run(&mut f);
-                    pass_boundary(&mut f, Pass::Dce, opts, hooks)?;
-                    assign_levels(&mut f, opts)?;
-                    pass_boundary(&mut f, Pass::AssignLevels, opts, hooks)?;
-                    let mut tuned = 0;
-                    if config.tunes() {
-                        tuned = tune_bootstrap_targets(&mut f);
-                        halo_ir::verify::verify_typed(&f, opts.params.max_level)?;
-                        pass_boundary(&mut f, Pass::Tune, opts, hooks)?;
-                    }
-                    Ok((f, peeled, packed, unrolled, tuned))
-                };
-            if config.packs() {
-                let with_pack = build(true, hooks)?;
-                if with_pack.2 == 0 {
-                    // Nothing was packable; the variants are identical.
-                    with_pack
-                } else {
-                    let without = build(false, hooks)?;
-                    let cp = estimate_cost_us(&with_pack.0, ASSUMED_TRIPS);
-                    let cu = estimate_cost_us(&without.0, ASSUMED_TRIPS);
-                    if cp <= cu {
-                        with_pack
-                    } else {
-                        without
-                    }
-                }
-            } else {
-                build(false, hooks)?
-            }
-        }
+    let plan = config.plan();
+    let typed = |pack: bool, hooks: &mut PipelineHooks<'_>| {
+        let plan = TunePlan { pack, ..plan };
+        let (mut f, peeled, packed, unrolled) = plan_traced(src, plan, opts, hooks)?;
+        assign_levels(&mut f, opts)?;
+        pass_boundary(&mut f, Pass::AssignLevels, opts, hooks)?;
+        let tuned = if plan.tune_targets {
+            tune_targets(&mut f, opts, hooks)?
+        } else {
+            0
+        };
+        Ok::<_, CompileError>((f, peeled, packed, unrolled, tuned))
     };
-    let tail_tunes = matches!(config, CompilerConfig::Tuned(plan) if plan.tune_targets);
-    let tuned = tuned + finish_typed(&mut f, tail_tunes, opts, hooks)?;
+    let mut built = typed(plan.pack, hooks)?;
+    // The paper's packing configurations are cost-aware: packing trades m
+    // head bootstraps for one, but its two extra multiplicative levels can
+    // force extra in-body resets on deep bodies (the paper's K-means
+    // observation, §7.1). So when one of them packed a loop, the unpacked
+    // build is made too and the statically cheaper one wins (ties favor
+    // packing). A `Tuned` plan's search already chose.
+    if built.2 > 0 && !matches!(config, CompilerConfig::Tuned(_)) {
+        let unpacked = typed(false, hooks)?;
+        let cost = |f: &Function| estimate_cost_us(f, ASSUMED_TRIPS);
+        if cost(&unpacked.0) < cost(&built.0) {
+            built = unpacked;
+        }
+    }
+    let (mut f, peeled, packed, unrolled, tuned) = built;
+    final_dce(&mut f, opts, hooks)?;
 
     let static_bootstraps = f.count_ops(|o| matches!(o, Opcode::Bootstrap { .. }));
     Ok(CompileResult {
@@ -525,6 +481,37 @@ mod tests {
     }
 
     #[test]
+    fn every_configuration_compiles_as_its_plan() {
+        // On the fuzz corpus, each configuration prints what its plan
+        // does, or, for a packing configuration that declined to pack,
+        // what its plan with packing off does.
+        let opts = CompileOptions::new(halo_fuzz::diff::fuzz_params());
+        let text = |src: &Function, config| match compile(src, config, &opts) {
+            Ok(r) => halo_ir::print::print(&r.function),
+            Err(e) => format!("error: {e}"),
+        };
+        let mut declined = 0;
+        for seed in 0..24 {
+            let spec = halo_fuzz::gen::gen_spec(seed);
+            for config in CompilerConfig::ALL {
+                let src = halo_fuzz::gen::build(&spec, config != CompilerConfig::DaCapo);
+                let plan = config.plan();
+                let got = text(&src, config);
+                if got != text(&src, CompilerConfig::Tuned(plan)) {
+                    let unpacked = TunePlan {
+                        pack: false,
+                        ..plan
+                    };
+                    assert!(plan.pack, "{seed} {}", config.name());
+                    assert_eq!(got, text(&src, CompilerConfig::Tuned(unpacked)));
+                    declined += 1;
+                }
+            }
+        }
+        assert!(declined > 0, "the corpus meets both sides of the choice");
+    }
+
+    #[test]
     fn pass_panics_surface_as_internal_errors() {
         use halo_ir::func::BlockId;
         use halo_ir::types::{CtType, LEVEL_UNSET};
@@ -586,7 +573,7 @@ mod tests {
         assert_eq!(*passes.last().unwrap(), Pass::FinalDce);
         assert!(hooks.trace.iter().all(|r| r.verified && r.ops_after > 0));
 
-        // The DaCapo arm has its own trace shape.
+        // DaCapo's plan unrolls fully instead of peeling.
         let mut hooks = PipelineHooks::verifying();
         compile_with_hooks(
             &sample(TripCount::Constant(4)),

@@ -339,38 +339,9 @@ fn insert_reset(
         );
         at += 1;
         let new_v = f.op(bs).results[0];
-        replace_uses_from(f, block, at, v, new_v);
+        f.replace_uses_from(block, at, v, new_v);
     }
     live.len()
-}
-
-/// Replaces uses of `old` with `new` in ops `block[from..]` and their
-/// nested bodies.
-pub(crate) fn replace_uses_from(
-    f: &mut Function,
-    block: BlockId,
-    from: usize,
-    old: ValueId,
-    new: ValueId,
-) {
-    let tail: Vec<_> = f.block(block).ops[from..].to_vec();
-    for op_id in tail {
-        replace_in_op_rec(f, op_id, old, new);
-    }
-}
-
-fn replace_in_op_rec(f: &mut Function, op_id: OpId, old: ValueId, new: ValueId) {
-    for i in 0..f.op(op_id).operands.len() {
-        if f.op(op_id).operands[i] == old {
-            f.op_mut(op_id).operands[i] = new;
-        }
-    }
-    if let Opcode::For { body, .. } = f.op(op_id).opcode {
-        let ops = f.block(body).ops.clone();
-        for inner in ops {
-            replace_in_op_rec(f, inner, old, new);
-        }
-    }
 }
 
 #[cfg(test)]

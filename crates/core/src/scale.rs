@@ -30,7 +30,7 @@ use halo_ir::verify::verify_typed;
 use crate::config::CompileOptions;
 use crate::error::CompileError;
 use crate::levelsim::{plan_op, StepPlan, TypeEnv, FLOOR_LEVEL};
-use crate::placement::{ensure_feasible, replace_uses_from};
+use crate::placement::ensure_feasible;
 
 struct FnTypes<'a>(&'a Function);
 
@@ -230,7 +230,7 @@ fn coerce_to_floor(
             CtType::cipher(t.level - 1),
         );
         inserted += 1;
-        replace_uses_from(f, block, pos + inserted, v, cur);
+        f.replace_uses_from(block, pos + inserted, v, cur);
         renames.record(v, cur);
     }
     let t = f.ty(cur);
@@ -277,7 +277,7 @@ fn materialize_loop(
                 CtType::cipher(t.level - 1),
             );
             i += 1;
-            replace_uses_from(f, block, i, li, v2);
+            f.replace_uses_from(block, i, li, v2);
             renames.record(li, v2);
         }
     }
@@ -308,8 +308,9 @@ fn materialize_loop(
                 &[CtType::cipher(max_level)],
             );
             head += 1;
+            // The bootstraps before `head` read the other arguments.
             let new_v = f.op(bs).results[0];
-            f.replace_uses_in_block(body, arg, new_v, Some(bs));
+            f.replace_uses_from(body, head, arg, new_v);
         } else {
             f.set_ty(arg, CtType::plain(0));
         }

@@ -55,10 +55,9 @@ fn unroll_in_block(
 
 /// Unrolls every structurally eligible loop by an explicit `factor` — the
 /// autotuner's unroll knob, bypassing the paper's profitability formula.
-/// Eligibility matches [`unroll_factor`]'s structural preconditions
-/// (epilogue loops and already-divided dynamic trips are never re-split);
-/// constant trips clamp the factor to the trip count, and an effective
-/// factor ≤ 1 is a no-op. Returns the number of loops unrolled.
+/// Eligibility and clamping follow [`TripCount::unroll_cap`], as in
+/// [`unroll_factor`]; an effective factor ≤ 1 is a no-op. Returns the
+/// number of loops unrolled.
 pub fn unroll_loops_with_factor(f: &mut Function, factor: u64) -> usize {
     if factor <= 1 {
         return 0;
@@ -77,17 +76,7 @@ fn factor_in_block(f: &mut Function, block: BlockId, factor: u64, count: &mut us
         let body = f.for_body(op_id);
         factor_in_block(f, body, factor, count);
         let eff = match &f.op(op_id).opcode {
-            Opcode::For { trip, .. } => match trip {
-                TripCount::DynamicRem { .. } => 0,
-                TripCount::Dynamic { div, .. } => {
-                    if *div == 1 {
-                        factor
-                    } else {
-                        0
-                    }
-                }
-                TripCount::Constant(n) => factor.min(*n),
-            },
+            Opcode::For { trip, .. } => trip.unroll_cap().map_or(0, |cap| factor.min(cap)),
             _ => 0,
         };
         if eff > 1 {
@@ -109,25 +98,14 @@ pub fn unroll_factor(
     let Opcode::For { body, trip, .. } = &f.op(op_id).opcode else {
         return None;
     };
-    // Epilogue loops (already divided trips) are never re-unrolled.
-    if matches!(trip, TripCount::DynamicRem { .. }) {
-        return None;
-    }
-    if let TripCount::Dynamic { div, .. } = trip {
-        if *div != 1 {
-            return None;
-        }
-    }
+    let cap = trip.unroll_cap()?;
     let depth_max = u64::from(max_mult_depth(f, *body));
     if depth_max == 0 {
         return None;
     }
     let will_pack = assume_packing && packable_indices(f, op_id).is_some();
     let depth_limit = u64::from(max_level) - if will_pack { 2 } else { 0 };
-    let mut factor = depth_limit / depth_max;
-    if let TripCount::Constant(n) = trip {
-        factor = factor.min(*n);
-    }
+    let factor = (depth_limit / depth_max).min(cap);
     (factor > 1).then_some(factor)
 }
 

@@ -7,7 +7,6 @@
 //! in the arena (ids remain valid) but become unreachable; the printer and
 //! verifier only walk reachable ops.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::op::{Op, Opcode};
@@ -366,44 +365,23 @@ impl Function {
         }
     }
 
-    /// Replaces uses of `old` with `new` only within `block` (recursively
-    /// into nested loop bodies), except inside `except`.
-    pub fn replace_uses_in_block(
-        &mut self,
-        block: BlockId,
-        old: ValueId,
-        new: ValueId,
-        except: Option<OpId>,
-    ) {
-        let mut targets = Vec::new();
-        self.walk_block(block, &mut |_, op| {
-            targets.push(op);
-        });
-        for op in targets {
-            if Some(op) == except {
-                continue;
-            }
-            for operand in &mut self.ops[op.0 as usize].operands {
-                if *operand == old {
-                    *operand = new;
-                }
-            }
+    /// Replaces uses of `old` with `new` in ops `block[from..]` and their
+    /// nested bodies.
+    pub fn replace_uses_from(&mut self, block: BlockId, from: usize, old: ValueId, new: ValueId) {
+        let tail = self.blocks[block.0 as usize].ops[from..].to_vec();
+        for op in tail {
+            self.replace_in_op_rec(op, old, new);
         }
     }
 
-    /// Applies a value substitution map to every reachable op in `block`
-    /// (recursively).
-    pub fn substitute_in_block(&mut self, block: BlockId, map: &HashMap<ValueId, ValueId>) {
-        let mut targets = Vec::new();
-        self.walk_block(block, &mut |_, op| {
-            targets.push(op);
-        });
-        for op in targets {
-            for operand in &mut self.ops[op.0 as usize].operands {
-                if let Some(&n) = map.get(operand) {
-                    *operand = n;
-                }
+    fn replace_in_op_rec(&mut self, op: OpId, old: ValueId, new: ValueId) {
+        for operand in &mut self.ops[op.0 as usize].operands {
+            if *operand == old {
+                *operand = new;
             }
+        }
+        if let Opcode::For { body, .. } = self.op(op).opcode {
+            self.replace_uses_from(body, 0, old, new);
         }
     }
 

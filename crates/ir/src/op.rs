@@ -34,30 +34,39 @@ impl TripCount {
         }
     }
 
-    /// Whether the trip count is known at compile time.
-    #[must_use]
-    pub fn is_constant(&self) -> bool {
-        matches!(self, TripCount::Constant(_))
-    }
-
     /// Evaluates the trip count against a symbol environment.
     ///
     /// # Errors
     ///
     /// Returns the missing symbol name if the environment lacks it.
     pub fn eval(&self, env: &HashMap<String, u64>) -> Result<u64, String> {
+        let n = match self.symbol() {
+            Some(sym) => *env.get(sym).ok_or_else(|| sym.to_string())?,
+            None => 0,
+        };
+        Ok(self.at(n))
+    }
+
+    /// The trip count when its symbol (if any) holds `n`.
+    #[must_use]
+    pub fn at(&self, n: u64) -> u64 {
+        let num = |add: i64| u64::try_from(n as i64 + add).unwrap_or(0);
         match self {
-            TripCount::Constant(n) => Ok(*n),
-            TripCount::Dynamic { sym, add, div } => {
-                let n = *env.get(sym).ok_or_else(|| sym.clone())? as i64;
-                let num = n + add;
-                Ok(if num <= 0 { 0 } else { (num as u64) / div })
-            }
-            TripCount::DynamicRem { sym, add, div } => {
-                let n = *env.get(sym).ok_or_else(|| sym.clone())? as i64;
-                let num = n + add;
-                Ok(if num <= 0 { 0 } else { (num as u64) % div })
-            }
+            TripCount::Constant(c) => *c,
+            TripCount::Dynamic { add, div, .. } => num(*add) / div,
+            TripCount::DynamicRem { add, div, .. } => num(*add) % div,
+        }
+    }
+
+    /// The largest factor this loop may be unrolled by: a constant trip
+    /// caps it at the trip count, an undivided dynamic trip leaves it
+    /// unbounded, and a divided trip or an epilogue is never re-split.
+    #[must_use]
+    pub fn unroll_cap(&self) -> Option<u64> {
+        match self {
+            TripCount::Constant(n) => Some(*n),
+            TripCount::Dynamic { div: 1, .. } => Some(u64::MAX),
+            TripCount::Dynamic { .. } | TripCount::DynamicRem { .. } => None,
         }
     }
 
@@ -332,6 +341,20 @@ mod tests {
     fn dynamic_trip_missing_symbol() {
         let t = TripCount::dynamic("iters");
         assert_eq!(t.eval(&env(40)).unwrap_err(), "iters");
+    }
+
+    #[test]
+    fn trip_value_and_unroll_cap() {
+        let peeled = TripCount::dynamic("n").minus_one();
+        let (main, epi) = peeled.split_for_unroll(3);
+        assert_eq!(
+            (peeled.at(0), main.at(11), epi.at(11), epi.at(0)),
+            (0, 3, 1, 0)
+        );
+        assert_eq!(TripCount::Constant(7).at(40), 7);
+        assert_eq!(TripCount::Constant(7).unroll_cap(), Some(7));
+        assert_eq!(peeled.unroll_cap(), Some(u64::MAX));
+        assert_eq!((main.unroll_cap(), epi.unroll_cap()), (None, None));
     }
 
     #[test]

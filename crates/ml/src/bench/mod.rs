@@ -55,16 +55,6 @@ impl BenchSpec {
             seed: 0xDA7A,
         }
     }
-
-    /// Mid-size instance for integration tests: 1 024 slots, 64 samples.
-    #[must_use]
-    pub fn test_medium() -> BenchSpec {
-        BenchSpec {
-            slots: 1 << 10,
-            num_elems: 64,
-            seed: 0xDA7A,
-        }
-    }
 }
 
 /// A benchmark program: tracing, inputs, and Table 4 metadata.

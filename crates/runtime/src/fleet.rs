@@ -81,7 +81,7 @@ use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use halo_ckks::fault::{FaultInjectingBackend, FaultSpec};
+use halo_ckks::fault::{splitmix64, unit_draw, FaultInjectingBackend, FaultSpec};
 use halo_ckks::snapshot::{put_u32, put_u64, SnapError, SnapshotBackend};
 use halo_ir::func::{Function, OpId};
 use halo_ir::op::Opcode;
@@ -797,7 +797,7 @@ impl<'a> ExecutorSim<'a> {
         ExecutorSim {
             id,
             seed,
-            rstore: RemoteStore::new(store, policy.clone(), splitmix(seed ^ u64::from(id) << 8)),
+            rstore: RemoteStore::new(store, policy.clone(), splitmix64(seed ^ u64::from(id) << 8)),
             state: ExecState::Idle,
             stats: RunStats::default(),
             pending_result: None,
@@ -830,7 +830,7 @@ impl<'a> ExecutorSim<'a> {
         self.rstore = RemoteStore::new(
             ctx.store,
             ctx.cfg.remote_policy.clone(),
-            splitmix(self.seed ^ (u64::from(self.id) << 8) ^ self.reboots),
+            splitmix64(self.seed ^ (u64::from(self.id) << 8) ^ self.reboots),
         );
         self.last_seen_gen = 0;
         self.stale_view = None;
@@ -966,7 +966,7 @@ impl<'a> ExecutorSim<'a> {
         let backend = FaultInjectingBackend::new(
             (ctx.make_backend)(),
             FaultSpec::none(),
-            splitmix(self.seed ^ ctx.tick ^ (u64::from(self.id) << 32)),
+            splitmix64(self.seed ^ ctx.tick ^ (u64::from(self.id) << 32)),
         );
         let slice = ctx.cfg.slice_ops.max(1);
         backend.kill_after_ops(draws.kill.map_or(slice, |k| k.min(slice)));
@@ -1115,7 +1115,7 @@ struct CoordinatorSim<'a> {
 
 impl<'a> CoordinatorSim<'a> {
     fn new(store: &'a dyn ObjectStore, policy: RemotePolicy, seed: u64) -> CoordinatorSim<'a> {
-        let rstore = RemoteStore::new(store, policy.clone(), splitmix(seed ^ 0xC0C0));
+        let rstore = RemoteStore::new(store, policy.clone(), splitmix64(seed ^ 0xC0C0));
         CoordinatorSim {
             store,
             policy,
@@ -1143,7 +1143,7 @@ impl<'a> CoordinatorSim<'a> {
         self.rstore = RemoteStore::new(
             self.store,
             self.policy.clone(),
-            splitmix(self.seed ^ 0xC0C0 ^ self.restarts),
+            splitmix64(self.seed ^ 0xC0C0 ^ self.restarts),
         );
         self.counted.clear();
         self.result = None;
@@ -1178,18 +1178,6 @@ impl<'a> CoordinatorSim<'a> {
             }
         }
     }
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn next_f64(rng: &mut u64) -> f64 {
-    *rng = splitmix(*rng);
-    (*rng >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Runs one loop job across a simulated fleet of executors sharing
@@ -1248,7 +1236,7 @@ where
         .map_err(|_| FleetError::BadConfig("too many legs".into()))?;
 
     let clock = AtomicU64::new(0);
-    let mut rng = splitmix(seed ^ 0xF1EE_7000);
+    let mut rng = splitmix64(seed ^ 0xF1EE_7000);
     let mut meta = FleetMeta::default();
     let mut coordinator = CoordinatorSim::new(store, cfg.remote_policy.clone(), seed);
     let mut executors: Vec<ExecutorSim<'_>> = (0..cfg.executors)
@@ -1272,7 +1260,7 @@ where
         };
 
         // Coordinator phase.
-        let restart_roll = next_f64(&mut rng);
+        let restart_roll = unit_draw(&mut rng);
         if faults.scripted_restart_tick == Some(tick) {
             pending_restart = true;
         }
@@ -1338,9 +1326,9 @@ where
         // Executor phase (fault draws are unconditional per executor per
         // round, so the stream stays aligned regardless of state).
         for ex in &mut executors {
-            let kill_roll = next_f64(&mut rng);
-            let ops_roll = next_f64(&mut rng);
-            let stall_roll = next_f64(&mut rng);
+            let kill_roll = unit_draw(&mut rng);
+            let ops_roll = unit_draw(&mut rng);
+            let stall_roll = unit_draw(&mut rng);
             let draws = FaultDraws {
                 kill: (faults.p_kill > 0.0 && kill_roll < faults.p_kill)
                     .then(|| 1 + (ops_roll * faults.kill_ops_max.max(1) as f64) as u64),

@@ -37,6 +37,8 @@ use std::fmt;
 use std::io;
 use std::sync::Mutex;
 
+use halo_ckks::fault::{splitmix64, unit_draw};
+
 use crate::store::{DiskStore, SnapshotStore};
 
 // ----------------------------------------------------------------------
@@ -309,14 +311,6 @@ impl RemoteFaultReport {
     }
 }
 
-/// One round of SplitMix64 (the workspace's standard seeded mixer).
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[derive(Debug)]
 struct SimState {
     rng: u64,
@@ -325,13 +319,6 @@ struct SimState {
     /// Operations up to (exclusive) which the endpoint is dark.
     down_until: u64,
     report: RemoteFaultReport,
-}
-
-impl SimState {
-    fn roll(&mut self) -> f64 {
-        self.rng = splitmix(self.rng);
-        (self.rng >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// A deterministic in-process model of a flaky remote object store.
@@ -353,7 +340,7 @@ impl SimObjectStore {
             spec,
             objects: Mutex::new(BTreeMap::new()),
             state: Mutex::new(SimState {
-                rng: splitmix(seed ^ 0x5245_4D4F_5445_5F53),
+                rng: splitmix64(seed ^ 0x5245_4D4F_5445_5F53),
                 ops: 0,
                 down_until: 0,
                 report: RemoteFaultReport::default(),
@@ -402,7 +389,7 @@ impl SimObjectStore {
                 latency_us: self.spec.base_latency_us.min(100.0),
             });
         }
-        if self.spec.unavail > 0.0 && s.roll() < self.spec.unavail {
+        if self.spec.unavail > 0.0 && unit_draw(&mut s.rng) < self.spec.unavail {
             s.down_until = s.ops + u64::from(self.spec.unavail_window);
             s.report.outage_rejections += 1;
             return Err(ObjectError {
@@ -410,8 +397,9 @@ impl SimObjectStore {
                 latency_us: self.spec.base_latency_us.min(100.0),
             });
         }
-        let mut latency = self.spec.base_latency_us + s.roll() * self.spec.jitter_latency_us;
-        if self.spec.stall > 0.0 && s.roll() < self.spec.stall {
+        let mut latency =
+            self.spec.base_latency_us + unit_draw(&mut s.rng) * self.spec.jitter_latency_us;
+        if self.spec.stall > 0.0 && unit_draw(&mut s.rng) < self.spec.stall {
             latency *= 50.0;
         }
         if latency > deadline_us {
@@ -421,7 +409,7 @@ impl SimObjectStore {
                 latency_us: deadline_us,
             });
         }
-        if self.spec.transient > 0.0 && s.roll() < self.spec.transient {
+        if self.spec.transient > 0.0 && unit_draw(&mut s.rng) < self.spec.transient {
             s.report.transients += 1;
             return Err(ObjectError {
                 kind: ObjectErrorKind::Transient("injected 503".into()),
@@ -437,10 +425,12 @@ impl ObjectStore for SimObjectStore {
         let latency = self.admit(deadline_us)?;
         let torn = {
             let mut s = self.state.lock().expect("sim state lock");
-            if self.spec.torn_upload > 0.0 && !bytes.is_empty() && s.roll() < self.spec.torn_upload
+            if self.spec.torn_upload > 0.0
+                && !bytes.is_empty()
+                && unit_draw(&mut s.rng) < self.spec.torn_upload
             {
                 s.report.torn_uploads += 1;
-                let cut = 1 + (s.roll() * (bytes.len() - 1) as f64) as usize;
+                let cut = 1 + (unit_draw(&mut s.rng) * (bytes.len() - 1) as f64) as usize;
                 Some(cut.min(bytes.len() - 1))
             } else {
                 None
@@ -481,10 +471,13 @@ impl ObjectStore for SimObjectStore {
                 latency_us: latency,
             })?;
         let mut s = self.state.lock().expect("sim state lock");
-        if self.spec.read_bitflip > 0.0 && !bytes.is_empty() && s.roll() < self.spec.read_bitflip {
+        if self.spec.read_bitflip > 0.0
+            && !bytes.is_empty()
+            && unit_draw(&mut s.rng) < self.spec.read_bitflip
+        {
             s.report.read_bitflips += 1;
-            let pos = ((s.roll() * bytes.len() as f64) as usize).min(bytes.len() - 1);
-            let bit = ((s.roll() * 8.0) as u32).min(7);
+            let pos = ((unit_draw(&mut s.rng) * bytes.len() as f64) as usize).min(bytes.len() - 1);
+            let bit = ((unit_draw(&mut s.rng) * 8.0) as u32).min(7);
             bytes[pos] ^= 1u8 << bit;
         }
         Ok(ObjectReply {
@@ -656,13 +649,6 @@ struct RemoteInner {
     telemetry: RemoteTelemetry,
 }
 
-impl RemoteInner {
-    fn roll(&mut self) -> f64 {
-        self.rng = splitmix(self.rng);
-        (self.rng >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// Object key of one snapshot generation.
 fn gen_key(generation: u64) -> String {
     format!("snap/{generation:016x}")
@@ -739,7 +725,7 @@ impl<O: ObjectStore> RemoteStore<O> {
             spill: None,
             policy,
             inner: Mutex::new(RemoteInner {
-                rng: splitmix(seed ^ 0x4845_4447_4a49_5454),
+                rng: splitmix64(seed ^ 0x4845_4447_4a49_5454),
                 attempts: 0,
                 breaker: Breaker::Closed { fails: 0 },
                 next_gen: None,
@@ -835,7 +821,7 @@ impl<O: ObjectStore> RemoteStore<O> {
                     // Decorrelated jitter: sleep ∈ [base, prev·3], capped.
                     let base = self.policy.backoff_base_us;
                     let hi = (inner.prev_backoff_us * 3.0).max(base);
-                    let roll = inner.roll();
+                    let roll = unit_draw(&mut inner.rng);
                     let backoff = (base + roll * (hi - base)).min(self.policy.backoff_cap_us);
                     inner.prev_backoff_us = backoff;
                     inner.telemetry.backoff_us += backoff;

@@ -311,15 +311,32 @@ mod tests {
     use halo_ckks::{Backend, CkksParams, SimBackend, ToyBackend};
     use proptest::prelude::*;
 
-    /// XORs `mask` into body byte `at` of a sealed record and seals it
-    /// again under the record's own magic and version, so the mutation
-    /// passes the checksum and reaches the field decoders.
-    fn reseal(bytes: &[u8], at: usize, mask: u8) -> Vec<u8> {
+    /// Applies `edit` to the body of a sealed record and seals it again
+    /// under the record's own magic and version, so the mutation passes
+    /// the checksum and reaches the field decoders.
+    fn reseal_with(bytes: &[u8], edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
         let magic: [u8; 8] = bytes[..8].try_into().expect("magic");
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("version"));
         let mut body = bytes[12..bytes.len() - 8].to_vec();
-        body[at] ^= mask;
+        edit(&mut body);
         seal(&magic, version, |out| out.extend_from_slice(&body))
+    }
+
+    /// XORs `mask` into body byte `at` of a sealed record, sealed again.
+    fn reseal(bytes: &[u8], at: usize, mask: u8) -> Vec<u8> {
+        reseal_with(bytes, |body| body[at] ^= mask)
+    }
+
+    /// Replaces the first `from` in a sealed record's body with `to` (of
+    /// the same length), sealed again.
+    fn reseal_replacing(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        reseal_with(bytes, |body| {
+            let at = body
+                .windows(from.len())
+                .position(|w| w == from)
+                .expect("pattern in the body");
+            body[at..at + from.len()].copy_from_slice(to);
+        })
     }
 
     fn body_len(bytes: &[u8]) -> usize {
@@ -367,14 +384,56 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn resealed_sim_rng_state_restores_at_once() {
+        let be = sim();
+        let snap = sim_snapshot(&be);
+        let mut saved = Vec::new();
+        be.rng_save(&mut saved);
+        // Seed, then the four state words: set every word to u64::MAX.
+        let mut max = saved.clone();
+        max[8..].fill(0xff);
+        let restored =
+            decode_snapshot(&be, "prog", &reseal_replacing(&snap, &saved, &max)).expect("decodes");
+        restored.apply_rng(&be).expect("any nonzero state restores");
+        let mut now = Vec::new();
+        be.rng_save(&mut now);
+        assert_eq!(now, max);
+        // The next draw is that state's: a backend given the same words
+        // directly perturbs an encryption identically.
+        let twin = sim();
+        twin.rng_load(&mut SnapReader::new(&max)).expect("loads");
+        let enc = |b: &SimBackend| b.decrypt(&b.encrypt(&[0.5], 3).expect("encrypt"));
+        assert_eq!(enc(&be).expect("decrypt"), enc(&twin).expect("decrypt"));
+        // The noise is live: a freshly seeded stream draws differently.
+        assert_ne!(enc(&be).expect("decrypt"), enc(&sim()).expect("decrypt"));
+
+        // The all-zero state is rejected with a typed error.
+        let mut zero = saved.clone();
+        zero[8..].fill(0);
+        let restored =
+            decode_snapshot(&be, "prog", &reseal_replacing(&snap, &saved, &zero)).expect("decodes");
+        assert!(matches!(
+            restored.apply_rng(&be),
+            Err(SnapError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn sim_snapshots_of_the_draw_count_format_are_rejected() {
+        let be = sim();
+        let old = reseal_replacing(&sim_snapshot(&be), b"halo-ct-sim/2", b"halo-ct-sim/1");
+        let err = decode_snapshot(&be, "prog", &old).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("ciphertext format"), "{err}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Every single-byte body mutation of a lease, a result, a sim and
         /// a toy `halo-snap/1` record, sealed again, decodes to a value or
-        /// a typed error — never a panic. A toy record that decodes also
-        /// applies its RNG state and decrypts every restored ciphertext
-        /// (the toy replay is bounded by its input; the sim one is not).
+        /// a typed error — never a panic. A snapshot that decodes also
+        /// applies its RNG state and decrypts every restored ciphertext.
         #[test]
         fn resealed_body_mutations_decode_or_fail_typed(mask in 1u8..=255) {
             let lease = encode_lease(&LeaseRecord {
@@ -396,21 +455,27 @@ mod tests {
             let snap = sim_snapshot(&be);
             for at in 0..body_len(&snap) {
                 let mutated = reseal(&snap, at, mask);
-                let _ = decode_snapshot(&be, "prog", &mutated);
                 let _ = peek_snapshot_cursor("prog", &mutated);
+                restore_all(&be, &mutated);
             }
             let toy = ToyBackend::new(16, 2, 0x7E57);
             let snap = toy_snapshot(&toy);
             for at in 0..body_len(&snap) {
-                let Ok(restored) = decode_snapshot(&toy, "prog", &reseal(&snap, at, mask)) else {
-                    continue;
-                };
-                let _ = restored.apply_rng(&toy);
-                for v in restored.values.values().chain(&restored.carried) {
-                    if let RtValue::Ct(ct) = v {
-                        let _ = toy.decrypt(ct);
-                    }
-                }
+                restore_all(&toy, &reseal(&snap, at, mask));
+            }
+        }
+    }
+
+    /// Decodes `bytes`, applies its RNG state and decrypts every restored
+    /// ciphertext, ignoring every typed error.
+    fn restore_all<B: SnapshotBackend>(be: &B, bytes: &[u8]) {
+        let Ok(restored) = decode_snapshot(be, "prog", bytes) else {
+            return;
+        };
+        let _ = restored.apply_rng(be);
+        for v in restored.values.values().chain(&restored.carried) {
+            if let RtValue::Ct(ct) = v {
+                let _ = be.decrypt(ct);
             }
         }
     }

@@ -22,6 +22,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use halo_ckks::fault::{splitmix64, unit_draw};
+
 use crate::remote::RemoteTelemetry;
 
 /// Generation-numbered snapshot storage. `Send + Sync` so one store can
@@ -252,14 +254,7 @@ impl DiskStore {
 impl SnapshotStore for DiskStore {
     fn put(&self, bytes: &[u8]) -> io::Result<u64> {
         let generation = self.allocate_generation()?;
-        let tmp = self.dir.join(format!(".tmp-{}", snap_name(generation)));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.dir.join(snap_name(generation)))?;
-        self.sync_dir();
+        self.put_at(generation, bytes)?;
         self.prune()?;
         Ok(generation)
     }
@@ -334,15 +329,6 @@ pub struct StoreFaultReport {
     pub read_bitflips: u64,
 }
 
-/// One round of SplitMix64 — the same deterministic mixer the toy
-/// backend uses for derived key RNGs.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A deterministic fault-injecting [`SnapshotStore`] decorator — the
 /// storage-layer sibling of `halo_ckks::FaultInjectingBackend`. Faults
 /// are drawn from a seeded SplitMix64 stream, so a given (seed, spec,
@@ -362,7 +348,7 @@ impl<S: SnapshotStore> FaultyStore<S> {
         FaultyStore {
             inner,
             spec,
-            state: Mutex::new(splitmix(seed ^ 0x5707_4146_4155_4C54)),
+            state: Mutex::new(splitmix64(seed ^ 0x5707_4146_4155_4C54)),
             report: Mutex::new(StoreFaultReport::default()),
         }
     }
@@ -381,9 +367,7 @@ impl<S: SnapshotStore> FaultyStore<S> {
 
     /// Next deterministic draw in `[0, 1)`.
     fn roll(&self) -> f64 {
-        let mut s = self.state.lock().expect("state lock");
-        *s = splitmix(*s);
-        (*s >> 11) as f64 / (1u64 << 53) as f64
+        unit_draw(&mut self.state.lock().expect("state lock"))
     }
 }
 
